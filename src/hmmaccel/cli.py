@@ -4,9 +4,6 @@ Subcommands: gen, cluster, train, eval, decode, dist, bench. File formats
 are the package's JSON model format, plain-text sequence files (one
 sequence per line), and JSON cluster tables. Every command exits 0 only if
 all of its steps succeeded.
-
-HMMACCEL_THREADS is honored as a cap on internal parallelism; the current
-implementation computes everything on one thread, so any cap is satisfied.
 """
 
 from __future__ import annotations

@@ -1,13 +1,17 @@
 """Frequency-weighted clustering of training sequences.
 
-Scans a category's sequences in order. Each incoming sequence is compared
-against the existing cluster representatives in insertion order and merged
-into the first one at distance exactly zero; otherwise it opens a new
-cluster. Weights count how many sequences each representative stands for,
-so no information is lost: the weights always sum to the input count.
+Scans a category's sequences in order. Each incoming sequence joins the
+first cluster whose representative is at distance exactly zero from it;
+otherwise it opens a new cluster. Weights count how many sequences each
+representative stands for, so no information is lost: the weights always
+sum to the input count.
 
-With the Euclidean distance only bit-identical sequences merge; with DTW,
-sequences whose run-length-collapsed forms coincide merge.
+Distance zero is an equivalence in both metrics, so clustering is a
+group-by on a canonical key rather than a scan over representatives. With
+the Euclidean distance only identical sequences are at distance zero, and
+the key is the sequence itself; with DTW, sequences are at distance zero
+exactly when their run-length-collapsed forms coincide (see dtw.py), and
+the key is that collapsed form.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtw import dtw_distance, euclidean_distance
+from .dtw import run_length_collapse
 
 DISTANCES = ("dtw", "euclidean")
 
@@ -45,13 +49,12 @@ def _key(seq: np.ndarray) -> bytes:
     return np.ascontiguousarray(seq, dtype=np.int64).tobytes()
 
 
-def build_clusters(data, distance: str = "dtw", dedup: bool = True) -> ClusterTable:
+def build_clusters(data, distance: str = "dtw") -> ClusterTable:
     """Cluster a Dataset into weighted representatives.
 
     distance: "dtw" or "euclidean" (the latter requires all sequences to
-    share one length). dedup enables an exact-duplicate hash shortcut that
-    skips distance scans for sequences seen before; it never changes the
-    resulting table, only the time taken to build it.
+    share one length). Representatives are the first member of each
+    cluster, in order of first appearance.
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}, expected one of {DISTANCES}")
@@ -66,30 +69,23 @@ def build_clusters(data, distance: str = "dtw", dedup: bool = True) -> ClusterTa
                     f"sequence {pos} has length {len(seq)} but sequence 1 has "
                     f"length {length}; euclidean clustering requires one length"
                 )
-        dist = euclidean_distance
-    else:
-        dist = lambda x, y: dtw_distance(x, y).distance  # noqa: E731
 
     reps: list[np.ndarray] = []
     weights: list[int] = []
-    seen: dict[bytes, int] = {}
+    seen: dict[bytes, int] = {}  # exact sequence -> cluster, for repeats
+    clusters: dict = {}  # canonical key -> cluster
 
     for seq in sequences:
         key = _key(seq)
-        if dedup:
-            hit = seen.get(key)
-            if hit is not None:
-                weights[hit] += 1
-                continue
-        for idx, rep in enumerate(reps):
-            if dist(seq, rep) == 0.0:
-                weights[idx] += 1
-                seen[key] = idx
-                break
-        else:
-            seen[key] = len(reps)
-            reps.append(np.array(seq, dtype=np.int64))
-            weights.append(1)
+        idx = seen.get(key)
+        if idx is None:
+            canonical = run_length_collapse(seq) if distance == "dtw" else key
+            idx = clusters.setdefault(canonical, len(reps))
+            if idx == len(reps):
+                reps.append(np.array(seq, dtype=np.int64))
+                weights.append(0)
+            seen[key] = idx
+        weights[idx] += 1
 
     entries = [ClusterEntry(r, w) for r, w in zip(reps, weights)]
     return ClusterTable(category_id=data.category_id, entries=entries)
@@ -123,25 +119,64 @@ def save_cluster_table(table: ClusterTable, path) -> None:
         fh.write("\n")
 
 
+def _exact_int(value, where: str) -> int:
+    """value itself if it is a JSON integer (not a bool), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_cluster_table(path) -> ClusterTable:
+    """Read a cluster table, rejecting anything that would need rounding.
+
+    Weights, symbols, category_id and total_weight must be JSON integers
+    (not floats or booleans); representatives must be non-empty flat lists
+    of non-negative symbols. Every error names the file, and the cluster
+    index where there is one.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"cluster file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"cluster file {path} must hold a JSON object")
     try:
-        entries = [
-            ClusterEntry(np.array(c["representative"], dtype=np.int64), int(c["weight"]))
-            for c in doc["clusters"]
-        ]
-        table = ClusterTable(category_id=int(doc["category_id"]), entries=entries)
-        declared = int(doc["total_weight"])
+        clusters = doc["clusters"]
+        category_id = _exact_int(doc["category_id"], f"cluster file {path}: category_id")
+        declared = _exact_int(doc["total_weight"], f"cluster file {path}: total_weight")
     except KeyError as exc:
         raise ValueError(f"cluster file {path} is missing key {exc}") from None
-    if not entries:
+    if not isinstance(clusters, list):
+        raise ValueError(f"cluster file {path}: clusters must be a list")
+    if not clusters:
         raise ValueError(f"cluster file {path} has no clusters")
-    for i, e in enumerate(entries):
-        if e.weight < 1:
-            raise ValueError(f"cluster file {path}: cluster {i} has weight {e.weight}")
-        if e.representative.size == 0:
-            raise ValueError(f"cluster file {path}: cluster {i} is empty")
+
+    entries = []
+    for i, c in enumerate(clusters):
+        where = f"cluster file {path}: cluster {i}"
+        if not isinstance(c, dict):
+            raise ValueError(f"{where} must be a JSON object")
+        try:
+            rep, weight = c["representative"], c["weight"]
+        except KeyError as exc:
+            raise ValueError(f"{where} is missing key {exc}") from None
+        weight = _exact_int(weight, f"{where} weight")
+        if weight < 1:
+            raise ValueError(f"{where} has weight {weight}")
+        if not isinstance(rep, list):
+            raise ValueError(f"{where} representative must be a list of symbols")
+        if not rep:
+            raise ValueError(f"{where} is empty")
+        for pos, v in enumerate(rep):
+            if _exact_int(v, f"{where} symbol {pos}") < 0:
+                raise ValueError(f"{where} symbol {pos} is negative: {v}")
+        try:
+            entries.append(ClusterEntry(np.array(rep, dtype=np.int64), weight))
+        except OverflowError:
+            raise ValueError(f"{where} has a symbol too large for int64") from None
+
+    table = ClusterTable(category_id=category_id, entries=entries)
     if declared != table.total_weight:
         raise ValueError(
             f"cluster file {path}: total_weight {declared} does not match "

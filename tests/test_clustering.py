@@ -1,5 +1,7 @@
 """First-match zero-distance clustering and cluster table I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from hmmaccel import (
     ClusterEntry,
     ClusterTable,
     build_clusters,
+    dtw_distance,
+    euclidean_distance,
     filter_low_weight,
     load_cluster_table,
     run_length_collapse,
@@ -30,6 +34,37 @@ def random_dataset(rng, count, lo=1, hi=8):
     return dataset(
         [rng.integers(0, 4, size=int(rng.integers(lo, hi))).tolist() for _ in range(count)]
     )
+
+
+def warp_redundant_dataset(rng, count, one_length=False):
+    # each sequence stretches one of a few 3-symbol patterns by repeating
+    # its symbols, so many distinct sequences share a collapsed form; with
+    # one_length the stretch factors are a permutation of 1, 2, 3
+    patterns = [rng.integers(0, 3, size=3) for _ in range(6)]
+    rows = []
+    for i in range(count):
+        reps = rng.permutation([1, 2, 3]) if one_length else rng.integers(1, 4, size=3)
+        rows.append(np.repeat(patterns[i % 6], reps).tolist())
+    return dataset(rows)
+
+
+def scan_clusters(data, distance):
+    """Reference: the pairwise scan that keyed clustering replaced. Each
+    sequence joins the first representative at distance exactly zero."""
+    if distance == "euclidean":
+        dist = euclidean_distance
+    else:
+        dist = lambda x, y: dtw_distance(x, y).distance  # noqa: E731
+    reps, weights = [], []
+    for seq in data.sequences:
+        for idx, rep in enumerate(reps):
+            if dist(seq, rep) == 0.0:
+                weights[idx] += 1
+                break
+        else:
+            reps.append(np.array(seq, dtype=np.int64))
+            weights.append(1)
+    return reps, weights
 
 
 def test_four_sequences_dtw():
@@ -110,15 +145,27 @@ def test_count_and_weight_multiset_permutation_invariant():
     )
 
 
-def test_dedup_pre_pass_changes_nothing():
+def test_keyed_clustering_matches_scan():
     rng = np.random.default_rng(26)
-    data = random_dataset(rng, 70, lo=2, hi=5)
-    fast = build_clusters(data, distance="dtw", dedup=True)
-    slow = build_clusters(data, distance="dtw", dedup=False)
-    assert len(fast.entries) == len(slow.entries)
-    for e1, e2 in zip(fast.entries, slow.entries):
-        assert np.array_equal(e1.representative, e2.representative)
-        assert e1.weight == e2.weight
+    corpora = {
+        "dtw": [
+            random_dataset(rng, 70, lo=2, hi=5),
+            random_dataset(rng, 120, lo=1, hi=9),
+            warp_redundant_dataset(rng, 150),
+        ],
+        "euclidean": [
+            dataset(rng.integers(0, 3, size=(90, 3)).tolist()),
+            warp_redundant_dataset(rng, 150, one_length=True),
+        ],
+    }
+    for distance, datasets in corpora.items():
+        for data in datasets:
+            table = build_clusters(data, distance=distance)
+            reps, weights = scan_clusters(data, distance)
+            assert [e.weight for e in table.entries] == weights
+            assert len(table.entries) < len(data.sequences)
+            for e, rep in zip(table.entries, reps):
+                assert np.array_equal(e.representative, rep)
 
 
 def test_euclidean_mixed_lengths_rejected():
@@ -186,4 +233,93 @@ def test_cluster_file_validation(tmp_path):
         ' "clusters": [{"representative": [1, 2], "weight": 2}]}'
     )
     with pytest.raises(ValueError, match="total_weight"):
+        load_cluster_table(path)
+
+
+def write_table(path, clusters, total_weight):
+    doc = {"category_id": 0, "total_weight": total_weight, "clusters": clusters}
+    path.write_text(json.dumps(doc))
+
+
+GOOD = {"representative": [1, 2], "weight": 2}
+
+
+@pytest.mark.parametrize(
+    "cluster, message",
+    [
+        ({"representative": [1, 2], "weight": 2.5}, "cluster 1 weight must be an integer, got 2.5"),
+        ({"representative": [1, 2], "weight": 2.0}, "cluster 1 weight must be an integer, got 2.0"),
+        ({"representative": [1, 2], "weight": True}, "cluster 1 weight must be an integer, got true"),
+        ({"representative": [1, 1.5], "weight": 1}, "cluster 1 symbol 1 must be an integer, got 1.5"),
+        ({"representative": [True, 2], "weight": 1}, "cluster 1 symbol 0 must be an integer, got true"),
+        ({"representative": [1, -2], "weight": 1}, "cluster 1 symbol 1 is negative"),
+        ({"representative": [[1, 2], [3, 4]], "weight": 1}, "cluster 1 symbol 0 must be an integer"),
+        ({"representative": 3, "weight": 1}, "cluster 1 representative must be a list"),
+        ({"representative": [], "weight": 1}, "cluster 1 is empty"),
+        ({"representative": [2**64], "weight": 1}, "cluster 1 has a symbol too large"),
+        ({"weight": 1}, "cluster 1 is missing key 'representative'"),
+    ],
+    ids=[
+        "fractional-weight",
+        "float-weight",
+        "bool-weight",
+        "fractional-symbol",
+        "bool-symbol",
+        "negative-symbol",
+        "nested-representative",
+        "scalar-representative",
+        "empty-representative",
+        "huge-symbol",
+        "missing-representative",
+    ],
+)
+def test_cluster_file_rejects_bad_cluster(tmp_path, cluster, message):
+    path = tmp_path / "clusters.json"
+    weight = cluster.get("weight")
+    total = 2 + (weight if type(weight) is int else 0)
+    write_table(path, [GOOD, cluster], total_weight=total)
+    with pytest.raises(ValueError) as info:
+        load_cluster_table(path)
+    assert str(info.value).startswith(f"cluster file {path}: ")
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("category_id", 1.5), ("category_id", True), ("total_weight", 2.0), ("total_weight", "2")],
+)
+def test_cluster_file_rejects_non_integer_header(tmp_path, field, value):
+    path = tmp_path / "clusters.json"
+    doc = {"category_id": 0, "total_weight": 2, "clusters": [GOOD]}
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"cluster file .*: {field} must be an integer"):
+        load_cluster_table(path)
+
+
+def test_cluster_file_total_weight_not_truncated(tmp_path):
+    # 2.5 + 0.5 would truncate to 2 + 0 and then pass a declared total of 2
+    path = tmp_path / "clusters.json"
+    write_table(
+        path,
+        [{"representative": [1], "weight": 2.5}, {"representative": [2], "weight": 0.5}],
+        total_weight=2,
+    )
+    with pytest.raises(ValueError, match="cluster 0 weight must be an integer"):
+        load_cluster_table(path)
+
+
+def test_cluster_file_not_json_or_not_object(tmp_path):
+    path = tmp_path / "clusters.json"
+    path.write_text("{not json")
+    with pytest.raises(ValueError, match=f"cluster file {path} is not valid JSON"):
+        load_cluster_table(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        load_cluster_table(path)
+    path.write_text('{"category_id": 0, "total_weight": 1, "clusters": {"a": 1}}')
+    with pytest.raises(ValueError, match="clusters must be a list"):
+        load_cluster_table(path)
+    path.write_text('{"category_id": 0, "total_weight": 1, "clusters": [7]}')
+    with pytest.raises(ValueError, match="cluster 0 must be a JSON object"):
         load_cluster_table(path)

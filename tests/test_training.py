@@ -21,7 +21,9 @@ from hmmaccel import (
     write_trace_csv,
 )
 from hmmaccel.cli import _bundled_bench_model
+from hmmaccel.inference import forward_backward
 from hmmaccel.model import Dataset
+from hmmaccel.training import BLOCK_STEPS, _blocks
 
 
 def make(pi, a, b):
@@ -56,6 +58,115 @@ def reestimate_by_enumeration(model, obs):
         b[:, o] += gamma[t]
     b /= gamma.sum(axis=0)[:, None]
     return pi, a, b
+
+
+def per_sequence_em(init, seqs, weights, iterations):
+    """Reference: the per-sequence accumulation loop over forward_backward
+    that the block kernel replaced, with the same M-step. Returns the
+    log-likelihood and the re-estimated model of every iteration."""
+    n, m = init.n_states, init.n_symbols
+    model = init
+    history = []
+    for it in range(1, iterations + 1):
+        pi_num = np.zeros(n)
+        a_num = np.zeros((n, n))
+        b_num_mt = np.zeros((m, n))
+        total_ll = 0.0
+        for idx, (seq, w) in enumerate(zip(seqs, weights), start=1):
+            try:
+                fb = forward_backward(model, seq)
+            except ImpossibleSequenceError as exc:
+                raise ImpossibleSequenceError(
+                    f"sequence {idx} is impossible under the model at iteration {it}"
+                ) from exc
+            total_ll += w * fb.log_likelihood
+            wg = w * fb.gamma
+            pi_num += wg[0]
+            if len(seq) > 1:
+                a_num += w * fb.xi.sum(axis=0)
+            np.add.at(b_num_mt, seq, wg)
+        a_den = a_num.sum(axis=1)
+        b_den = b_num_mt.sum(axis=0)
+        new_a = model.a.copy()
+        new_b = model.b.copy()
+        for i in range(n):
+            if a_den[i] > 0.0:
+                new_a[i] = a_num[i] / a_den[i]
+            if b_den[i] > 0.0:
+                new_b[i] = b_num_mt[:, i] / b_den[i]
+        model = HmmModel(n, m, pi_num / sum(weights), new_a, new_b)
+        history.append((total_ll, model))
+    return history
+
+
+def assert_matches_per_sequence(train, init, data, seqs, weights, iterations):
+    seen = []
+    train(
+        init,
+        data,
+        TrainingConfig(iterations=iterations),
+        on_iteration=lambda it, model, ll: seen.append((ll, model)),
+    )
+    expected = per_sequence_em(init, seqs, weights, iterations)
+    assert len(seen) == len(expected) == iterations
+    for (ll, got), (exp_ll, exp) in zip(seen, expected):
+        assert abs(ll - exp_ll) <= 1e-12 * max(1.0, abs(exp_ll))
+        assert np.abs(got.pi - exp.pi).max() <= 1e-12
+        assert np.abs(got.a - exp.a).max() <= 1e-12
+        assert np.abs(got.b - exp.b).max() <= 1e-12
+
+
+def test_block_kernel_matches_per_sequence_loop_on_mixed_lengths():
+    rng = np.random.default_rng(48)
+    lengths = [1, 4, 1, 7, 4, 2, 9, 7, 1, 3] * 6
+    seqs = [rng.integers(0, 5, size=t) for t in lengths]
+    weights = [int(w) for w in rng.integers(1, 9, size=len(seqs))]
+    init = initialize_model(3, 5, 12)
+    assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 8)
+    table = ClusterTable(0, list(map(ClusterEntry, seqs, weights)))
+    assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 8)
+
+
+def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
+    # one length group that fills four blocks, the last one partial,
+    # between two short groups
+    rng = np.random.default_rng(49)
+    t_long = BLOCK_STEPS // 4
+    seqs = (
+        [rng.integers(0, 4, size=3) for _ in range(5)]
+        + [rng.integers(0, 4, size=t_long) for _ in range(15)]
+        + [rng.integers(0, 4, size=1) for _ in range(3)]
+    )
+    weights = [int(w) for w in rng.integers(1, 5, size=len(seqs))]
+    blocks = _blocks(seqs, weights, 4)
+    assert [len(rows) for rows, _, _ in blocks] == [5, 4, 4, 4, 3, 3]
+    init = initialize_model(2, 4, 13)
+    assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
+    table = ClusterTable(0, list(map(ClusterEntry, seqs, weights)))
+    assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 3)
+
+
+def test_block_kernel_names_impossible_sequence_in_later_length_group():
+    # symbol 2 is never emitted, so sequence 5 (second row of the length-4
+    # group, which comes second) is impossible
+    init = make([0.6, 0.4], [[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]])
+    seqs = [
+        np.array([0, 1]),
+        np.array([1, 1, 0, 1]),
+        np.array([1, 0]),
+        np.array([0, 0]),
+        np.array([0, 2, 1, 1]),
+        np.array([0, 1, 1, 2]),
+    ]
+    with pytest.raises(ImpossibleSequenceError) as expected:
+        per_sequence_em(init, seqs, [1] * len(seqs), 2)
+    message = str(expected.value)
+    assert message == "sequence 5 is impossible under the model at iteration 1"
+    with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
+        em_train(init, Dataset(seqs), TrainingConfig(iterations=2))
+    table = ClusterTable(0, [ClusterEntry(s, 3) for s in seqs])
+    with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
+        weighted_em_train(init, table, TrainingConfig(iterations=2))
 
 
 def test_initialize_degenerate():
@@ -261,6 +372,13 @@ def test_symbol_range_checked_upfront():
     init = initialize_model(2, 3, 0)
     with pytest.raises(ValueError, match="sequence 1 uses symbols outside"):
         em_train(init, Dataset([np.array([0, 5])]), TrainingConfig(iterations=1))
+    # the first bad sequence in input order is named, whatever its length group
+    mixed = [np.array([0, 1]), np.array([0, 1, 2]), np.array([2, 1, 0]), np.array([0, -1]),
+             np.array([], dtype=np.int64)]
+    with pytest.raises(ValueError, match="^sequence 4 uses symbols outside"):
+        em_train(init, Dataset(mixed), TrainingConfig(iterations=1))
+    with pytest.raises(ValueError, match="^sequence 2 is empty$"):
+        em_train(init, Dataset([mixed[0], mixed[4], mixed[3]]), TrainingConfig(iterations=1))
 
 
 def test_config_validation():
