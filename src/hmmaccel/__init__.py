@@ -15,7 +15,7 @@ from .clustering import (
     load_cluster_table,
     save_cluster_table,
 )
-from .dtw import DtwResult, dtw_distance, euclidean_distance, local_cost, run_length_collapse
+from .dtw import DtwResult, dtw_distance, euclidean_distance, run_length_collapse
 from .inference import (
     ForwardBackwardResult,
     ImpossibleSequenceError,
@@ -67,7 +67,6 @@ __all__ = [
     "load_cluster_table",
     "load_model",
     "load_sequences",
-    "local_cost",
     "run_bench",
     "run_length_collapse",
     "sample_sequences",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import build_clusters
 from .model import Dataset, HmmModel, sample_sequences
-from .training import TrainingConfig, em_train, weighted_em_train
+from .training import TrainingConfig, em_train, initialize_model, weighted_em_train
 
 THREADS = 1  # no library-level concurrency inside timed regions
 
@@ -65,8 +65,8 @@ def bench_row(
     init_seed = int(rng.integers(2**63))
 
     data = sample_sequences(model, size, length, corpus_seed)
-    init = _fresh_init(model, init_seed)
-    config = TrainingConfig(iterations=iterations, seed=init_seed)
+    init = initialize_model(model.n_states, model.n_symbols, init_seed)
+    config = TrainingConfig(iterations=iterations)
 
     t_euc = t_dtw = t_em = t_wem = 0.0
     table_euc = table_dtw = None
@@ -110,12 +110,6 @@ def bench_row(
     )
 
 
-def _fresh_init(model: HmmModel, seed: int) -> HmmModel:
-    from .training import initialize_model
-
-    return initialize_model(model.n_states, model.n_symbols, seed)
-
-
 def run_bench(
     model: HmmModel,
     sizes: list[int],
@@ -130,6 +124,8 @@ def run_bench(
     Per-row seeds are split deterministically from the top-level seed, so a
     report is reproducible end to end.
     """
+    if not sizes:
+        raise ValueError("no corpus sizes")
     rng = np.random.default_rng(seed)
     row_seeds = [int(rng.integers(2**63)) for _ in sizes]
     return [
@@ -153,6 +149,19 @@ _CSV_FIELDS = [
     "threads",
 ]
 
+# (BenchReport field, header) for each column of the text table.
+_TEXT_COLUMNS = [
+    ("n_sequences", "sequences"),
+    ("n_clusters_euclidean", "clusters_euc"),
+    ("n_clusters_dtw", "clusters_dtw"),
+    ("t_cluster_euclidean_s", "t_cluster_euc"),
+    ("t_cluster_dtw_s", "t_cluster_dtw"),
+    ("t_em_s", "t_em"),
+    ("t_weighted_em_s", "t_weighted_em"),
+    ("speedup", "speedup"),
+    ("speedup_total", "speedup_total"),
+]
+
 
 def _cell(value) -> str:
     if isinstance(value, float):
@@ -171,35 +180,10 @@ def report_csv(reports: list[BenchReport]) -> str:
 
 def report_text(reports: list[BenchReport]) -> str:
     """Fixed-width table over the same values as the CSV."""
-    headers = [
-        "sequences",
-        "clusters_euc",
-        "clusters_dtw",
-        "t_cluster_euc",
-        "t_cluster_dtw",
-        "t_em",
-        "t_weighted_em",
-        "speedup",
-        "speedup_total",
-    ]
-    rows = [
-        [
-            _cell(r.n_sequences),
-            _cell(r.n_clusters_euclidean),
-            _cell(r.n_clusters_dtw),
-            _cell(r.t_cluster_euclidean_s),
-            _cell(r.t_cluster_dtw_s),
-            _cell(r.t_em_s),
-            _cell(r.t_weighted_em_s),
-            _cell(r.speedup),
-            _cell(r.speedup_total),
-        ]
-        for r in reports
-    ]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    table = [[header for _, header in _TEXT_COLUMNS]]
+    table += [[_cell(getattr(r, f)) for f, _ in _TEXT_COLUMNS] for r in reports]
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table]
     if reports:
         lines.append(
             f"(means over {reports[0].runs} runs; weighted training uses the "

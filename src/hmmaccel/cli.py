@@ -67,12 +67,8 @@ def _cmd_train(args) -> int:
         init = initialize_model(args.states, args.symbols, args.seed)
 
     weighted = _looks_like_json(args.input)
-    config = TrainingConfig(
-        iterations=args.iterations,
-        seed=args.seed,
-        ll_tolerance=args.ll_tolerance,
-        mode="weighted" if weighted else "classical",
-    )
+    mode = "weighted" if weighted else "classical"
+    config = TrainingConfig(iterations=args.iterations, ll_tolerance=args.ll_tolerance)
     if weighted:
         table = load_cluster_table(args.input)
         trace = weighted_em_train(init, table, config)
@@ -86,7 +82,7 @@ def _cmd_train(args) -> int:
     for note in trace.warnings:
         print(f"warning: {note}", file=sys.stderr)
     print(
-        f"mode={config.mode} iterations={len(trace.per_iteration_log_likelihood)} "
+        f"mode={mode} iterations={len(trace.per_iteration_log_likelihood)} "
         f"final_ll={trace.per_iteration_log_likelihood[-1]!r} "
         f"seconds={trace.wall_time_seconds:.6g}"
     )
@@ -133,8 +129,6 @@ def _cmd_dist(args) -> int:
 def _cmd_bench(args) -> int:
     model = load_model(args.model) if args.model else _bundled_bench_model()
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    if args.include_100k and 100000 not in sizes:
-        sizes.append(100000)
     reports = bench_mod.run_bench(
         model,
         sizes,
@@ -217,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="classical vs cluster-weighted training benchmark")
     p.add_argument("--model", default=None, help="generator model JSON (default: bundled)")
     p.add_argument("--sizes", default=DEFAULT_BENCH_SIZES, help="comma-separated corpus sizes")
-    p.add_argument("--include-100k", action="store_true", help="append the 100000-sequence row")
     p.add_argument("--length", type=int, default=5)
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--runs", type=int, default=10)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dtw import run_length_collapse
+from .model import _exact_int
 
 DISTANCES = ("dtw", "euclidean")
 
@@ -117,13 +118,6 @@ def save_cluster_table(table: ClusterTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def _exact_int(value, where: str) -> int:
-    """value itself if it is a JSON integer (not a bool), else ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
-    return value
 
 
 def load_cluster_table(path) -> ClusterTable:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class DtwResult:
@@ -29,18 +27,6 @@ class DtwResult:
 
     distance: float
     path: list[tuple[int, int]]
-
-
-def local_cost(x: int, y: int):
-    """Pointwise cost between two symbols: |x - y|."""
-    return abs(x - y)
-
-
-def cost_matrix(x, y) -> np.ndarray:
-    """All pairwise local costs, shape (len(x), len(y))."""
-    xa = np.asarray(x, dtype=np.int64)
-    ya = np.asarray(y, dtype=np.int64)
-    return np.abs(xa[:, None] - ya[None, :])
 
 
 def dtw_distance(x, y) -> DtwResult:

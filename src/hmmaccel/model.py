@@ -62,21 +62,11 @@ class Dataset:
         return len(self.sequences)
 
 
-def as_sequence(symbols) -> np.ndarray:
-    """Coerce to a 1-D int64 observation sequence; reject empty input."""
-    seq = np.asarray(symbols, dtype=np.int64)
-    if seq.ndim != 1:
-        raise ValueError(f"sequence must be 1-D, got shape {seq.shape}")
-    if seq.shape[0] == 0:
-        raise ValueError("empty sequence")
-    return seq
-
-
 def validate_model(model: HmmModel) -> list[str]:
     """Check all model invariants; return a list of violations (empty = ok).
 
-    Checks dimensions, entry ranges, and stochasticity of pi and every row
-    of A and B at tolerance 1e-9.
+    Checks dimensions, that entries are finite and in [0, 1], and
+    stochasticity of pi and every row of A and B at tolerance 1e-9.
     """
     violations = []
     if model.n_states < 1:
@@ -97,7 +87,9 @@ def validate_model(model: HmmModel) -> list[str]:
         return violations
 
     for name, arr in (("pi", model.pi), ("a", model.a), ("b", model.b)):
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all(np.isfinite(arr)):
+            violations.append(f"{name} has non-finite entries")
+        elif np.any(arr < 0.0) or np.any(arr > 1.0):
             violations.append(f"{name} has entries outside [0, 1]")
 
     s = float(model.pi.sum())
@@ -172,31 +164,46 @@ def save_model(model: HmmModel, path) -> None:
         fh.write("\n")
 
 
+def _exact_int(value, where: str) -> int:
+    """value itself if it is a JSON integer (not a bool), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_model(path, renormalize: bool = False) -> HmmModel:
     """Read a model JSON file and validate it.
 
-    With renormalize=True, rows whose sums are off are divided by their sums
-    before validation; off-sum rows are otherwise reported as errors so data
-    bugs are not silently hidden.
+    n_states and n_symbols must be JSON integers (not floats or booleans),
+    and every error names the file. With renormalize=True, rows whose sums
+    are off are divided by their sums before validation; off-sum rows are
+    otherwise reported as errors so data bugs are not silently hidden.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"model file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file {path} must hold a JSON object")
     try:
-        model = HmmModel(
-            n_states=int(doc["n_states"]),
-            n_symbols=int(doc["n_symbols"]),
-            pi=doc["pi"],
-            a=doc["a"],
-            b=doc["b"],
-        )
+        n = _exact_int(doc["n_states"], f"model file {path}: n_states")
+        m = _exact_int(doc["n_symbols"], f"model file {path}: n_symbols")
+        pi, a, b = doc["pi"], doc["a"], doc["b"]
     except KeyError as exc:
         raise ValueError(f"model file {path} is missing key {exc}") from None
 
-    if renormalize:
-        pi = model.pi / model.pi.sum()
-        a = model.a / model.a.sum(axis=1, keepdims=True)
-        b = model.b / model.b.sum(axis=1, keepdims=True)
-        model = HmmModel(model.n_states, model.n_symbols, pi, a, b)
+    try:
+        model = HmmModel(n, m, pi, a, b)
+        if renormalize:
+            # A row summing to zero turns non-finite here; validation rejects it.
+            with np.errstate(all="ignore"):
+                pi = model.pi / model.pi.sum()
+                a = model.a / model.a.sum(axis=1, keepdims=True)
+                b = model.b / model.b.sum(axis=1, keepdims=True)
+            model = HmmModel(n, m, pi, a, b)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model file {path}: {exc}") from None
 
     violations = validate_model(model)
     if violations:

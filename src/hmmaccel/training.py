@@ -49,9 +49,7 @@ BLOCK_STEPS = 4096
 @dataclass
 class TrainingConfig:
     iterations: int = 50
-    seed: int = 0
     ll_tolerance: float | None = None
-    mode: str = "classical"  # bookkeeping for traces/CLI; trainers don't branch on it
 
 
 @dataclass

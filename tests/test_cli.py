@@ -87,6 +87,26 @@ def test_gen_rejects_bad_model(tmp_path, capsys):
     assert code == 0
 
 
+def test_gen_renormalize_rejects_zero_row(tmp_path, capsys):
+    model = write_json(
+        tmp_path / "m.json",
+        {
+            "n_states": 2,
+            "n_symbols": 2,
+            "pi": [0.5, 0.5],
+            "a": [[0.0, 0.0], [0.0, 1.0]],
+            "b": [[1.0, 0.0], [0.0, 1.0]],
+        },
+    )
+    out = tmp_path / "seqs.txt"
+    code, _, err = run(
+        capsys, "gen", model, str(out), "--count", "1", "--length", "1", "--renormalize"
+    )
+    assert code == 1
+    assert err == f"error: model file {model} is invalid: a has non-finite entries\n"
+    assert not out.exists()
+
+
 def test_cluster_four_sequences(tmp_path, capsys):
     seqs = tmp_path / "four.txt"
     seqs.write_text(FOUR_LINES)
@@ -337,6 +357,20 @@ def test_bench_distinct_corpus_makes_clustering_a_net_loss(tmp_path, capsys):
     assert row["n_clusters_dtw"] == "80"
     assert row["n_clusters_euclidean"] == "80"
     assert float(row["speedup_total"]) < 1.0
+
+
+def test_bench_rejects_empty_size_list(capsys):
+    code, stdout, err = run(capsys, "bench", "--sizes", ",")
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: no corpus sizes\n"
+
+
+def test_exports_resolve_once():
+    names = hmmaccel.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(hmmaccel, name), name
 
 
 def test_missing_file_is_an_error(tmp_path, capsys):

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hmmaccel import dtw_distance, euclidean_distance, local_cost, run_length_collapse
-from hmmaccel.dtw import cost_matrix
+from hmmaccel import dtw_distance, euclidean_distance, run_length_collapse
 
 
 def enum_min_cost(xs, ys):
@@ -39,18 +38,6 @@ def check_path(xs, ys, res):
         assert (i1 - i0, j1 - j0) in {(0, 1), (1, 0), (1, 1)}
     assert max(len(xs), len(ys)) <= len(path) <= len(xs) + len(ys) - 1
     assert res.distance == float(sum(abs(int(xs[i]) - int(ys[j])) for i, j in path))
-
-
-def test_local_cost():
-    assert local_cost(3, 3) == 0
-    assert local_cost(1, 2) == 1
-    assert local_cost(0, 7) == 7
-
-
-def test_cost_matrix():
-    c = cost_matrix([1, 3], [1, 2, 4])
-    assert c.tolist() == [[0, 1, 3], [2, 1, 1]]
-    assert (c >= 0).all()
 
 
 def test_zero_distance_pair():

@@ -1,5 +1,7 @@
 """Model container, validation, sampling, and file formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from hmmaccel import (
     save_sequences,
     validate_model,
 )
-from hmmaccel.model import as_sequence, require_valid
+from hmmaccel.model import require_valid
 
 
 def make(pi, a, b):
@@ -78,16 +80,6 @@ def test_model_arrays_read_only():
     m = make([1.0], [[1.0]], [[1.0]])
     with pytest.raises(ValueError):
         m.pi[0] = 0.5
-
-
-def test_as_sequence():
-    s = as_sequence([1, 2, 3])
-    assert s.dtype == np.int64
-    assert s.tolist() == [1, 2, 3]
-    with pytest.raises(ValueError, match="empty sequence"):
-        as_sequence([])
-    with pytest.raises(ValueError, match="1-D"):
-        as_sequence([[1, 2], [3, 4]])
 
 
 def test_sample_deterministic_emission():
@@ -204,6 +196,44 @@ def test_load_model_missing_key(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"n_states": 1, "n_symbols": 2, "pi": [1.0], "a": [[1.0]]}')
     with pytest.raises(ValueError, match="missing key"):
+        load_model(path)
+
+
+def test_load_model_rejects_nan(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"n_states": 2, "n_symbols": 1, "pi": [NaN, 0.5],'
+        ' "a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0], [1.0]]}'
+    )
+    for renormalize in (False, True):
+        with pytest.raises(ValueError, match=re.escape(f"model file {path} is invalid: pi has non-finite entries")):
+            load_model(path, renormalize=renormalize)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (
+            b'{"n_states": 2.7, "n_symbols": 1, "pi": [0.5, 0.5],'
+            b' "a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0], [1.0]]}',
+            "n_states must be an integer, got 2.7",
+        ),
+        (
+            b'{"n_states": 1, "n_symbols": true, "pi": [1.0], "a": [[1.0]], "b": [[1.0]]}',
+            "n_symbols must be an integer, got true",
+        ),
+        (b'{"n_states": 1,', "is not valid JSON"),
+        (b"\xff{}", "is not valid JSON"),
+        (b"[1, 2]", "must hold a JSON object"),
+        (b'{"n_states": 1, "n_symbols": 1, "pi": "x", "a": [[1.0]], "b": [[1.0]]}', "x"),
+    ],
+    ids=["float_n_states", "bool_n_symbols", "bad_json", "not_utf8", "top_level_list", "string_pi"],
+)
+def test_load_model_rejects_malformed_files(tmp_path, content, message):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    pattern = re.escape(f"model file {path}") + ".*" + re.escape(message)
+    with pytest.raises(ValueError, match=pattern):
         load_model(path)
 
 
