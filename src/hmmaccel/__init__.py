@@ -21,7 +21,9 @@ from .inference import (
     ImpossibleSequenceError,
     forward_backward,
     likelihood,
+    score_block,
     viterbi,
+    viterbi_block,
 )
 from .model import (
     Dataset,
@@ -73,8 +75,10 @@ __all__ = [
     "save_cluster_table",
     "save_model",
     "save_sequences",
+    "score_block",
     "validate_model",
     "viterbi",
+    "viterbi_block",
     "weighted_em_train",
     "write_trace_csv",
 ]

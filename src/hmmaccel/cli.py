@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
+import math
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -17,7 +18,7 @@ from time import perf_counter
 from . import bench as bench_mod
 from .clustering import build_clusters, filter_low_weight, load_cluster_table, save_cluster_table
 from .dtw import dtw_distance, euclidean_distance
-from .inference import ImpossibleSequenceError, likelihood, viterbi
+from .inference import length_blocks, score_block, viterbi_block
 from .model import HmmModel, load_model, load_sequences, sample_sequences, save_model, save_sequences
 from .training import TrainingConfig, em_train, initialize_model, weighted_em_train, write_trace_csv
 
@@ -32,10 +33,13 @@ def _bundled_bench_model() -> HmmModel:
 
 def _looks_like_json(path) -> bool:
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if stripped:
-                return stripped.startswith("{")
+        try:
+            for line in fh:
+                stripped = line.strip()
+                if stripped:
+                    return stripped.startswith("{")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     return False
 
 
@@ -89,28 +93,38 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _score_file(args, block_lines) -> int:
+    """Run `block_lines(model, obs)` on each length block of the sequence
+    file and print its lines in input order. Every sequence is checked
+    against the model before anything is printed."""
     model = load_model(args.model, renormalize=args.renormalize)
-    data = load_sequences(args.input)
-    for seq in data.sequences:
-        try:
-            print(repr(likelihood(model, seq)))
-        except ImpossibleSequenceError:
-            print("-inf")
+    data = load_sequences(args.input, n_symbols=model.n_symbols)
+    lines = [""] * len(data)
+    for rows, obs in length_blocks(data.sequences, model.n_symbols):
+        for row, line in zip(rows.tolist(), block_lines(model, obs)):
+            lines[row] = line
+    sys.stdout.write("".join(lines))
     return 0
+
+
+def _eval_lines(model, obs) -> list[str]:
+    return [f"{ll!r}\n" for ll in score_block(model, obs).tolist()]
+
+
+def _decode_lines(model, obs) -> list[str]:
+    paths, log_probs = viterbi_block(model, obs)
+    return [
+        "-inf\n" if lp == -math.inf else " ".join(map(str, path)) + f"\t{lp!r}\n"
+        for path, lp in zip(paths.tolist(), log_probs.tolist())
+    ]
+
+
+def _cmd_eval(args) -> int:
+    return _score_file(args, _eval_lines)
 
 
 def _cmd_decode(args) -> int:
-    model = load_model(args.model, renormalize=args.renormalize)
-    data = load_sequences(args.input)
-    for seq in data.sequences:
-        try:
-            path, log_prob = viterbi(model, seq)
-        except ImpossibleSequenceError:
-            print("-inf")
-            continue
-        print(" ".join(str(int(s)) for s in path) + "\t" + repr(log_prob))
-    return 0
+    return _score_file(args, _decode_lines)
 
 
 def _cmd_dist(args) -> int:

@@ -131,7 +131,7 @@ def load_cluster_table(path) -> ClusterTable:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"cluster file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"cluster file {path} must hold a JSON object")

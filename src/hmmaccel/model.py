@@ -219,27 +219,37 @@ def save_sequences(dataset: Dataset, path) -> None:
             fh.write("\n")
 
 
-def load_sequences(path, category_id: int = 0) -> Dataset:
+def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> Dataset:
     """Parse a sequence file: one sequence per line, non-negative ints
     separated by spaces; lines starting with '#' and blank lines ignored.
 
-    Raises ValueError naming the 1-based line number on bad input.
+    With n_symbols given, a symbol >= n_symbols is bad input too. Raises
+    ValueError naming the file, and the 1-based line number where there is
+    one, on bad input.
     """
     sequences = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                values = [int(tok) for tok in stripped.split()]
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: symbols must be base-10 integers"
-                ) from None
-            if any(v < 0 for v in values):
-                raise ValueError(f"{path}: line {lineno}: negative symbol")
-            sequences.append(np.array(values, dtype=np.int64))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                try:
+                    values = [int(tok) for tok in stripped.split()]
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: symbols must be base-10 integers"
+                    ) from None
+                if min(values) < 0:
+                    raise ValueError(f"{path}: line {lineno}: negative symbol")
+                if n_symbols is not None and max(values) >= n_symbols:
+                    raise ValueError(
+                        f"{path}: line {lineno}: symbol {max(values)} is out of range "
+                        f"for a model with {n_symbols} symbols"
+                    )
+                sequences.append(np.array(values, dtype=np.int64))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not sequences:
         raise ValueError(f"{path}: no sequences found")
     return Dataset(sequences=sequences, category_id=category_id)

@@ -9,10 +9,11 @@ the classical trainer is bit-identical to the weighted one on an all-ones
 table, and the numerical behavior of the two modes can be compared at
 tight tolerances.
 
-The E-step runs block by block. Before the first iteration the sequences
-are grouped by length, in order of first appearance, and each group is cut
-into blocks of at most BLOCK_STEPS sequence-steps; every iteration then
-calls `inference.estep_block` once per block. Both trainers build their
+The E-step runs block by block. Before the first iteration
+`inference.length_blocks` groups the sequences by length, in order of
+first appearance, and cuts each group into blocks of at most
+`inference.BLOCK_STEPS` sequence-steps; every iteration then calls
+`inference.estep_block` once per block. Both trainers build their
 blocks the same way, so the summation order, and with it the weight-1
 bit-identity, does not depend on the trainer. The tests keep the
 per-sequence accumulation loop over `inference.forward_backward` as the
@@ -37,13 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterTable
-from .inference import ImpossibleSequenceError, estep_block
+from .inference import ImpossibleSequenceError, estep_block, length_blocks
 from .model import Dataset, HmmModel, require_valid
-
-# Cap on B * T per E-step block. Larger blocks mean fewer Python-level steps
-# but larger (T, B, N) temporaries; at 4096 a 10,000 x 5 corpus runs in 13
-# blocks and peak memory stays within a few percent of the per-sequence loop.
-BLOCK_STEPS = 4096
 
 
 @dataclass
@@ -109,7 +105,8 @@ def _run_em(init, seqs, weights, config, on_iteration=None) -> TrainingTrace:
     require_valid(init)
     if not seqs:
         raise ValueError("no training sequences")
-    blocks = _blocks(seqs, weights, init.n_symbols)
+    w_all = np.asarray(weights, dtype=float)
+    blocks = [(rows, obs, w_all[rows]) for rows, obs in length_blocks(seqs, init.n_symbols)]
 
     n, m = init.n_states, init.n_symbols
     w_total = float(sum(weights))
@@ -179,44 +176,6 @@ def _run_em(init, seqs, weights, config, on_iteration=None) -> TrainingTrace:
         wall_time_seconds=time.perf_counter() - start,
         warnings=notes,
     )
-
-
-def _blocks(seqs, weights, n_symbols):
-    """E-step blocks as (rows, obs, w): the input positions of the block's
-    sequences, their stacked symbols (B, T) and their weights (B,).
-
-    Rejects the first empty sequence or sequence with a symbol outside
-    [0, n_symbols), by its 1-based position.
-    """
-    groups: dict[int, list[int]] = {}
-    for idx, seq in enumerate(seqs):
-        groups.setdefault(seq.shape[0], []).append(idx)
-    stacked = []
-    faults = []  # (position, message) of the first bad sequence per group
-    for t_len, members in groups.items():
-        if t_len == 0:
-            faults.append((members[0], "is empty"))
-            continue
-        # concatenate, unlike stack, makes no per-sequence view objects
-        obs = np.concatenate([seqs[i] for i in members]).reshape(len(members), t_len)
-        bad = (obs.min(axis=1) < 0) | (obs.max(axis=1) >= n_symbols)
-        if bad.any():
-            faults.append(
-                (members[int(np.argmax(bad))], f"uses symbols outside [0, {n_symbols})")
-            )
-        stacked.append((np.array(members), obs))
-    if faults:
-        idx, message = min(faults)
-        raise ValueError(f"sequence {idx + 1} {message}")
-
-    w_all = np.asarray(weights, dtype=float)
-    blocks = []
-    for members, obs in stacked:
-        size = max(1, BLOCK_STEPS // obs.shape[1])
-        for lo in range(0, len(members), size):
-            rows = members[lo : lo + size]
-            blocks.append((rows, obs[lo : lo + size], w_all[rows]))
-    return blocks
 
 
 def write_trace_csv(trace: TrainingTrace, path) -> None:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import contextlib
 import csv
 import importlib
 import io
@@ -11,11 +12,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmmaccel
-from hmmaccel import likelihood, load_model
+from hmmaccel import (
+    HmmModel,
+    ImpossibleSequenceError,
+    inference,
+    likelihood,
+    load_model,
+    save_model,
+    viterbi,
+)
 from hmmaccel.cli import main
 
 CHAIN_MODEL = {
@@ -265,6 +279,96 @@ def test_decode_impossible_marker(tmp_path, capsys):
     lines = stdout.splitlines()
     assert lines[0] == "-inf"
     assert lines[1].startswith("0 1\t")
+
+
+@pytest.mark.parametrize("command", ["eval", "decode"])
+def test_bad_symbol_rejected_before_output(tmp_path, capsys, command):
+    model = write_json(tmp_path / "chain.json", CHAIN_MODEL)
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("0 1\n# comment\n1 0\n0 2 1\n")
+    code, stdout, err = run(capsys, command, model, str(seqs))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {seqs}: line 4: symbol 2 is out of range for a model with 2 symbols\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "cluster", "train"])
+def test_non_utf8_input_names_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe0 1\n")
+    model = write_json(tmp_path / "chain.json", CHAIN_MODEL)
+    out = str(tmp_path / "out.json")
+    args = {
+        "eval": [model, str(bad)],
+        "cluster": [str(bad), out],
+        "train": [str(bad), out, "--states", "2", "--symbols", "2"],
+    }[command]
+    code, stdout, err = run(capsys, command, *args)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"error: {bad}: not UTF-8 text: ")
+
+
+@st.composite
+def scoring_files(draw):
+    """A model whose last symbol is never emitted, and a mixed-length file
+    with a lone length-13 sequence, a length-3 group longer than one block,
+    and impossible sequences (those using the last symbol) among the rest."""
+    n = draw(st.sampled_from([1, 2, 3, 8]))
+    m = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pi = rng.uniform(0.1, 1.0, n)
+    a = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.7)
+    a[np.arange(n), rng.integers(0, n, n)] += 0.5  # every row keeps a transition
+    b = rng.uniform(0.1, 1.0, (n, m))
+    b[:, -1] = 0.0
+    model = HmmModel.from_arrays(
+        pi / pi.sum(), a / a.sum(axis=1, keepdims=True), b / b.sum(axis=1, keepdims=True)
+    )
+    lengths = draw(st.lists(st.integers(1, 12), max_size=20))
+    lengths += [13] + [3] * draw(st.integers(4, 8))
+    lengths = draw(st.permutations(lengths))
+    impossible = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    impossible[len(lengths) // 2] = True
+    seqs = []
+    for t_len, dead in zip(lengths, impossible):
+        seq = rng.integers(0, m - 1, size=t_len)
+        if dead:
+            seq[rng.integers(0, t_len)] = m - 1
+        seqs.append(seq)
+    return model, seqs, impossible, draw(st.sampled_from([6, 9]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(scoring_files())
+def test_eval_and_decode_match_per_sequence_calls(case):
+    model, seqs, impossible, block_steps = case
+    expected_eval, expected_decode = [], []
+    for seq in seqs:
+        try:
+            ll = likelihood(model, seq)
+            path, lp = viterbi(model, seq)
+        except ImpossibleSequenceError:
+            expected_eval.append("-inf")
+            expected_decode.append("-inf")
+            continue
+        expected_eval.append(repr(ll))
+        expected_decode.append(" ".join(map(str, path.tolist())) + "\t" + repr(lp))
+    assert [line == "-inf" for line in expected_eval] == impossible
+
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, seqs_path = Path(tmp) / "m.json", Path(tmp) / "seqs.txt"
+        save_model(model, model_path)
+        seqs_path.write_text("".join(" ".join(map(str, s.tolist())) + "\n" for s in seqs))
+        outputs = []
+        # a small block cap splits the length-3 group over several blocks
+        with mock.patch.object(inference, "BLOCK_STEPS", block_steps):
+            for command in ("eval", "decode"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main([command, str(model_path), str(seqs_path)]) == 0
+                outputs.append(out.getvalue().splitlines())
+    assert outputs == [expected_eval, expected_decode]
 
 
 def test_dist(tmp_path, capsys):

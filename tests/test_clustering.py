@@ -314,6 +314,9 @@ def test_cluster_file_not_json_or_not_object(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError, match=f"cluster file {path} is not valid JSON"):
         load_cluster_table(path)
+    path.write_bytes(b'\xff\xfe{"category_id": 0}')
+    with pytest.raises(ValueError, match=f"cluster file {path} is not valid JSON"):
+        load_cluster_table(path)
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="must hold a JSON object"):
         load_cluster_table(path)

@@ -11,7 +11,9 @@ from hmmaccel import (
     ImpossibleSequenceError,
     forward_backward,
     likelihood,
+    score_block,
     viterbi,
+    viterbi_block,
 )
 
 
@@ -114,6 +116,9 @@ def test_likelihood_equals_forward_backward():
     model = random_model(rng, 3, 4)
     obs = [2, 0, 3, 1]
     assert likelihood(model, obs) == forward_backward(model, obs).log_likelihood
+    # long enough that numpy sums the log c_t pairwise, not one by one
+    obs = rng.integers(0, 4, size=30).tolist()
+    assert likelihood(model, obs) == forward_backward(model, obs).log_likelihood
 
 
 def test_total_probability_sums_to_one():
@@ -213,3 +218,29 @@ def test_viterbi_bounded_by_likelihood():
 def test_viterbi_impossible():
     with pytest.raises(ImpossibleSequenceError):
         viterbi(DETERMINISTIC_CHAIN, [1, 1, 1])
+
+
+def test_blocks_match_enumeration():
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        m_sym = int(rng.integers(2, 5))
+        model = random_model(rng, n, m_sym)
+        obs = rng.integers(0, m_sym, size=(int(rng.integers(1, 5)), int(rng.integers(1, 6))))
+        lls = score_block(model, obs)
+        paths, lps = viterbi_block(model, obs)
+        assert lls.shape == lps.shape == (obs.shape[0],)
+        assert paths.shape == obs.shape
+        for row, ll, path, lp in zip(obs.tolist(), lls, paths, lps):
+            assert math.exp(ll) == pytest.approx(enum_likelihood(model, row), rel=1e-12)
+            exp_path, exp_lp = enum_viterbi(model, row)
+            assert lp == exp_lp
+            assert path.tolist() == exp_path
+
+
+def test_blocks_mark_impossible_rows():
+    obs = [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
+    assert score_block(DETERMINISTIC_CHAIN, obs).tolist() == [-np.inf, 0.0, -np.inf]
+    paths, lps = viterbi_block(DETERMINISTIC_CHAIN, obs)
+    assert lps.tolist() == [-np.inf, 0.0, -np.inf]
+    assert paths[1].tolist() == [0, 1, 0]

@@ -269,3 +269,10 @@ def test_sequence_file_errors_name_lines(tmp_path):
     path.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no sequences"):
         load_sequences(path)
+    path.write_bytes(b"\xff\xfe1 2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text")):
+        load_sequences(path)
+    path.write_text("1 2\n# comment\n0 5 1\n")
+    with pytest.raises(ValueError, match="line 3: symbol 5 is out of range for a model with 5"):
+        load_sequences(path, n_symbols=5)
+    assert len(load_sequences(path, n_symbols=6)) == 2

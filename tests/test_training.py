@@ -21,9 +21,8 @@ from hmmaccel import (
     write_trace_csv,
 )
 from hmmaccel.cli import _bundled_bench_model
-from hmmaccel.inference import forward_backward
+from hmmaccel.inference import BLOCK_STEPS, forward_backward, length_blocks
 from hmmaccel.model import Dataset
-from hmmaccel.training import BLOCK_STEPS, _blocks
 
 
 def make(pi, a, b):
@@ -138,8 +137,8 @@ def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
         + [rng.integers(0, 4, size=1) for _ in range(3)]
     )
     weights = [int(w) for w in rng.integers(1, 5, size=len(seqs))]
-    blocks = _blocks(seqs, weights, 4)
-    assert [len(rows) for rows, _, _ in blocks] == [5, 4, 4, 4, 3, 3]
+    blocks = length_blocks(seqs, 4)
+    assert [len(rows) for rows, _ in blocks] == [5, 4, 4, 4, 3, 3]
     init = initialize_model(2, 4, 13)
     assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
     table = ClusterTable(0, list(map(ClusterEntry, seqs, weights)))
