@@ -77,7 +77,7 @@ def _cmd_train(args) -> int:
         table = load_cluster_table(args.input)
         trace = weighted_em_train(init, table, config)
     else:
-        data = load_sequences(args.input)
+        data = load_sequences(args.input, n_symbols=init.n_symbols)
         trace = em_train(init, data, config)
 
     save_model(trace.final_model, args.out)
@@ -100,7 +100,7 @@ def _score_file(args, block_lines) -> int:
     model = load_model(args.model, renormalize=args.renormalize)
     data = load_sequences(args.input, n_symbols=model.n_symbols)
     lines = [""] * len(data)
-    for rows, obs in length_blocks(data.sequences, model.n_symbols):
+    for rows, obs in length_blocks(data, model.n_symbols):
         for row, line in zip(rows.tolist(), block_lines(model, obs)):
             lines[row] = line
     sys.stdout.write("".join(lines))

@@ -12,6 +12,11 @@ the Euclidean distance only identical sequences are at distance zero, and
 the key is the sequence itself; with DTW, sequences are at distance zero
 exactly when their run-length-collapsed forms coincide (see dtw.py), and
 the key is that collapsed form.
+
+Both keys come from the Dataset's flat buffer: the collapsed forms from
+one `x[1:] != x[:-1]` mask over the whole buffer, and the grouping from one
+`np.unique` per length group, each row viewed as a single np.void scalar.
+Clusters are then put in order of first appearance.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtw import run_length_collapse
-from .model import _exact_int
+from .model import Dataset, _exact_int
 
 DISTANCES = ("dtw", "euclidean")
 
@@ -46,11 +50,45 @@ class ClusterTable:
         return len(self.entries)
 
 
-def _key(seq: np.ndarray) -> bytes:
-    return np.ascontiguousarray(seq, dtype=np.int64).tobytes()
+def _collapse(data: Dataset) -> Dataset:
+    """Each sequence with its consecutive repeats removed, as a Dataset:
+    a symbol is kept where it starts its sequence or differs from the one
+    before it."""
+    values, starts = data.values, data.offsets[:-1]
+    keep = np.ones(values.shape[0], dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    keep[starts[starts < values.shape[0]]] = True
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return Dataset.from_flat(values[keep], kept_before[data.offsets])
 
 
-def build_clusters(data, distance: str = "dtw") -> ClusterTable:
+def _group_equal_rows(data: Dataset):
+    """Group identical sequences: (first, cluster), where first holds the
+    position of each group's first member in order of first appearance and
+    cluster[i] is the group of sequence i. Inside a length group each row,
+    viewed as one np.void scalar, is its own key for np.unique."""
+    firsts, groups = [], []
+    count = 0  # groups found so far
+    for t_len, members in data.length_groups():
+        if t_len == 0:
+            raise ValueError(f"sequence {members[0] + 1} is empty")
+        rows = data.rows(members, t_len)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * t_len))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        firsts.append(members[first])
+        groups.append((members, count + inverse))
+        count += first.shape[0]
+    first = np.concatenate(firsts)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    cluster = np.empty(len(data), dtype=np.int64)
+    for members, inverse in groups:
+        cluster[members] = rank[inverse]
+    return first[order], cluster
+
+
+def build_clusters(data: Dataset, distance: str = "dtw") -> ClusterTable:
     """Cluster a Dataset into weighted representatives.
 
     distance: "dtw" or "euclidean" (the latter requires all sequences to
@@ -59,36 +97,25 @@ def build_clusters(data, distance: str = "dtw") -> ClusterTable:
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}, expected one of {DISTANCES}")
-    sequences = data.sequences
-    if not sequences:
+    if not len(data):
         raise ValueError("empty dataset")
+    lengths = data.lengths
     if distance == "euclidean":
-        length = len(sequences[0])
-        for pos, seq in enumerate(sequences, start=1):
-            if len(seq) != length:
-                raise ValueError(
-                    f"sequence {pos} has length {len(seq)} but sequence 1 has "
-                    f"length {length}; euclidean clustering requires one length"
-                )
+        other = np.flatnonzero(lengths != lengths[0])
+        if other.size:
+            pos = int(other[0])
+            raise ValueError(
+                f"sequence {pos + 1} has length {lengths[pos]} but sequence 1 has "
+                f"length {lengths[0]}; euclidean clustering requires one length"
+            )
 
-    reps: list[np.ndarray] = []
-    weights: list[int] = []
-    seen: dict[bytes, int] = {}  # exact sequence -> cluster, for repeats
-    clusters: dict = {}  # canonical key -> cluster
-
-    for seq in sequences:
-        key = _key(seq)
-        idx = seen.get(key)
-        if idx is None:
-            canonical = run_length_collapse(seq) if distance == "dtw" else key
-            idx = clusters.setdefault(canonical, len(reps))
-            if idx == len(reps):
-                reps.append(np.array(seq, dtype=np.int64))
-                weights.append(0)
-            seen[key] = idx
-        weights[idx] += 1
-
-    entries = [ClusterEntry(r, w) for r, w in zip(reps, weights)]
+    first, cluster = _group_equal_rows(_collapse(data) if distance == "dtw" else data)
+    weights = np.bincount(cluster, minlength=first.shape[0]).tolist()
+    offsets = data.offsets
+    entries = [
+        ClusterEntry(data.values[offsets[r] : offsets[r + 1]].copy(), w)
+        for r, w in zip(first.tolist(), weights)
+    ]
     return ClusterTable(category_id=data.category_id, entries=entries)
 
 

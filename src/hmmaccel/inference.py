@@ -7,8 +7,9 @@ occur at any sequence length (Rabiner 1989, section V.A). The backward pass
 reuses the same coefficients.
 
 Training, scoring and decoding all run on blocks of equal-length
-sequences. `length_blocks` groups sequences by length, in order of first
-appearance, and cuts each group into blocks of at most BLOCK_STEPS
+sequences. `length_blocks` groups a Dataset's sequences by length, in
+order of first appearance, gathers each group from the flat buffer with
+one fancy index, and cuts it into blocks of at most BLOCK_STEPS
 sequence-steps. `_forward_block` runs the scaled forward pass on a block,
 one batched matmul per time step; `score_block` turns it into one
 log-likelihood per sequence, and `estep_block` adds the backward pass and
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HmmModel
+from .model import Dataset, HmmModel
 
 # Cap on B * T per block. Larger blocks mean fewer Python-level steps but
 # larger (T, B, N) temporaries; at 4096 a 10,000 x 5 corpus runs in 13
@@ -78,32 +79,29 @@ def _check_symbols(model: HmmModel, obs: np.ndarray) -> None:
         )
 
 
-def length_blocks(seqs, n_symbols):
-    """Blocks of equal-length sequences as (rows, obs): the input positions
-    of the block's sequences (B,) and their stacked symbols (B, T).
+def length_blocks(data: Dataset, n_symbols):
+    """Blocks of equal-length sequences of a Dataset as (rows, obs): the
+    input positions of the block's sequences (B,) and their symbols (B, T),
+    gathered from the flat buffer.
 
     Length groups come in order of first appearance, input order inside a
     group, and each group is cut into blocks of at most BLOCK_STEPS
     sequence-steps. Rejects the first empty sequence or sequence with a
     symbol outside [0, n_symbols), by its 1-based position.
     """
-    groups: dict[int, list[int]] = {}
-    for idx, seq in enumerate(seqs):
-        groups.setdefault(seq.shape[0], []).append(idx)
     stacked = []
     faults = []  # (position, message) of the first bad sequence per group
-    for t_len, members in groups.items():
+    for t_len, members in data.length_groups():
         if t_len == 0:
             faults.append((members[0], "is empty"))
             continue
-        # concatenate, unlike stack, makes no per-sequence view objects
-        obs = np.concatenate([seqs[i] for i in members]).reshape(len(members), t_len)
-        bad = (obs.min(axis=1) < 0) | (obs.max(axis=1) >= n_symbols)
-        if bad.any():
+        obs = data.rows(members, t_len)
+        if obs.min() < 0 or obs.max() >= n_symbols:
+            bad = (obs.min(axis=1) < 0) | (obs.max(axis=1) >= n_symbols)
             faults.append(
                 (members[int(np.argmax(bad))], f"uses symbols outside [0, {n_symbols})")
             )
-        stacked.append((np.array(members), obs))
+        stacked.append((members, obs))
     if faults:
         idx, message = min(faults)
         raise ValueError(f"sequence {idx + 1} {message}")

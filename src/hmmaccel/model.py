@@ -2,12 +2,20 @@
 
 A model is the full parameter set (pi, A, B) over N hidden states and M
 observation symbols. Observation sequences are 1-D integer arrays with
-0-based symbol indices. All randomness goes through numpy's default_rng
+0-based symbol indices. A Dataset keeps a whole corpus flat, in one int64
+buffer with sequence offsets, so that later stages cut length blocks and
+clustering keys from it with a few numpy calls rather than one Python
+step per sequence. All randomness goes through numpy's default_rng
 (PCG64), so sampling is reproducible given a seed.
+
+The sequence-file parser does work per distinct line rather than per
+line: a repeated line costs one dictionary lookup, and int() runs once per
+distinct token.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -48,18 +56,66 @@ class HmmModel:
         return cls(n_states=pi.shape[0], n_symbols=b.shape[1], pi=pi, a=a, b=b)
 
 
-@dataclass
 class Dataset:
-    """Ordered training sequences for one category.
+    """Ordered observation sequences for one category, stored flat.
 
-    Clustering scans sequences in list order, so order is preserved.
+    All symbols sit in one read-only int64 buffer `values`; sequence i is
+    values[offsets[i]:offsets[i + 1]], so `offsets` has one entry more than
+    there are sequences and starts at 0. `Dataset(sequences, category_id)`
+    copies a list of 1-D arrays into that layout; `from_flat` adopts a
+    buffer and offsets as they are. Order is input order, which clustering
+    and block building preserve.
     """
 
-    sequences: list[np.ndarray]
-    category_id: int = 0
+    def __init__(self, sequences, category_id: int = 0):
+        rows = [np.asarray(s, dtype=np.int64) for s in sequences]
+        values = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        self._adopt(values, _offsets([len(r) for r in rows]), category_id)
+
+    @classmethod
+    def from_flat(cls, values, offsets, category_id: int = 0) -> "Dataset":
+        data = cls.__new__(cls)
+        data._adopt(np.asarray(values, dtype=np.int64), np.asarray(offsets, dtype=np.int64),
+                    category_id)
+        return data
+
+    def _adopt(self, values, offsets, category_id) -> None:
+        values.setflags(write=False)
+        offsets.setflags(write=False)
+        self.values = values
+        self.offsets = offsets
+        self.category_id = category_id
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return self.offsets.shape[0] - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @functools.cached_property
+    def sequences(self) -> list[np.ndarray]:
+        """Read-only per-sequence views of `values`."""
+        offsets = self.offsets.tolist()
+        return [self.values[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
+    def length_groups(self) -> list[tuple[int, np.ndarray]]:
+        """(length, positions) for each sequence length, in order of first
+        appearance, with the positions of its sequences in input order."""
+        lengths, first, group = np.unique(self.lengths, return_index=True, return_inverse=True)
+        members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+        return [(int(lengths[g]), members[g]) for g in np.argsort(first)]
+
+    def rows(self, positions: np.ndarray, length: int) -> np.ndarray:
+        """The sequences at `positions`, all of this length, as a new (B, T) array."""
+        return self.values[self.offsets[positions][:, None] + np.arange(length)]
+
+
+def _offsets(lengths) -> np.ndarray:
+    """Sequence boundaries [0, l0, l0 + l1, ...] for these lengths."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
 
 
 def validate_model(model: HmmModel) -> list[str]:
@@ -143,7 +199,7 @@ def sample_sequences(
         if t + 1 < length:
             states = pick(cum_a[states], rng.random(count))
 
-    return Dataset(sequences=list(symbols), category_id=category_id)
+    return Dataset.from_flat(symbols.ravel(), _offsets(np.full(count, length)), category_id)
 
 
 # ---------------------------------------------------------------------------
@@ -213,43 +269,103 @@ def load_model(path, renormalize: bool = False) -> HmmModel:
 
 def save_sequences(dataset: Dataset, path) -> None:
     """Write sequences one per line, symbols space-separated."""
+    values, offsets = dataset.values.tolist(), dataset.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for seq in dataset.sequences:
-            fh.write(" ".join(str(int(s)) for s in seq))
-            fh.write("\n")
+        fh.write("".join(" ".join(map(str, values[lo:hi])) + "\n"
+                         for lo, hi in zip(offsets, offsets[1:])))
+
+
+class _SymbolTable(dict):
+    """token -> int(token), calling int() once per distinct token."""
+
+    def __missing__(self, tok: str) -> int:
+        value = self[tok] = int(tok)
+        return value
 
 
 def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> Dataset:
     """Parse a sequence file: one sequence per line, non-negative ints
-    separated by spaces; lines starting with '#' and blank lines ignored.
+    separated by whitespace; lines that are blank or start with '#' after
+    stripping are ignored.
 
-    With n_symbols given, a symbol >= n_symbols is bad input too. Raises
-    ValueError naming the file, and the 1-based line number where there is
+    Each distinct line is parsed once and its symbols reused for every
+    repeat, and int() runs once per distinct token, so a corpus of repeats
+    costs about one dictionary lookup per line. With n_symbols given, a
+    symbol >= n_symbols is bad input too. Raises ValueError naming the
+    file, and the 1-based line number of the first bad line where there is
     one, on bad input.
     """
-    sequences = []
+    index: dict[str, int] = {}  # line -> its row in `lines`, or -1 if skipped
+    lines: list[str] = []  # distinct sequence lines, in order of first appearance
+    first_line: list[int] = []
+    rows: list[int] = []  # row in `lines` of each sequence
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                try:
-                    values = [int(tok) for tok in stripped.split()]
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: symbols must be base-10 integers"
-                    ) from None
-                if min(values) < 0:
-                    raise ValueError(f"{path}: line {lineno}: negative symbol")
-                if n_symbols is not None and max(values) >= n_symbols:
-                    raise ValueError(
-                        f"{path}: line {lineno}: symbol {max(values)} is out of range "
-                        f"for a model with {n_symbols} symbols"
-                    )
-                sequences.append(np.array(values, dtype=np.int64))
+                row = index.get(line)
+                if row is None:
+                    text = line.strip()
+                    row = -1 if not text or text.startswith("#") else len(lines)
+                    if row >= 0:
+                        lines.append(line)
+                        first_line.append(lineno)
+                    index[line] = row
+                if row >= 0:
+                    rows.append(row)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    if not sequences:
+    if not rows:
         raise ValueError(f"{path}: no sequences found")
-    return Dataset(sequences=sequences, category_id=category_id)
+
+    counts: list[int] = []
+    symbols = _SymbolTable()
+
+    def tokens():
+        for line in lines:
+            toks = line.split()
+            counts.append(len(toks))
+            yield from toks
+
+    try:
+        distinct = np.fromiter(map(symbols.__getitem__, tokens()), dtype=np.int64)
+        clean = min(symbols.values()) >= 0 and (
+            n_symbols is None or max(symbols.values()) < n_symbols
+        )
+    except (ValueError, OverflowError):  # not an integer, or too large for int64
+        clean = False
+    if not clean:
+        _raise_first_fault(path, lines, first_line, n_symbols)
+
+    # The distinct lines' symbols lie flat in `distinct`; repeats gather them.
+    lengths = np.array(counts, dtype=np.int64)
+    if len(rows) == len(lines):  # no repeats: the distinct lines are the file
+        return Dataset.from_flat(distinct, _offsets(lengths), category_id)
+    row_ids = np.array(rows, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    lengths = lengths[row_ids]
+    offsets = _offsets(lengths)
+    index_of = np.repeat(starts[row_ids] - offsets[:-1], lengths)
+    index_of += np.arange(offsets[-1])
+    return Dataset.from_flat(distinct[index_of], offsets, category_id)
+
+
+def _raise_first_fault(path, lines, first_line, n_symbols) -> None:
+    """Raise the fault of the first bad line among the distinct lines, which
+    come in file order. A non-integer outranks a negative symbol, which
+    outranks one out of range."""
+    for line, lineno in zip(lines, first_line):
+        try:
+            values = [int(tok) for tok in line.split()]
+        except ValueError:
+            fault = "symbols must be base-10 integers"
+        else:
+            top = max(values)
+            if min(values) < 0:
+                fault = "negative symbol"
+            elif n_symbols is not None and top >= n_symbols:
+                fault = f"symbol {top} is out of range for a model with {n_symbols} symbols"
+            elif top >= 2**63:
+                fault = f"symbol {top} does not fit in 64 bits"
+            else:
+                continue
+        raise ValueError(f"{path}: line {lineno}: {fault}")

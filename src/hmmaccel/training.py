@@ -82,8 +82,7 @@ def em_train(
     init: HmmModel, data: Dataset, config: TrainingConfig, on_iteration=None
 ) -> TrainingTrace:
     """Classical multi-sequence Baum-Welch for `config.iterations` steps."""
-    seqs = [np.asarray(s, dtype=np.int64) for s in data.sequences]
-    return _run_em(init, seqs, [1.0] * len(seqs), config, on_iteration)
+    return _run_em(init, data, np.ones(len(data)), config, on_iteration)
 
 
 def weighted_em_train(
@@ -92,24 +91,23 @@ def weighted_em_train(
     """Baum-Welch over cluster representatives, counts scaled by weights."""
     if not table.entries:
         raise ValueError("empty cluster table")
-    seqs = [np.asarray(e.representative, dtype=np.int64) for e in table.entries]
-    weights = [float(e.weight) for e in table.entries]
-    return _run_em(init, seqs, weights, config, on_iteration)
+    reps = Dataset([e.representative for e in table.entries])
+    weights = np.array([e.weight for e in table.entries], dtype=float)
+    return _run_em(init, reps, weights, config, on_iteration)
 
 
-def _run_em(init, seqs, weights, config, on_iteration=None) -> TrainingTrace:
+def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> TrainingTrace:
     if config.iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {config.iterations}")
     if config.ll_tolerance is not None and config.ll_tolerance < 0:
         raise ValueError(f"ll_tolerance must be >= 0, got {config.ll_tolerance}")
     require_valid(init)
-    if not seqs:
+    if not len(data):
         raise ValueError("no training sequences")
-    w_all = np.asarray(weights, dtype=float)
-    blocks = [(rows, obs, w_all[rows]) for rows, obs in length_blocks(seqs, init.n_symbols)]
+    blocks = [(rows, obs, weights[rows]) for rows, obs in length_blocks(data, init.n_symbols)]
 
     n, m = init.n_states, init.n_symbols
-    w_total = float(sum(weights))
+    w_total = float(weights.sum())
     model = init
     lls: list[float] = []
     cum_seconds: list[float] = []

@@ -292,6 +292,17 @@ def test_bad_symbol_rejected_before_output(tmp_path, capsys, command):
     assert err == f"error: {seqs}: line 4: symbol 2 is out of range for a model with 2 symbols\n"
 
 
+def test_train_bad_symbol_names_file_and_line(tmp_path, capsys):
+    seqs = tmp_path / "bad.txt"
+    seqs.write_text("0 1 2\n# comment\n\n0 5 1\n")
+    out = tmp_path / "model.json"
+    code, stdout, err = run(capsys, "train", str(seqs), str(out), "--states", "2", "--symbols", "5")
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {seqs}: line 4: symbol 5 is out of range for a model with 5 symbols\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "cluster", "train"])
 def test_non_utf8_input_names_file(tmp_path, capsys, command):
     bad = tmp_path / "bad.txt"

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmmaccel import (
     ClusterEntry,
@@ -166,6 +168,46 @@ def test_keyed_clustering_matches_scan():
             assert len(table.entries) < len(data.sequences)
             for e, rep in zip(table.entries, reps):
                 assert np.array_equal(e.representative, rep)
+
+
+@st.composite
+def clustering_corpora(draw):
+    """A distance and a corpus over few symbols, so that repeats and warped
+    copies are common: rows of one length (required for euclidean), or
+    ragged rows for dtw, some of them built by stretching a few patterns."""
+    distance = draw(st.sampled_from(["dtw", "euclidean"]))
+    symbols = st.integers(0, draw(st.integers(0, 3)))
+    if distance == "euclidean" or draw(st.booleans()):
+        t_len = draw(st.integers(1, 6))
+        row = st.lists(symbols, min_size=t_len, max_size=t_len)
+    else:
+        row = st.lists(symbols, min_size=1, max_size=7)
+    if distance == "dtw" and draw(st.booleans()):
+        patterns = draw(st.lists(st.lists(symbols, min_size=1, max_size=3), min_size=1,
+                                 max_size=4))
+        stretch = st.tuples(st.sampled_from(patterns), st.lists(st.integers(1, 3), min_size=3,
+                                                                max_size=3))
+        row = st.one_of(row, stretch.map(lambda pr: np.repeat(pr[0], pr[1][: len(pr[0])])))
+    rows = draw(st.lists(row, min_size=1, max_size=30))
+    return distance, dataset([list(map(int, r)) for r in rows])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(clustering_corpora())
+def test_keyed_clustering_matches_scan_property(case):
+    distance, data = case
+    table = build_clusters(data, distance=distance)
+    reps, weights = scan_clusters(data, distance)
+    assert [e.weight for e in table.entries] == weights
+    assert [e.representative.tolist() for e in table.entries] == [r.tolist() for r in reps]
+
+
+def test_empty_sequence_rejected():
+    data = Dataset([np.array([1, 2]), np.array([], dtype=np.int64), np.array([3])])
+    for distance in ("dtw", "euclidean"):
+        match = "sequence 2 is empty" if distance == "dtw" else "sequence 2 has length 0"
+        with pytest.raises(ValueError, match=match):
+            build_clusters(data, distance=distance)
 
 
 def test_euclidean_mixed_lengths_rejected():

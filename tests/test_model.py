@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmmaccel import (
     HmmModel,
@@ -14,7 +16,7 @@ from hmmaccel import (
     save_sequences,
     validate_model,
 )
-from hmmaccel.model import require_valid
+from hmmaccel.model import Dataset, require_valid
 
 
 def make(pi, a, b):
@@ -272,7 +274,156 @@ def test_sequence_file_errors_name_lines(tmp_path):
     path.write_bytes(b"\xff\xfe1 2\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text")):
         load_sequences(path)
+    path.write_text("1\n-99999999999999999999 3\n")
+    with pytest.raises(ValueError, match="line 2: negative symbol"):
+        load_sequences(path)
+    path.write_text("1\n2 99999999999999999999\n")
+    with pytest.raises(ValueError, match="line 2: symbol 99999999999999999999 does not fit"):
+        load_sequences(path)
     path.write_text("1 2\n# comment\n0 5 1\n")
     with pytest.raises(ValueError, match="line 3: symbol 5 is out of range for a model with 5"):
         load_sequences(path, n_symbols=5)
     assert len(load_sequences(path, n_symbols=6)) == 2
+
+
+def parse_oracle(path, n_symbols=None):
+    """Reference: the per-line parse that `load_sequences` replaced, one
+    int() per token and one check per line, returning lists of ints."""
+    sequences = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            try:
+                values = [int(tok) for tok in stripped.split()]
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: symbols must be base-10 integers"
+                ) from None
+            if min(values) < 0:
+                raise ValueError(f"{path}: line {lineno}: negative symbol")
+            if n_symbols is not None and max(values) >= n_symbols:
+                raise ValueError(
+                    f"{path}: line {lineno}: symbol {max(values)} is out of range "
+                    f"for a model with {n_symbols} symbols"
+                )
+            sequences.append(values)
+    if not sequences:
+        raise ValueError(f"{path}: no sequences found")
+    return sequences
+
+
+def parse_outcome(parse, path, n_symbols=None):
+    """Rows as lists of ints, or the ValueError message."""
+    try:
+        result = parse(path, n_symbols=n_symbols)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(result, list):
+        return result
+    return [s.tolist() for s in result.sequences]
+
+
+def assert_parses_like_oracle(path, n_symbols=None):
+    outcome = parse_outcome(load_sequences, path, n_symbols)
+    assert outcome == parse_outcome(parse_oracle, path, n_symbols)
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        ("+3 -0 1_0 ٣\n", [[3, 0, 10, 3]]),
+        ("1\t2  3\r\n4\f5\v6\x857\r\n\t 8 \n", [[1, 2, 3], [4, 5, 6, 7], [8]]),
+        ("   # indented comment\n\t#tabbed\n1 2\n", [[1, 2]]),
+        ("1 2\n1 2\n 1 2 \n1\t2\n", [[1, 2]] * 4),
+    ],
+    ids=["int-forms", "whitespace", "indented-comment", "repeats"],
+)
+def test_sequence_file_token_rules(tmp_path, content, expected):
+    path = tmp_path / "seqs.txt"
+    path.write_bytes(content.encode("utf-8"))
+    assert assert_parses_like_oracle(path) == expected
+
+
+@pytest.mark.parametrize(
+    "content, n_symbols, message",
+    [
+        # \f, \v and \x85 inside a line do not end it, so line numbers hold
+        ("1\f2\n3\v4\n5\x856\nx 1\n", None, "line 4: symbols must be base-10 integers"),
+        # a bad line that repeats is named at its first occurrence
+        ("1 2\n1 x\n3\n1 x\n", None, "line 2: symbols must be base-10 integers"),
+        ("0 9\n# c\n0 9\n", 5, "line 1: symbol 9 is out of range for a model with 5"),
+        # the first bad line wins, whatever its kind of fault
+        ("1\n2\n3 -1\n4\n5 y\n", None, "line 3: negative symbol"),
+        ("1\n2 z\n3 -1\n", None, "line 2: symbols must be base-10 integers"),
+        ("1\n7\n3 -1\n", 5, "line 2: symbol 7 is out of range"),
+        # inside a line, a non-integer outranks a negative, which outranks range
+        ("1 9 -1 q\n", 5, "line 1: symbols must be base-10 integers"),
+        ("1 9 -1\n", 5, "line 1: negative symbol"),
+        ("1.0\n", None, "line 1: symbols must be base-10 integers"),
+        ("0x1\n", None, "line 1: symbols must be base-10 integers"),
+    ],
+)
+def test_sequence_file_first_fault_named(tmp_path, content, n_symbols, message):
+    path = tmp_path / "seqs.txt"
+    path.write_bytes(content.encode("utf-8"))
+    outcome = assert_parses_like_oracle(path, n_symbols)
+    assert isinstance(outcome, str) and f"{path}: {message}" in outcome
+
+
+SPACES = [" ", "  ", "\t", "\f", "\v", "\x85", " \t "]
+
+
+@st.composite
+def sequence_files(draw):
+    """A sequence file drawn from a small pool of lines, so lines repeat:
+    ragged rows of integer tokens in several spellings, joined and padded
+    by assorted whitespace, among comments and blank lines; now and then a
+    bad token. Returns the file's text and an n_symbols (or None)."""
+    spelled = st.integers(0, 12).flatmap(
+        lambda v: st.sampled_from([str(v), f"+{v}", f"0{v}", "-0" if v == 0 else str(v)])
+    )
+    token = st.one_of(spelled, spelled, spelled, st.sampled_from(["-2", "x", "1.5", "٣"]))
+    space = st.sampled_from(SPACES)
+
+    @st.composite
+    def row(draw):
+        toks = draw(st.lists(token, min_size=1, max_size=6))
+        parts = [draw(space) + t for t in toks]
+        return draw(st.sampled_from(["", " ", "\t"])) + "".join(parts)[1:] + draw(
+            st.sampled_from(["", " ", "\f"])
+        )
+
+    other = st.sampled_from(["", "   ", "# note", "  # indented 1 x", "\t#"])
+    pool = draw(st.lists(st.one_of(row(), row(), other), min_size=1, max_size=8))
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    n_symbols = draw(st.one_of(st.none(), st.integers(1, 14)))
+    return ending.join(lines) + draw(st.sampled_from(["", ending])), n_symbols
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(sequence_files())
+def test_load_sequences_matches_per_line_oracle(tmp_path_factory, case):
+    text, n_symbols = case
+    path = tmp_path_factory.mktemp("parse") / "seqs.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert_parses_like_oracle(path, n_symbols)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=7), min_size=1,
+                max_size=12))
+def test_sequence_file_round_trip_property(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("round") / "seqs.txt"
+    data = Dataset([np.array(r, dtype=np.int64) for r in rows], category_id=3)
+    save_sequences(data, path)
+    assert path.read_text() == "".join(" ".join(map(str, r)) + "\n" for r in rows)
+    loaded = load_sequences(path, category_id=3)
+    assert loaded.category_id == 3
+    assert loaded.offsets.tolist() == data.offsets.tolist()
+    assert loaded.values.tolist() == data.values.tolist()
+    save_sequences(loaded, path.with_suffix(".again"))
+    assert path.with_suffix(".again").read_bytes() == path.read_bytes()

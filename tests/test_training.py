@@ -137,7 +137,7 @@ def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
         + [rng.integers(0, 4, size=1) for _ in range(3)]
     )
     weights = [int(w) for w in rng.integers(1, 5, size=len(seqs))]
-    blocks = length_blocks(seqs, 4)
+    blocks = length_blocks(Dataset(seqs), 4)
     assert [len(rows) for rows, _ in blocks] == [5, 4, 4, 4, 3, 3]
     init = initialize_model(2, 4, 13)
     assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
