@@ -94,28 +94,29 @@ def _cmd_train(args) -> int:
 
 
 def _score_file(args, block_lines) -> int:
-    """Run `block_lines(model, obs)` on each length block of the sequence
-    file and print its lines in input order. Every sequence is checked
-    against the model before anything is printed."""
+    """Run `block_lines(model, obs, lengths)` on each packed block of the
+    sequence file and print its lines in input order. Every sequence is
+    checked against the model before anything is printed."""
     model = load_model(args.model, renormalize=args.renormalize)
     data = load_sequences(args.input, n_symbols=model.n_symbols)
     lines = [""] * len(data)
-    for rows, obs in length_blocks(data, model.n_symbols):
-        for row, line in zip(rows.tolist(), block_lines(model, obs)):
+    for rows, obs, lengths in length_blocks(data, model.n_symbols):
+        for row, line in zip(rows.tolist(), block_lines(model, obs, lengths)):
             lines[row] = line
     sys.stdout.write("".join(lines))
     return 0
 
 
-def _eval_lines(model, obs) -> list[str]:
-    return [f"{ll!r}\n" for ll in score_block(model, obs).tolist()]
+def _eval_lines(model, obs, lengths) -> list[str]:
+    return [f"{ll!r}\n" for ll in score_block(model, obs, lengths).tolist()]
 
 
-def _decode_lines(model, obs) -> list[str]:
-    paths, log_probs = viterbi_block(model, obs)
+def _decode_lines(model, obs, lengths) -> list[str]:
+    paths, log_probs = viterbi_block(model, obs, lengths)
+    names = [str(i) for i in range(model.n_states)]
     return [
-        "-inf\n" if lp == -math.inf else " ".join(map(str, path)) + f"\t{lp!r}\n"
-        for path, lp in zip(paths.tolist(), log_probs.tolist())
+        "-inf\n" if lp == -math.inf else " ".join([names[s] for s in path[:t]]) + f"\t{lp!r}\n"
+        for path, t, lp in zip(paths.tolist(), lengths.tolist(), log_probs.tolist())
     ]
 
 

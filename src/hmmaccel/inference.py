@@ -6,21 +6,27 @@ log-likelihood is recovered exactly as -sum(log c_t) and no underflow can
 occur at any sequence length (Rabiner 1989, section V.A). The backward pass
 reuses the same coefficients.
 
-Training, scoring and decoding all run on blocks of equal-length
-sequences. `length_blocks` groups a Dataset's sequences by length, in
-order of first appearance, gathers each group from the flat buffer with
-one fancy index, and cuts it into blocks of at most BLOCK_STEPS
-sequence-steps. `_forward_block` runs the scaled forward pass on a block,
-one batched matmul per time step; `score_block` turns it into one
-log-likelihood per sequence, and `estep_block` adds the backward pass and
-the block's weighted expected counts, never building a per-sequence xi.
-`viterbi_block` runs the max-product recursion on a block. `likelihood`
-and `viterbi` are the one-sequence case of `score_block` and
-`viterbi_block`. `forward_backward` is the per-sequence reference that
-returns every posterior; the tests check the block functions against it.
+Training, scoring and decoding all run on packed blocks, in the layout of
+PyTorch's `pack_padded_sequence`. `length_blocks` sorts a Dataset's
+sequences longest first (stably, so a single-length corpus keeps input
+order), cuts that order into blocks of at most BLOCK_STEPS padded
+sequence-steps, and gathers each block from the flat buffer as a
+right-padded (B, T) array with its B lengths. Since the rows are sorted,
+the sequences still running at step t are a prefix of the block, and
+every recursion works on that prefix only. `_forward_block` runs the
+scaled forward pass, two batched matmuls per time step (the transition
+and the row sums); `score_block` turns it into one log-likelihood per
+sequence, and `estep_block` adds the backward pass and the block's
+weighted expected counts, taken over the valid steps only and never
+building a per-sequence xi. `viterbi_block` runs the max-product
+recursion. `likelihood` and `viterbi` are the
+one-sequence case of `score_block` and `viterbi_block`.
+`forward_backward` is the per-sequence reference that returns every
+posterior; the tests check the block functions against it.
 
 A sequence gets the same score and path, bit for bit, whatever block it
-sits in: see `score_block` and `viterbi_block`.
+sits in, at whatever row and beside whatever lengths: see `score_block`
+and `viterbi_block`.
 
 Model validity is the caller's precondition (see model.validate_model);
 symbol range is checked here because it is an indexing hazard.
@@ -28,28 +34,30 @@ symbol range is checked here because it is an indexing hazard.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Dataset, HmmModel
 
-# Cap on B * T per block. Larger blocks mean fewer Python-level steps but
-# larger (T, B, N) temporaries; at 4096 a 10,000 x 5 corpus runs in 13
-# blocks and peak memory stays within a few percent of a per-sequence loop.
+# Cap on the padded size B * T of a block. Larger blocks mean fewer
+# Python-level steps but larger (T, B, N) temporaries; at 4096 a 10,000 x 5
+# corpus runs in 13 blocks and peak memory stays within a few percent of a
+# per-sequence loop.
 BLOCK_STEPS = 4096
 
 
 class ImpossibleSequenceError(ValueError):
     """The sequence has probability exactly 0 under the model.
 
-    When raised by `estep_block`, `row` is the block row of the first
+    When raised by `estep_block`, `rows` holds the block rows of every
     impossible sequence; otherwise it is None.
     """
 
-    def __init__(self, message: str = "impossible sequence", row: int | None = None):
+    def __init__(self, message: str = "impossible sequence", rows=None):
         super().__init__(message)
-        self.row = row
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -80,68 +88,119 @@ def _check_symbols(model: HmmModel, obs: np.ndarray) -> None:
 
 
 def length_blocks(data: Dataset, n_symbols):
-    """Blocks of equal-length sequences of a Dataset as (rows, obs): the
-    input positions of the block's sequences (B,) and their symbols (B, T),
-    gathered from the flat buffer.
+    """Packed blocks of a Dataset as (rows, obs, lengths): the input
+    positions of the block's B sequences, their symbols right-padded to
+    (B, T), and their B lengths.
 
-    Length groups come in order of first appearance, input order inside a
-    group, and each group is cut into blocks of at most BLOCK_STEPS
-    sequence-steps. Rejects the first empty sequence or sequence with a
-    symbol outside [0, n_symbols), by its 1-based position.
+    Sequences are sorted longest first, stably, so equal lengths keep
+    input order, and the sorted order is cut into blocks of at most
+    BLOCK_STEPS padded sequence-steps (a longer sequence gets a block of
+    its own). A row is padded with copies of its last symbol. Rejects the
+    first empty sequence or sequence with a symbol outside [0, n_symbols),
+    by its 1-based position.
     """
-    stacked = []
-    faults = []  # (position, message) of the first bad sequence per group
-    for t_len, members in data.length_groups():
-        if t_len == 0:
-            faults.append((members[0], "is empty"))
-            continue
-        obs = data.rows(members, t_len)
-        if obs.min() < 0 or obs.max() >= n_symbols:
-            bad = (obs.min(axis=1) < 0) | (obs.max(axis=1) >= n_symbols)
-            faults.append(
-                (members[int(np.argmax(bad))], f"uses symbols outside [0, {n_symbols})")
-            )
-        stacked.append((members, obs))
+    values, offsets, lengths = data.values, data.offsets, data.lengths
+    faults = []  # (position, message) of the first bad sequence of each kind
+    if (lengths == 0).any():
+        faults.append((int(np.argmax(lengths == 0)), "is empty"))
+    bad = (values < 0) | (values >= n_symbols)
+    if bad.any():
+        # values lie in input order, so the first bad symbol is in the first bad sequence
+        idx = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
+        faults.append((idx, f"uses symbols outside [0, {n_symbols})"))
     if faults:
         idx, message = min(faults)
         raise ValueError(f"sequence {idx + 1} {message}")
 
+    order = np.argsort(-lengths, kind="stable")
     blocks = []
-    for members, obs in stacked:
-        size = max(1, BLOCK_STEPS // obs.shape[1])
-        for lo in range(0, len(members), size):
-            blocks.append((members[lo : lo + size], obs[lo : lo + size]))
+    lo = 0
+    while lo < len(order):
+        t_len = int(lengths[order[lo]])
+        rows = order[lo : lo + max(1, BLOCK_STEPS // t_len)]
+        lens = lengths[rows]
+        steps = np.minimum(np.arange(t_len), lens[:, None] - 1)
+        blocks.append((rows, values[offsets[rows][:, None] + steps], lens))
+        lo += len(rows)
     return blocks
 
 
-def _forward_block(model: HmmModel, obs: np.ndarray):
-    """Scaled forward pass over a block obs (B, T) of int64 symbols.
+def _batch_sizes(obs: np.ndarray, lengths) -> list[int]:
+    """[B_0, ..., B_{T-1}, 0]: how many rows of a block obs (B, T) are still
+    running at each step. `lengths` must run longest first, from T down to
+    at least 1; None means every row has length T."""
+    b_len, t_len = obs.shape
+    if lengths is None:
+        return [b_len] * t_len + [0]
+    lengths = np.asarray(lengths)
+    if (
+        lengths.shape != (b_len,)
+        or lengths[0] != t_len
+        or lengths[-1] < 1
+        or (lengths[1:] > lengths[:-1]).any()
+    ):
+        raise ValueError(
+            f"lengths must run longest first from {t_len} down to at least 1, "
+            f"one per row of a ({b_len}, {t_len}) block"
+        )
+    if lengths[-1] == t_len:
+        return [b_len] * t_len + [0]
+    # B_t counts the lengths > t, which searchsorted finds in the ascending -lengths
+    return np.searchsorted(-lengths, -np.arange(t_len + 1)).tolist()
+
+
+def _forward_block(model: HmmModel, obs: np.ndarray, sizes: list[int]):
+    """Scaled forward pass over a block obs (B, T) of int64 symbols, with
+    `sizes` from `_batch_sizes`.
 
     Returns the emission probabilities bt and the normalized alpha, both
-    laid out (T, B, N) so that each step works on one contiguous (B, N)
-    slice, and the coefficients c (T, B). A row with probability 0 gets a
-    non-finite c from the step where it dies.
+    laid out (T, B, N) so that each step works on one contiguous (B_t, N)
+    prefix, and the coefficients c (T, B); entries past a row's length are
+    padding. A row with probability 0 gets a non-finite c from the step
+    where it dies.
+
+    Each step's row sums come from a matmul with an all-ones (N, N)
+    matrix, which puts a row's sum in every column with bits that depend
+    on that row alone, as the transition matmul's do; a BLAS gemv
+    (x @ ones(N)) rounds a row by the row count and the row's offset.
+    numpy sends a one-row matmul down another BLAS path than a multi-row
+    one, so in a block of two or more rows a step runs on at least two;
+    the second is padding once its own sequence has ended.
     """
     _check_symbols(model, obs)
-    t_len, n = obs.shape[1], model.n_states
     a = model.a
     bt = np.take(np.ascontiguousarray(model.b.T), obs.T, axis=0)
-    ones = np.ones(n)  # x @ ones sums the last axis, faster than x.sum(-1) at small N
-
     alpha = np.empty_like(bt)
     c = np.empty(obs.T.shape)
-    c_col = c[:, :, None]
+    ones = np.ones_like(a)
+    sums = np.empty_like(bt[0])
+    floor = min(2, obs.shape[0])
+    rows = None
     with np.errstate(divide="ignore", invalid="ignore"):
         # each step fills alpha[t] in place: f = (alpha[t-1] @ a) * b(o_t), c_t = 1 / sum f
-        for t in range(t_len):
+        for t in range(obs.shape[1]):
+            k = max(sizes[t], floor)
+            if k != rows:  # views of the running prefix, made again only when it shrinks
+                rows = k
+                al, bk, ck, sk = alpha[:, :k], bt[:, :k], c[:, :k, None], sums[:k]
+                sk0 = sk[:, :1]
+            at = al[t]
             if t == 0:
-                np.multiply(model.pi, bt[0], out=alpha[0])
+                np.multiply(model.pi, bk[0], out=at)
             else:
-                np.matmul(alpha[t - 1], a, out=alpha[t])
-                alpha[t] *= bt[t]
-            np.divide(1.0, alpha[t] @ ones, out=c[t])
-            alpha[t] *= c_col[t]
+                np.matmul(al[t - 1], a, out=at)
+                at *= bk[t]
+            np.matmul(at, ones, out=sk)
+            np.divide(1.0, sk0, out=ck[t])
+            at *= ck[t]
     return bt, alpha, c
+
+
+def _length_runs(sizes: list[int]):
+    """(lo, hi, T) for each run of rows [lo, hi) of one length T in a block,
+    from its `_batch_sizes`: the rows of length T are [B_T, B_{T-1})."""
+    return [(sizes[t], sizes[t - 1], t) for t in range(len(sizes) - 1, 0, -1)
+            if sizes[t] < sizes[t - 1]]
 
 
 def forward_backward(model: HmmModel, seq) -> ForwardBackwardResult:
@@ -187,76 +246,121 @@ def estep_block(
     pi_num: np.ndarray,
     a_num: np.ndarray,
     b_num_mt: np.ndarray,
+    lengths=None,
 ) -> float:
     """Add the weighted expected counts of a block of sequences in place.
 
-    obs is (B, T), B sequences of one length T; w holds their B weights.
-    Adds sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t xi_t^b to
-    a_num (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b to b_num_mt[k]
-    (M, N), and returns sum_b w_b log P(obs_b). Each xi_t is normalized by
-    its own sum, as in `forward_backward`, but is only ever summed over t
-    and b, so no (B, T, N, N) array is made.
+    obs is (B, T), B sequences right-padded to the longest, with `lengths`
+    as for `score_block`; w holds their B weights. Adds
+    sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t xi_t^b to a_num
+    (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b to b_num_mt[k] (M, N),
+    and returns sum_b w_b log P(obs_b). Each xi_t is normalized by its own
+    sum, as in `forward_backward`, but is only ever summed over t and b,
+    so no (B, T, N, N) array is made.
+
+    The forward pass runs on the padded block; its alpha and emissions are
+    then gathered once into `pack_padded_sequence` order, valid (t, b)
+    steps only, where the backward pass and the counts work on them. A
+    block of one length is in that order already and needs no gather.
     """
     obs = np.asarray(obs, dtype=np.int64)
     w = np.asarray(w, dtype=float)
-    bt, alpha, c = _forward_block(model, obs)
-    t_len, n = obs.shape[1], model.n_states
+    sizes = _batch_sizes(obs, lengths)
+    bt, alpha, c = _forward_block(model, obs, sizes)
+    b_len, t_len = obs.shape
+    n = model.n_states
     a = model.a
     ones = np.ones(n)
+    ll = np.empty(b_len)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = -np.log(c).sum(axis=0)
+        for lo, hi, t_end in _length_runs(sizes):
+            ll[lo:hi] = -np.log(c[:t_end, lo:hi]).sum(axis=0)
     dead = ~np.isfinite(ll)
     if dead.any():
-        raise ImpossibleSequenceError(row=int(np.argmax(dead)))
+        raise ImpossibleSequenceError(rows=np.flatnonzero(dead))
+
+    # From here on every array holds the valid (t, b) entries only, t-major
+    # as in pack_padded_sequence: step t's B_t rows are [off[t], off[t + 1]).
+    one_length = sizes[t_len - 1] == b_len  # then the padded arrays are packed already
+    valid = np.s_[:] if one_length else np.flatnonzero(np.arange(t_len)[:, None] < lengths)
+    bt = bt.reshape(-1, n)[valid]  # one at a time, so each padded array is freed
+    alpha = alpha.reshape(-1, n)[valid]
+    off = list(itertools.accumulate(sizes, initial=0))
 
     beta = np.empty_like(bt)
-    beta[t_len - 1] = 1.0
+    beta[off[t_len - 1] :] = 1.0
     for t in range(t_len - 2, -1, -1):
-        beta[t] = ((bt[t + 1] * beta[t + 1]) @ a.T) * c[t + 1][:, None]
+        k, nxt = sizes[t + 1], np.s_[off[t + 1] : off[t + 2]]
+        beta[off[t] : off[t] + k] = ((bt[nxt] * beta[nxt]) @ a.T) * c[t + 1, :k, None]
+        if k < sizes[t]:  # rows whose last step is t
+            beta[off[t] + k : off[t + 1]] = 1.0
 
-    gamma = alpha * beta
-    gamma *= (w / (gamma @ ones))[:, :, None]  # weighted posteriors
-    pi_num += gamma[0].sum(axis=0)
-    symbols = obs.T.ravel()
+    # bt, beta and gamma are dropped as soon as they are used up, to keep
+    # peak memory near that of the forward pass
+    v = bt[b_len:] * beta[b_len:]  # b(o_t) beta_t for t >= 1
+    del bt
+    gamma = beta  # alpha * beta, in place: beta is not read again
+    gamma *= alpha
+    del beta
+    wp = np.repeat(w[None], t_len, axis=0).reshape(-1)[valid]
+    gamma *= (wp / (gamma @ ones))[:, None]  # weighted posteriors
+    pi_num += gamma[:b_len].sum(axis=0)
+    symbols = obs.T.reshape(-1)[valid]
     for j in range(n):
-        b_num_mt[:, j] += np.bincount(
-            symbols, weights=gamma[:, :, j].ravel(), minlength=model.n_symbols
-        )
+        b_num_mt[:, j] += np.bincount(symbols, weights=gamma[:, j], minlength=model.n_symbols)
+    del gamma
 
     if t_len > 1:
-        # xi_t(i, j) = alpha_{t-1}(i) a_ij v_t(j) / norm_t, v_t = b(o_t) beta_t
-        v = bt[1:] * beta[1:]
-        norm = ((alpha[:-1] @ a) * v) @ ones
-        left = alpha[:-1] * (w / norm)[:, :, None]
-        a_num += a * (left.reshape(-1, n).T @ v.reshape(-1, n))
+        # xi_t(i, j) = alpha_{t-1}(i) a_ij v_t(j) / norm_t, with alpha_{t-1}
+        # taken at the same b: the entry off[t - 1] + b of each off[t] + b
+        if one_length:
+            prev = alpha[:-b_len]
+        else:
+            prev = alpha[np.arange(b_len, len(alpha)) - np.repeat(sizes[:-2], sizes[1:-1])]
+        f = prev @ a
+        f *= v
+        prev *= (wp[b_len:] / (f @ ones))[:, None]  # alpha is not read again
+        a_num += a * (prev.T @ v)
     return float(w @ ll)
 
 
-def score_block(model: HmmModel, obs: np.ndarray) -> np.ndarray:
+def score_block(model: HmmModel, obs: np.ndarray, lengths=None) -> np.ndarray:
     """log P(obs_b | model) for each row of a block obs (B, T), or -inf
     where the row has probability 0.
 
-    A row gets the same bits whatever block it sits in. numpy sends a
-    one-row matmul down another BLAS path than a multi-row one, so a lone
-    row runs as two copies; and each row's -sum_t log c_t is summed along a
-    contiguous row, the order numpy uses for a 1-D array, where summing the
-    (T, B) columns would use another order for B == 1 than for B > 1.
+    `lengths` gives each row's length, longest first, from T down; a row
+    is right-padded past its length with any in-range symbols. None means
+    every row has length T.
+
+    A row gets the same bits whatever block it sits in. Each step's
+    matmuls give a row bits that depend on that row alone (see
+    `_forward_block`); a lone row runs as two copies, so that every
+    matmul takes the multi-row BLAS path; and each row's -sum_t log c_t
+    is summed along a contiguous run of exactly its own steps, the order
+    numpy uses for a 1-D array, where summing the (T, B) columns would use
+    another order for one row than for several.
     """
     obs = np.asarray(obs, dtype=np.int64)
     lone = obs.shape[0] == 1
     if lone:
         obs = np.repeat(obs, 2, axis=0)
-    _, _, c = _forward_block(model, obs)
+        lengths = None if lengths is None else np.repeat(lengths, 2)
+    sizes = _batch_sizes(obs, lengths)
+    _, _, c = _forward_block(model, obs, sizes)
+    ct = np.ascontiguousarray(c.T)
+    ll = np.empty(obs.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = -np.log(np.ascontiguousarray(c.T)).sum(axis=1) + 0.0  # + 0.0: no -0.0
+        for lo, hi, t_end in _length_runs(sizes):
+            ll[lo:hi] = -np.log(ct[lo:hi, :t_end]).sum(axis=1) + 0.0  # + 0.0: no -0.0
     ll[~np.isfinite(ll)] = -np.inf
     return ll[:1] if lone else ll
 
 
-def viterbi_block(model: HmmModel, obs: np.ndarray):
+def viterbi_block(model: HmmModel, obs: np.ndarray, lengths=None):
     """Most probable state path and its joint log-probability for each row
-    of a block obs (B, T): paths (B, T) and log_probs (B,), where log_probs
-    is -inf for a row with probability 0.
+    of a block obs (B, T), with `lengths` as for `score_block`: paths
+    (B, T) and log_probs (B,), where log_probs is -inf for a row with
+    probability 0 and a path holds 0 past its row's length.
 
     Ties at every argmax resolve to the lowest state index, which makes each
     path the one minimizing (q_T, ..., q_1) lexicographically among all
@@ -267,6 +371,7 @@ def viterbi_block(model: HmmModel, obs: np.ndarray):
     _check_symbols(model, obs)
     b_len, t_len = obs.shape
     n = model.n_states
+    sizes = _batch_sizes(obs, lengths)
 
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.pi)
@@ -276,20 +381,29 @@ def viterbi_block(model: HmmModel, obs: np.ndarray):
     psi = np.empty((t_len, b_len, n), dtype=np.intp)
     rows_start = np.arange(b_len * n).reshape(b_len, n) * n  # flat index of scores[b, j, 0]
     delta = log_pi + log_bt[0]
+    rows = None
     for t in range(1, t_len):
         # scores[b, j, i]: best path ending i -> j. An argmax over the last,
         # contiguous axis and a gather of its entries are much faster than
-        # reductions over a middle axis or .max() over short rows.
-        scores = delta[:, None, :] + log_at
+        # reductions over a middle axis or .max() over short rows. Rows that
+        # have ended keep their last delta.
+        if sizes[t] != rows:  # views of the running prefix, made again only when it shrinks
+            rows = sizes[t]
+            dk, sk, bk, pk = delta[:rows], rows_start[:rows], log_bt[:, :rows], psi[:, :rows]
+        scores = dk[:, None, :] + log_at
         best = scores.argmax(axis=2)
-        psi[t] = best
-        delta = np.take(scores, rows_start + best) + log_bt[t]
+        pk[t] = best
+        np.add(np.take(scores, sk + best), bk[t], out=dk)
 
-    paths = np.empty((b_len, t_len), dtype=np.int64)
-    paths[:, -1] = delta.argmax(axis=1)
+    last = delta.argmax(axis=1)
+    paths = np.zeros((b_len, t_len), dtype=np.int64)
     rows = np.arange(b_len)
-    for t in range(t_len - 1, 0, -1):
-        paths[:, t - 1] = psi[t, rows, paths[:, t]]
+    for t in range(t_len - 1, -1, -1):
+        k = sizes[t]
+        if sizes[t + 1] < k:  # rows whose last step is t
+            paths[sizes[t + 1] : k, t] = last[sizes[t + 1] : k]
+        if t:
+            paths[:k, t - 1] = psi[t, rows[:k], paths[:k, t]]
     return paths, delta.max(axis=1) + 0.0  # + 0.0: no -0.0
 
 

@@ -10,14 +10,14 @@ table, and the numerical behavior of the two modes can be compared at
 tight tolerances.
 
 The E-step runs block by block. Before the first iteration
-`inference.length_blocks` groups the sequences by length, in order of
-first appearance, and cuts each group into blocks of at most
-`inference.BLOCK_STEPS` sequence-steps; every iteration then calls
-`inference.estep_block` once per block. Both trainers build their
-blocks the same way, so the summation order, and with it the weight-1
-bit-identity, does not depend on the trainer. The tests keep the
-per-sequence accumulation loop over `inference.forward_backward` as the
-reference the blocks must match.
+`inference.length_blocks` sorts the sequences longest first and cuts them
+into packed blocks of at most `inference.BLOCK_STEPS` padded
+sequence-steps, so a corpus of many lengths runs in as few blocks as one
+of a single length; every iteration then calls `inference.estep_block`
+once per block. Both trainers build their blocks the same way, so the
+summation order, and with it the weight-1 bit-identity, does not depend
+on the trainer. The tests keep the per-sequence accumulation loop over
+`inference.forward_backward` as the reference the blocks must match.
 
 Re-estimation per iteration, with w_m the weight of sequence m:
 
@@ -104,7 +104,10 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
     require_valid(init)
     if not len(data):
         raise ValueError("no training sequences")
-    blocks = [(rows, obs, weights[rows]) for rows, obs in length_blocks(data, init.n_symbols)]
+    blocks = [
+        (rows, obs, lengths, weights[rows])
+        for rows, obs, lengths in length_blocks(data, init.n_symbols)
+    ]
 
     n, m = init.n_states, init.n_symbols
     w_total = float(weights.sum())
@@ -120,14 +123,16 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
         b_num_mt = np.zeros((m, n))  # indexed [symbol, state]
         total_ll = 0.0
 
-        for rows, obs, w in blocks:
+        dead = []  # input positions of impossible sequences
+        for rows, obs, lengths, w in blocks:
             try:
-                total_ll += estep_block(model, obs, w, pi_num, a_num, b_num_mt)
+                total_ll += estep_block(model, obs, w, pi_num, a_num, b_num_mt, lengths)
             except ImpossibleSequenceError as exc:
-                raise ImpossibleSequenceError(
-                    f"sequence {rows[exc.row] + 1} is impossible under the model "
-                    f"at iteration {it}"
-                ) from exc
+                dead.append(rows[exc.rows].min())
+        if dead:
+            raise ImpossibleSequenceError(
+                f"sequence {min(dead) + 1} is impossible under the model at iteration {it}"
+            )
 
         # denominators are the numerators' own marginals, so each quotient
         # stays inside [0, 1] even after rounding

@@ -382,6 +382,41 @@ def test_eval_and_decode_match_per_sequence_calls(case):
     assert outputs == [expected_eval, expected_decode]
 
 
+def per_sequence_lines(model, seqs):
+    """The eval and decode lines of `likelihood` and `viterbi` per sequence."""
+    evals, decodes = [], []
+    for seq in seqs:
+        path, lp = viterbi(model, seq)
+        evals.append(repr(likelihood(model, seq)))
+        decodes.append(" ".join(map(str, path.tolist())) + "\t" + repr(lp))
+    return evals, decodes
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_eval_and_decode_match_per_sequence_calls_in_large_blocks(tmp_path, capsys, n):
+    # 60 rows of one length and 45 of mixed lengths, each in one block under
+    # the default cap: every row must print the bits of its lone-row call
+    rng = np.random.default_rng(80 + n)
+    m = 12
+    pi = rng.uniform(0.1, 1.0, n)
+    a = rng.uniform(0.1, 1.0, (n, n))
+    b = rng.uniform(0.1, 1.0, (n, m))
+    model = HmmModel.from_arrays(
+        pi / pi.sum(), a / a.sum(axis=1, keepdims=True), b / b.sum(axis=1, keepdims=True)
+    )
+    for name, lengths in (("equal", [20] * 60), ("mixed", rng.integers(5, 40, size=45))):
+        seqs = [rng.integers(0, m, size=t) for t in lengths]
+        model_path, seqs_path = tmp_path / "m.json", tmp_path / f"{name}.txt"
+        save_model(model, model_path)
+        seqs_path.write_text("".join(" ".join(map(str, s.tolist())) + "\n" for s in seqs))
+        outputs = []
+        for command in ("eval", "decode"):
+            code, out, _ = run(capsys, command, str(model_path), str(seqs_path))
+            assert code == 0
+            outputs.append(out.splitlines())
+        assert outputs == list(per_sequence_lines(model, seqs)), name
+
+
 def test_dist(tmp_path, capsys):
     fa = tmp_path / "a.txt"
     fb = tmp_path / "b.txt"

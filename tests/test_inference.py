@@ -15,6 +15,7 @@ from hmmaccel import (
     viterbi,
     viterbi_block,
 )
+from hmmaccel.inference import _forward_block
 
 
 def make(pi, a, b):
@@ -244,3 +245,51 @@ def test_blocks_mark_impossible_rows():
     paths, lps = viterbi_block(DETERMINISTIC_CHAIN, obs)
     assert lps.tolist() == [-np.inf, 0.0, -np.inf]
     assert paths[1].tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_scaling_coefficients_do_not_depend_on_block(n):
+    # a row's c_t must not depend on the block's row count, the row's
+    # offset in it, or how many rows are still running beside it
+    rng = np.random.default_rng(60 + n)
+    model = random_model(rng, n, 6)
+    seq = rng.integers(0, 6, size=9)
+    _, _, c = _forward_block(model, np.stack([seq, seq]), [2] * 9 + [0])
+    expected = c[:, 0].copy()
+    for b_len in (2, 3, 7, 8, 9, 68):
+        for offset in sorted({0, 1, b_len // 2, b_len - 1}):
+            obs = rng.integers(0, 6, size=(b_len, 9))
+            obs[offset] = seq
+            _, _, c = _forward_block(model, obs, [b_len] * 9 + [0])
+            assert np.array_equal(c[:, offset], expected), (b_len, offset)
+        # the row leads a block of shorter rows, so the prefix shrinks to it
+        lengths = np.sort(rng.integers(1, 9, size=b_len))[::-1]
+        lengths[0] = 9
+        sizes = [int((lengths > t).sum()) for t in range(10)]
+        _, _, c = _forward_block(model, obs[np.argsort(np.arange(b_len) != offset)], sizes)
+        assert np.array_equal(c[:, 0], expected), b_len
+
+
+def test_packed_blocks_match_per_sequence_calls():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        model = random_model(rng, int(rng.integers(1, 6)), 4)
+        lengths = np.sort(rng.integers(1, 12, size=int(rng.integers(1, 9))))[::-1]
+        obs = rng.integers(0, 4, size=(len(lengths), lengths[0]))
+        lls = score_block(model, obs, lengths)
+        paths, lps = viterbi_block(model, obs, lengths)
+        for row, t_len, ll, path, lp in zip(obs, lengths, lls, paths, lps):
+            exp_path, exp_lp = viterbi(model, row[:t_len])
+            assert ll == likelihood(model, row[:t_len])
+            assert lp == exp_lp
+            assert path[:t_len].tolist() == exp_path.tolist()
+            assert not path[t_len:].any()
+
+
+def test_block_lengths_checked():
+    obs = np.zeros((3, 4), dtype=np.int64)
+    for bad in ([4, 3], [3, 3, 2], [4, 2, 3], [4, 3, 0]):
+        with pytest.raises(ValueError, match="lengths must run longest first"):
+            score_block(DETERMINISTIC_CHAIN, obs, bad)
+        with pytest.raises(ValueError, match="lengths must run longest first"):
+            viterbi_block(DETERMINISTIC_CHAIN, obs, bad)

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmmaccel import (
     ClusterEntry,
@@ -20,6 +23,7 @@ from hmmaccel import (
     weighted_em_train,
     write_trace_csv,
 )
+from hmmaccel import inference
 from hmmaccel.cli import _bundled_bench_model
 from hmmaccel.inference import BLOCK_STEPS, forward_backward, length_blocks
 from hmmaccel.model import Dataset
@@ -127,8 +131,8 @@ def test_block_kernel_matches_per_sequence_loop_on_mixed_lengths():
 
 
 def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
-    # one length group that fills four blocks, the last one partial,
-    # between two short groups
+    # one length fills four blocks, the last one partial and topped up with
+    # a shorter sequence, ahead of a block of two shorter lengths
     rng = np.random.default_rng(49)
     t_long = BLOCK_STEPS // 4
     seqs = (
@@ -138,11 +142,47 @@ def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
     )
     weights = [int(w) for w in rng.integers(1, 5, size=len(seqs))]
     blocks = length_blocks(Dataset(seqs), 4)
-    assert [len(rows) for rows, _ in blocks] == [5, 4, 4, 4, 3, 3]
+    assert [lengths.tolist() for _, _, lengths in blocks] == [
+        [t_long] * 4,
+        [t_long] * 4,
+        [t_long] * 4,
+        [t_long] * 3 + [3],
+        [3] * 4 + [1] * 3,
+    ]
+    assert np.concatenate([rows for rows, _, _ in blocks]).tolist() == (
+        list(range(5, 20)) + list(range(5)) + list(range(20, 23))
+    )
     init = initialize_model(2, 4, 13)
     assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
     table = ClusterTable(0, list(map(ClusterEntry, seqs, weights)))
     assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 3)
+
+
+@st.composite
+def mixed_corpora(draw):
+    """Sequences of lengths 1..12 plus a lone longest one of length 13,
+    their weights 1..8, a model size and a small block cap."""
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=14)) + [13]
+    lengths = draw(st.permutations(lengths))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seqs = [rng.integers(0, m, size=t) for t in lengths]
+    weights = draw(st.lists(st.integers(1, 8), min_size=len(seqs), max_size=len(seqs)))
+    block_steps = draw(st.sampled_from([9, 30, 64]))
+    return initialize_model(n, m, int(rng.integers(2**31))), seqs, weights, block_steps
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(mixed_corpora())
+def test_packed_blocks_match_per_sequence_loop(case):
+    init, seqs, weights, block_steps = case
+    # a small cap splits lengths across blocks; at 30 and 64 the lone
+    # length-13 row leads a block of several, so the prefix shrinks to it
+    with mock.patch.object(inference, "BLOCK_STEPS", block_steps):
+        assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
+        table = ClusterTable(0, list(map(ClusterEntry, seqs, weights)))
+        assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 3)
 
 
 def test_block_kernel_names_impossible_sequence_in_later_length_group():
@@ -166,6 +206,29 @@ def test_block_kernel_names_impossible_sequence_in_later_length_group():
     table = ClusterTable(0, [ClusterEntry(s, 3) for s in seqs])
     with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
         weighted_em_train(init, table, TrainingConfig(iterations=2))
+
+
+def test_impossible_sequence_named_in_input_order_across_blocks():
+    # sequences 2 and 4 are impossible (symbol 2 is never emitted);
+    # sequence 4 is longer, so it sits in an earlier block than sequence 2
+    init = make([0.6, 0.4], [[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]])
+    seqs = [
+        np.array([0, 1, 1, 0]),
+        np.array([2, 1]),
+        np.array([1, 0]),
+        np.array([0, 1, 2, 1]),
+    ]
+    message = "sequence 2 is impossible under the model at iteration 1"
+    with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
+        per_sequence_em(init, seqs, [1] * len(seqs), 1)
+    with mock.patch.object(inference, "BLOCK_STEPS", 4):
+        blocks = [rows.tolist() for rows, _, _ in length_blocks(Dataset(seqs), 3)]
+        assert blocks == [[0], [3], [1, 2]]
+        with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
+            em_train(init, Dataset(seqs), TrainingConfig(iterations=1))
+        table = ClusterTable(0, [ClusterEntry(s, 2) for s in seqs])
+        with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
+            weighted_em_train(init, table, TrainingConfig(iterations=1))
 
 
 def test_initialize_degenerate():
