@@ -18,7 +18,7 @@ from time import perf_counter
 from . import bench as bench_mod
 from .clustering import build_clusters, filter_low_weight, load_cluster_table, save_cluster_table
 from .dtw import dtw_distance, euclidean_distance
-from .inference import length_blocks, score_block, viterbi_block
+from .inference import SCORE_STEPS, length_blocks, score_block, viterbi_block
 from .model import HmmModel, load_model, load_sequences, sample_sequences, save_model, save_sequences
 from .training import TrainingConfig, em_train, initialize_model, weighted_em_train, write_trace_csv
 
@@ -96,11 +96,17 @@ def _cmd_train(args) -> int:
 def _score_file(args, block_lines) -> int:
     """Run `block_lines(model, obs, lengths)` on each packed block of the
     sequence file and print its lines in input order. Every sequence is
-    checked against the model before anything is printed."""
+    checked against the model before anything is printed.
+
+    Blocks go up to SCORE_STEPS padded steps, where training's go up to
+    BLOCK_STEPS: scoring keeps no (T, B, N) history, so a whole file
+    usually runs in one block (see `inference.SCORE_STEPS`)."""
     model = load_model(args.model, renormalize=args.renormalize)
     data = load_sequences(args.input, n_symbols=model.n_symbols)
     lines = [""] * len(data)
-    for rows, obs, lengths in length_blocks(data, model.n_symbols):
+    blocks = length_blocks(data, model.n_symbols, SCORE_STEPS)
+    del data  # the blocks hold their own copy of every symbol
+    for rows, obs, lengths in blocks:
         for row, line in zip(rows.tolist(), block_lines(model, obs, lengths)):
             lines[row] = line
     sys.stdout.write("".join(lines))
@@ -114,9 +120,12 @@ def _eval_lines(model, obs, lengths) -> list[str]:
 def _decode_lines(model, obs, lengths) -> list[str]:
     paths, log_probs = viterbi_block(model, obs, lengths)
     names = [str(i) for i in range(model.n_states)]
+    # one row at a time to a list, so that the block's paths are never all
+    # Python ints at once
     return [
-        "-inf\n" if lp == -math.inf else " ".join([names[s] for s in path[:t]]) + f"\t{lp!r}\n"
-        for path, t, lp in zip(paths.tolist(), lengths.tolist(), log_probs.tolist())
+        "-inf\n" if lp == -math.inf
+        else " ".join([names[s] for s in path[:t].tolist()]) + f"\t{lp!r}\n"
+        for path, t, lp in zip(paths, lengths.tolist(), log_probs.tolist())
     ]
 
 

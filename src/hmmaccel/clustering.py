@@ -21,12 +21,13 @@ Clusters are then put in order of first appearance.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _exact_int
+from .model import Dataset, _exact_int, _write_json
 
 DISTANCES = ("dtw", "euclidean")
 
@@ -134,17 +135,42 @@ def filter_low_weight(table: ClusterTable, min_weight: int) -> ClusterTable:
 
 
 def save_cluster_table(table: ClusterTable, path) -> None:
-    doc = {
-        "category_id": table.category_id,
-        "total_weight": table.total_weight,
-        "clusters": [
-            {"representative": [int(v) for v in e.representative], "weight": e.weight}
-            for e in table.entries
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    """Write a cluster table as JSON, one cluster per line."""
+    _write_json(
+        {
+            "category_id": table.category_id,
+            "total_weight": table.total_weight,
+            "clusters": [
+                {"representative": e.representative.tolist(), "weight": e.weight}
+                for e in table.entries
+            ],
+        },
+        path,
+    )
+
+
+def _bulk_entries(clusters):
+    """The entries of a list of clusters that are all well formed, checked
+    with a few whole-table tests; None if any test fails."""
+    try:
+        reps = [c["representative"] for c in clusters]
+        weights = [c["weight"] for c in clusters]
+    except (KeyError, TypeError):  # a cluster that is no object, or lacks a key
+        return None
+    if set(map(type, reps)) != {list} or set(map(type, weights)) != {int} or min(weights) < 1:
+        return None
+    lengths = list(map(len, reps))
+    flat = list(itertools.chain.from_iterable(reps))
+    if min(lengths) == 0 or set(map(type, flat)) != {int}:
+        return None
+    try:
+        values = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        return None
+    if (values < 0).any():
+        return None
+    reps = np.split(values, np.cumsum(lengths)[:-1])
+    return [ClusterEntry(rep, weight) for rep, weight in zip(reps, weights)]
 
 
 def load_cluster_table(path) -> ClusterTable:
@@ -173,29 +199,31 @@ def load_cluster_table(path) -> ClusterTable:
     if not clusters:
         raise ValueError(f"cluster file {path} has no clusters")
 
-    entries = []
-    for i, c in enumerate(clusters):
-        where = f"cluster file {path}: cluster {i}"
-        if not isinstance(c, dict):
-            raise ValueError(f"{where} must be a JSON object")
-        try:
-            rep, weight = c["representative"], c["weight"]
-        except KeyError as exc:
-            raise ValueError(f"{where} is missing key {exc}") from None
-        weight = _exact_int(weight, f"{where} weight")
-        if weight < 1:
-            raise ValueError(f"{where} has weight {weight}")
-        if not isinstance(rep, list):
-            raise ValueError(f"{where} representative must be a list of symbols")
-        if not rep:
-            raise ValueError(f"{where} is empty")
-        for pos, v in enumerate(rep):
-            if _exact_int(v, f"{where} symbol {pos}") < 0:
-                raise ValueError(f"{where} symbol {pos} is negative: {v}")
-        try:
-            entries.append(ClusterEntry(np.array(rep, dtype=np.int64), weight))
-        except OverflowError:
-            raise ValueError(f"{where} has a symbol too large for int64") from None
+    entries = _bulk_entries(clusters)
+    if entries is None:  # check cluster by cluster, to name the first fault
+        entries = []
+        for i, c in enumerate(clusters):
+            where = f"cluster file {path}: cluster {i}"
+            if not isinstance(c, dict):
+                raise ValueError(f"{where} must be a JSON object")
+            try:
+                rep, weight = c["representative"], c["weight"]
+            except KeyError as exc:
+                raise ValueError(f"{where} is missing key {exc}") from None
+            weight = _exact_int(weight, f"{where} weight")
+            if weight < 1:
+                raise ValueError(f"{where} has weight {weight}")
+            if not isinstance(rep, list):
+                raise ValueError(f"{where} representative must be a list of symbols")
+            if not rep:
+                raise ValueError(f"{where} is empty")
+            for pos, v in enumerate(rep):
+                if _exact_int(v, f"{where} symbol {pos}") < 0:
+                    raise ValueError(f"{where} symbol {pos} is negative: {v}")
+            try:
+                entries.append(ClusterEntry(np.array(rep, dtype=np.int64), weight))
+            except OverflowError:
+                raise ValueError(f"{where} has a symbol too large for int64") from None
 
     table = ClusterTable(category_id=category_id, entries=entries)
     if declared != table.total_weight:

@@ -9,18 +9,22 @@ reuses the same coefficients.
 Training, scoring and decoding all run on packed blocks, in the layout of
 PyTorch's `pack_padded_sequence`. `length_blocks` sorts a Dataset's
 sequences longest first (stably, so a single-length corpus keeps input
-order), cuts that order into blocks of at most BLOCK_STEPS padded
-sequence-steps, and gathers each block from the flat buffer as a
-right-padded (B, T) array with its B lengths. Since the rows are sorted,
-the sequences still running at step t are a prefix of the block, and
-every recursion works on that prefix only. `_forward_block` runs the
-scaled forward pass, two batched matmuls per time step (the transition
-and the row sums); `score_block` turns it into one log-likelihood per
-sequence, and `estep_block` adds the backward pass and the block's
-weighted expected counts, taken over the valid steps only and never
-building a per-sequence xi. `viterbi_block` runs the max-product
-recursion. `likelihood` and `viterbi` are the
-one-sequence case of `score_block` and `viterbi_block`.
+order), cuts that order into blocks of a capped number of padded
+sequence-steps (BLOCK_STEPS for training, SCORE_STEPS for scoring and
+decoding), and gathers each block from the flat buffer as a right-padded
+(B, T) array with its B lengths. Since the rows are sorted, the sequences
+still running at step t are a prefix of the block, and every recursion
+works on that prefix only. `_forward_block` runs the scaled forward pass,
+two batched matmuls per time step (the transition and the row sums).
+`estep_block` keeps its whole (T, B, N) history and adds the backward
+pass and the block's weighted expected counts, taken over the valid steps
+only and never building a per-sequence xi. `score_block` runs it with no
+history, keeping only the coefficients, and turns them into one
+log-likelihood per sequence. `viterbi_block` runs the max-product
+recursion with one-byte back-pointers. Neither holds a (T, B, N) float
+array, so their blocks can be 8 times the size of training's.
+`likelihood` and `viterbi` are the one-sequence case of `score_block` and
+`viterbi_block`.
 `forward_backward` is the per-sequence reference that returns every
 posterior; the tests check the block functions against it.
 
@@ -41,11 +45,19 @@ import numpy as np
 
 from .model import Dataset, HmmModel
 
-# Cap on the padded size B * T of a block. Larger blocks mean fewer
-# Python-level steps but larger (T, B, N) temporaries; at 4096 a 10,000 x 5
-# corpus runs in 13 blocks and peak memory stays within a few percent of a
-# per-sequence loop.
+# Cap on the padded size B * T of a training block, and on the rows of any
+# block. Larger blocks mean fewer Python-level steps but larger (T, B, N)
+# temporaries; at 4096 a 10,000 x 5 corpus runs in 13 blocks and peak memory
+# stays within a few percent of a per-sequence loop.
 BLOCK_STEPS = 4096
+# Cap on the padded size of a scoring or decoding block. A training step
+# holds at least 5 * 8 * N bytes: the forward pass's emissions and alpha,
+# then their packed copies and beta. A scoring step holds its int64 symbol
+# (8 bytes) and either its c_t (8) or its back-pointer (N bytes below 257
+# states) and path entry (8): at most 16 + N bytes. At 8 states that is a
+# thirteenth of a training step, so a scoring block 8 times as long still
+# holds less, and a 500 x 60 file runs in one.
+SCORE_STEPS = 8 * BLOCK_STEPS
 
 
 class ImpossibleSequenceError(ValueError):
@@ -87,18 +99,21 @@ def _check_symbols(model: HmmModel, obs: np.ndarray) -> None:
         )
 
 
-def length_blocks(data: Dataset, n_symbols):
+def length_blocks(data: Dataset, n_symbols, steps=None):
     """Packed blocks of a Dataset as (rows, obs, lengths): the input
     positions of the block's B sequences, their symbols right-padded to
     (B, T), and their B lengths.
 
     Sequences are sorted longest first, stably, so equal lengths keep
     input order, and the sorted order is cut into blocks of at most
-    BLOCK_STEPS padded sequence-steps (a longer sequence gets a block of
-    its own). A row is padded with copies of its last symbol. Rejects the
-    first empty sequence or sequence with a symbol outside [0, n_symbols),
-    by its 1-based position.
+    `steps` padded sequence-steps (BLOCK_STEPS when None; a longer
+    sequence gets a block of its own) and at most BLOCK_STEPS rows, which
+    bounds the per-row state of scoring and decoding, a few (N,) or
+    (N, N) arrays per row, at short lengths. A row is padded with copies
+    of its last symbol. Rejects the first empty sequence or sequence with
+    a symbol outside [0, n_symbols), by its 1-based position.
     """
+    steps = BLOCK_STEPS if steps is None else steps
     values, offsets, lengths = data.values, data.offsets, data.lengths
     faults = []  # (position, message) of the first bad sequence of each kind
     if (lengths == 0).any():
@@ -117,10 +132,11 @@ def length_blocks(data: Dataset, n_symbols):
     lo = 0
     while lo < len(order):
         t_len = int(lengths[order[lo]])
-        rows = order[lo : lo + max(1, BLOCK_STEPS // t_len)]
+        rows = order[lo : lo + max(1, min(steps // t_len, BLOCK_STEPS))]
         lens = lengths[rows]
-        steps = np.minimum(np.arange(t_len), lens[:, None] - 1)
-        blocks.append((rows, values[offsets[rows][:, None] + steps], lens))
+        at = np.minimum(np.arange(t_len), lens[:, None] - 1)
+        at += offsets[rows][:, None]
+        blocks.append((rows, values[at], lens))
         lo += len(rows)
     return blocks
 
@@ -149,15 +165,18 @@ def _batch_sizes(obs: np.ndarray, lengths) -> list[int]:
     return np.searchsorted(-lengths, -np.arange(t_len + 1)).tolist()
 
 
-def _forward_block(model: HmmModel, obs: np.ndarray, sizes: list[int]):
+def _forward_block(model: HmmModel, obs: np.ndarray, sizes: list[int], history: bool = True):
     """Scaled forward pass over a block obs (B, T) of int64 symbols, with
     `sizes` from `_batch_sizes`.
 
-    Returns the emission probabilities bt and the normalized alpha, both
-    laid out (T, B, N) so that each step works on one contiguous (B_t, N)
-    prefix, and the coefficients c (T, B); entries past a row's length are
-    padding. A row with probability 0 gets a non-finite c from the step
-    where it dies.
+    With history, as training needs it, returns the emission probabilities
+    bt and the normalized alpha, both laid out (T, B, N) so that each step
+    works on one contiguous (B_t, N) prefix, and the coefficients c (T, B).
+    Without, as scoring needs it, alpha lives in a two-row ring (2, B, N),
+    each step gathers its own emissions, and only c comes back, as a (T, B)
+    view of a (B, T) array; the block then holds no (T, B, N) array. Entries
+    past a row's length are padding. A row with probability 0 gets a
+    non-finite c from the step where it dies.
 
     Each step's row sums come from a matmul with an all-ones (N, N)
     matrix, which puts a row's sum in every column with bits that depend
@@ -165,13 +184,20 @@ def _forward_block(model: HmmModel, obs: np.ndarray, sizes: list[int]):
     (x @ ones(N)) rounds a row by the row count and the row's offset.
     numpy sends a one-row matmul down another BLAS path than a multi-row
     one, so in a block of two or more rows a step runs on at least two;
-    the second is padding once its own sequence has ended.
+    the second is padding once its own sequence has ended. Both modes do
+    the same arithmetic, so they give the same c bits.
     """
     _check_symbols(model, obs)
     a = model.a
-    bt = np.take(np.ascontiguousarray(model.b.T), obs.T, axis=0)
-    alpha = np.empty_like(bt)
-    c = np.empty(obs.T.shape)
+    b_t = np.ascontiguousarray(model.b.T)
+    if history:
+        bt = np.take(b_t, obs.T, axis=0)
+        alpha = np.empty_like(bt)
+        c = np.empty(obs.T.shape)
+    else:
+        bt = np.empty((1, obs.shape[0], a.shape[0]))  # this step's emissions
+        alpha = np.empty((2, obs.shape[0], a.shape[0]))  # step t in alpha[t % 2]
+        c = np.empty(obs.shape).T
     ones = np.ones_like(a)
     sums = np.empty_like(bt[0])
     floor = min(2, obs.shape[0])
@@ -184,16 +210,20 @@ def _forward_block(model: HmmModel, obs: np.ndarray, sizes: list[int]):
                 rows = k
                 al, bk, ck, sk = alpha[:, :k], bt[:, :k], c[:, :k, None], sums[:k]
                 sk0 = sk[:, :1]
-            at = al[t]
+            at = al[t % len(al)]
+            if history:
+                et = bk[t]
+            else:  # symbols are checked; "clip" lets take write straight into out
+                et = b_t.take(obs[:k, t], axis=0, out=bk[0], mode="clip")
             if t == 0:
-                np.multiply(model.pi, bk[0], out=at)
+                np.multiply(model.pi, et, out=at)
             else:
-                np.matmul(al[t - 1], a, out=at)
-                at *= bk[t]
+                np.matmul(al[(t - 1) % len(al)], a, out=at)
+                at *= et
             np.matmul(at, ones, out=sk)
             np.divide(1.0, sk0, out=ck[t])
             at *= ck[t]
-    return bt, alpha, c
+    return (bt, alpha, c) if history else c
 
 
 def _length_runs(sizes: list[int]):
@@ -346,12 +376,12 @@ def score_block(model: HmmModel, obs: np.ndarray, lengths=None) -> np.ndarray:
         obs = np.repeat(obs, 2, axis=0)
         lengths = None if lengths is None else np.repeat(lengths, 2)
     sizes = _batch_sizes(obs, lengths)
-    _, _, c = _forward_block(model, obs, sizes)
-    ct = np.ascontiguousarray(c.T)
+    ct = _forward_block(model, obs, sizes, history=False).T  # (B, T), contiguous
     ll = np.empty(obs.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(ct, out=ct)
         for lo, hi, t_end in _length_runs(sizes):
-            ll[lo:hi] = -np.log(ct[lo:hi, :t_end]).sum(axis=1) + 0.0  # + 0.0: no -0.0
+            ll[lo:hi] = -ct[lo:hi, :t_end].sum(axis=1) + 0.0  # + 0.0: no -0.0
     ll[~np.isfinite(ll)] = -np.inf
     return ll[:1] if lone else ll
 
@@ -366,6 +396,12 @@ def viterbi_block(model: HmmModel, obs: np.ndarray, lengths=None):
     path the one minimizing (q_T, ..., q_1) lexicographically among all
     maximizers. The recursion only adds and takes maxima, so a row's result
     does not depend on the rest of the block.
+
+    The block is laid out state-major, with the rows along the last,
+    contiguous axis, so that each step is a few numpy calls over the whole
+    (N, N, B_t) prefix. Back-pointers take the smallest unsigned type that
+    holds a state index, one byte below 257 states, and each step gathers
+    its own log-emissions, so the block holds no (T, B, N) float array.
     """
     obs = np.asarray(obs, dtype=np.int64)
     _check_symbols(model, obs)
@@ -375,27 +411,39 @@ def viterbi_block(model: HmmModel, obs: np.ndarray, lengths=None):
 
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.pi)
-        log_at = np.log(np.ascontiguousarray(model.a.T))
-        log_bt = np.take(np.log(model.b.T), obs.T, axis=0)  # (T, B, N)
+        log_a = np.log(model.a)[:, :, None]  # (N_i, N_j, 1)
+        log_b = np.log(model.b)
 
-    psi = np.empty((t_len, b_len, n), dtype=np.intp)
-    rows_start = np.arange(b_len * n).reshape(b_len, n) * n  # flat index of scores[b, j, 0]
-    delta = log_pi + log_bt[0]
-    rows = None
+    index = np.min_scalar_type(n - 1)
+    psi = np.empty((t_len, n, b_len), dtype=index)  # psi[t, j, b]: best i before j
+    # rank[i] = N - 1 - i, so that among the maximizing i the lowest ranks highest
+    rank = np.arange(n - 1, -1, -1, dtype=index)[:, None, None]
+    scores = np.empty((n, n, b_len))
+    hits = np.empty(scores.shape, dtype=bool)
+    ranked = np.empty(scores.shape, dtype=index)
+    best = np.empty((n, b_len))
+    delta = log_pi[:, None] + log_b.take(obs[:, 0], axis=1)  # (N, B)
+    rows, dk, sk, hk, rk, bk = b_len, delta, scores, hits, ranked, best
     for t in range(1, t_len):
-        # scores[b, j, i]: best path ending i -> j. An argmax over the last,
-        # contiguous axis and a gather of its entries are much faster than
-        # reductions over a middle axis or .max() over short rows. Rows that
-        # have ended keep their last delta.
+        # scores[i, j, b]: best path ending i -> j. Rows that have ended
+        # keep their last delta.
         if sizes[t] != rows:  # views of the running prefix, made again only when it shrinks
             rows = sizes[t]
-            dk, sk, bk, pk = delta[:rows], rows_start[:rows], log_bt[:, :rows], psi[:, :rows]
-        scores = dk[:, None, :] + log_at
-        best = scores.argmax(axis=2)
-        pk[t] = best
-        np.add(np.take(scores, sk + best), bk[t], out=dk)
+            dk, sk, hk, rk, bk = (
+                delta[:, :rows], scores[..., :rows], hits[..., :rows], ranked[..., :rows],
+                best[:, :rows],
+            )
+        np.add(dk[:, None, :], log_a, out=sk)
+        np.maximum.reduce(sk, axis=0, out=bk)
+        np.equal(sk, bk, out=hk)
+        np.multiply(hk, rank, out=rk)
+        pt = psi[t, :, :rows]
+        np.maximum.reduce(rk, axis=0, out=pt)
+        np.subtract(n - 1, pt, out=pt)  # the lowest maximizing i
+        np.add(bk, log_b.take(obs[:rows, t], axis=1), out=dk)
+    del scores, hits, ranked, sk, hk, rk  # freed before the paths are made
 
-    last = delta.argmax(axis=1)
+    last = delta.argmax(axis=0)
     paths = np.zeros((b_len, t_len), dtype=np.int64)
     rows = np.arange(b_len)
     for t in range(t_len - 1, -1, -1):
@@ -403,8 +451,8 @@ def viterbi_block(model: HmmModel, obs: np.ndarray, lengths=None):
         if sizes[t + 1] < k:  # rows whose last step is t
             paths[sizes[t + 1] : k, t] = last[sizes[t + 1] : k]
         if t:
-            paths[:k, t - 1] = psi[t, rows[:k], paths[:k, t]]
-    return paths, delta.max(axis=1) + 0.0  # + 0.0: no -0.0
+            paths[:k, t - 1] = psi[t, paths[:k, t], rows[:k]]
+    return paths, delta.max(axis=0) + 0.0  # + 0.0: no -0.0
 
 
 def likelihood(model: HmmModel, seq) -> float:

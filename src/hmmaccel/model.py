@@ -206,18 +206,37 @@ def sample_sequences(
 # File formats
 
 
-def save_model(model: HmmModel, path) -> None:
-    """Write a model as JSON with keys n_states, n_symbols, pi, a, b."""
-    doc = {
-        "n_states": model.n_states,
-        "n_symbols": model.n_symbols,
-        "pi": model.pi.tolist(),
-        "a": model.a.tolist(),
-        "b": model.b.tolist(),
-    }
+def _write_json(doc: dict, path) -> None:
+    """Write a JSON object with one key per line, and a list of lists or of
+    objects with one item per line.
+
+    Each piece is encoded by json.dumps without indent, which takes json's
+    C encoder; any indent makes json take its pure-Python one.
+    """
+    parts = []
+    for key, value in doc.items():
+        if isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        parts.append(f"  {json.dumps(key)}: {text}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(parts) + "\n}\n")
+
+
+def save_model(model: HmmModel, path) -> None:
+    """Write a model as JSON with keys n_states, n_symbols, pi, a, b; each
+    row of a and b takes one line."""
+    _write_json(
+        {
+            "n_states": model.n_states,
+            "n_symbols": model.n_symbols,
+            "pi": model.pi.tolist(),
+            "a": model.a.tolist(),
+            "b": model.b.tolist(),
+        },
+        path,
+    )
 
 
 def _exact_int(value, where: str) -> int:
@@ -267,11 +286,21 @@ def load_model(path, renormalize: bool = False) -> HmmModel:
     return model
 
 
+class _NameTable(dict):
+    """symbol -> str(symbol), calling str() once per distinct symbol."""
+
+    def __missing__(self, symbol: int) -> str:
+        name = self[symbol] = str(symbol)
+        return name
+
+
 def save_sequences(dataset: Dataset, path) -> None:
-    """Write sequences one per line, symbols space-separated."""
+    """Write sequences one per line, symbols space-separated. str() runs
+    once per distinct symbol."""
+    names = _NameTable()
     values, offsets = dataset.values.tolist(), dataset.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(" ".join(map(str, values[lo:hi])) + "\n"
+        fh.write("".join(" ".join(map(names.__getitem__, values[lo:hi])) + "\n"
                          for lo, hi in zip(offsets, offsets[1:])))
 
 

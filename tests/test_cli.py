@@ -24,7 +24,7 @@ import hmmaccel
 from hmmaccel import (
     HmmModel,
     ImpossibleSequenceError,
-    inference,
+    cli,
     likelihood,
     load_model,
     save_model,
@@ -372,8 +372,8 @@ def test_eval_and_decode_match_per_sequence_calls(case):
         save_model(model, model_path)
         seqs_path.write_text("".join(" ".join(map(str, s.tolist())) + "\n" for s in seqs))
         outputs = []
-        # a small block cap splits the length-3 group over several blocks
-        with mock.patch.object(inference, "BLOCK_STEPS", block_steps):
+        # a small scoring cap splits the length-3 group over several blocks
+        with mock.patch.object(cli, "SCORE_STEPS", block_steps):
             for command in ("eval", "decode"):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):

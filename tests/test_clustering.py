@@ -256,6 +256,32 @@ def test_cluster_table_round_trip(tmp_path):
         assert e1.weight == e2.weight
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=7),
+                  st.integers(1, 2**40)),
+        min_size=1,
+        max_size=10,
+    ),
+    st.integers(-5, 5),
+)
+def test_cluster_table_round_trip_property(tmp_path_factory, clusters, category_id):
+    path = tmp_path_factory.mktemp("table") / "clusters.json"
+    table = ClusterTable(category_id, [ClusterEntry(np.array(r, dtype=np.int64), w)
+                                       for r, w in clusters])
+    save_cluster_table(table, path)
+    assert json.loads(path.read_text()) == {
+        "category_id": category_id,
+        "total_weight": sum(w for _, w in clusters),
+        "clusters": [{"representative": r, "weight": w} for r, w in clusters],
+    }
+    assert len(path.read_text().splitlines()) == len(clusters) + 6  # one cluster per line
+    loaded = load_cluster_table(path)
+    assert loaded.category_id == category_id
+    assert [(e.representative.tolist(), e.weight) for e in loaded.entries] == clusters
+
+
 def test_cluster_file_validation(tmp_path):
     path = tmp_path / "clusters.json"
     path.write_text('{"category_id": 0, "total_weight": 1}')

@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import score_block_history, viterbi_block_history
 
 from hmmaccel import (
     HmmModel,
@@ -15,7 +19,8 @@ from hmmaccel import (
     viterbi,
     viterbi_block,
 )
-from hmmaccel.inference import _forward_block
+from hmmaccel.inference import BLOCK_STEPS, SCORE_STEPS, _forward_block, length_blocks
+from hmmaccel.model import Dataset
 
 
 def make(pi, a, b):
@@ -250,23 +255,32 @@ def test_blocks_mark_impossible_rows():
 @pytest.mark.parametrize("n", range(1, 17))
 def test_scaling_coefficients_do_not_depend_on_block(n):
     # a row's c_t must not depend on the block's row count, the row's
-    # offset in it, or how many rows are still running beside it
+    # offset in it, or how many rows are still running beside it; and the
+    # no-history mode scoring uses must give the bits training's mode gives
     rng = np.random.default_rng(60 + n)
     model = random_model(rng, n, 6)
     seq = rng.integers(0, 6, size=9)
-    _, _, c = _forward_block(model, np.stack([seq, seq]), [2] * 9 + [0])
+
+    def forward(obs, sizes):
+        _, _, c = _forward_block(model, obs, sizes)
+        c_scoring = _forward_block(model, obs, sizes, history=False)
+        for t, k in enumerate(sizes[:-1]):  # the running rows of each step
+            assert np.array_equal(c_scoring[t, :k], c[t, :k]), (obs.shape, t)
+        return c
+
+    c = forward(np.stack([seq, seq]), [2] * 9 + [0])
     expected = c[:, 0].copy()
     for b_len in (2, 3, 7, 8, 9, 68):
         for offset in sorted({0, 1, b_len // 2, b_len - 1}):
             obs = rng.integers(0, 6, size=(b_len, 9))
             obs[offset] = seq
-            _, _, c = _forward_block(model, obs, [b_len] * 9 + [0])
+            c = forward(obs, [b_len] * 9 + [0])
             assert np.array_equal(c[:, offset], expected), (b_len, offset)
         # the row leads a block of shorter rows, so the prefix shrinks to it
         lengths = np.sort(rng.integers(1, 9, size=b_len))[::-1]
         lengths[0] = 9
         sizes = [int((lengths > t).sum()) for t in range(10)]
-        _, _, c = _forward_block(model, obs[np.argsort(np.arange(b_len) != offset)], sizes)
+        c = forward(obs[np.argsort(np.arange(b_len) != offset)], sizes)
         assert np.array_equal(c[:, 0], expected), b_len
 
 
@@ -293,3 +307,95 @@ def test_block_lengths_checked():
             score_block(DETERMINISTIC_CHAIN, obs, bad)
         with pytest.raises(ValueError, match="lengths must run longest first"):
             viterbi_block(DETERMINISTIC_CHAIN, obs, bad)
+
+
+def oracle_model(rng, n, m, kind):
+    """A random model; "ties" makes every row uniform, so each argmax ties
+    across all states, and "zeros" zeroes about a third of the entries,
+    so some sequences are impossible."""
+    if kind == "ties":
+        return make(np.full(n, 1 / n), np.full((n, n), 1 / n), np.full((n, m), 1 / m))
+    pi, a, b = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, (n, n)), rng.uniform(0.1, 1.0, (n, m))
+    if kind == "zeros":
+        pi[rng.random(n) < 0.3] = 0.0
+        a *= rng.random((n, n)) < 0.7
+        b *= rng.random((n, m)) < 0.7
+        # every row keeps at least one entry
+        pi[rng.integers(n)] += 0.5
+        a[np.arange(n), rng.integers(0, n, n)] += 0.5
+        b[np.arange(n), rng.integers(0, m, n)] += 0.5
+    return make(pi / pi.sum(), a / a.sum(axis=1, keepdims=True), b / b.sum(axis=1, keepdims=True))
+
+
+def assert_blocks_match_history_oracles(model, seqs, steps):
+    """Score and decode `seqs` in blocks of at most `steps` padded steps, and
+    the history oracles in training's blocks, and require the same bits."""
+    data = Dataset(seqs)
+    results = []
+    for blocks, score, decode in (
+        (length_blocks(data, model.n_symbols), score_block_history, viterbi_block_history),
+        (length_blocks(data, model.n_symbols, steps), score_block, viterbi_block),
+    ):
+        lls, lps, paths = np.empty(len(seqs)), np.empty(len(seqs)), [None] * len(seqs)
+        for rows, obs, lengths in blocks:
+            lls[rows] = score(model, obs, lengths)
+            block_paths, lps[rows] = decode(model, obs, lengths)
+            for row, path, t_len in zip(rows, block_paths, lengths):
+                paths[row] = path[:t_len].tolist()
+        results.append((lls.tobytes(), lps.tobytes(), paths))
+    assert results[1] == results[0]
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3, 8]))
+    m = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["random", "ties", "zeros"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(1, 70), min_size=1, max_size=12))
+    seqs = [rng.integers(0, m, size=t_len) for t_len in lengths]
+    return oracle_model(rng, n, m, kind), seqs, draw(st.sampled_from([16, 70, 200, SCORE_STEPS]))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(oracle_cases())
+def test_blocks_match_history_oracles(case):
+    # small caps split the sequences over several blocks, down to one row each
+    assert_blocks_match_history_oracles(*case)
+
+
+def test_blocks_match_history_oracles_with_two_byte_back_pointers():
+    # 300 states need uint16 back-pointers; half the A rows are uniform, so
+    # argmax ties across all 300 states there
+    rng = np.random.default_rng(42)
+    n, m = 300, 5
+    model = oracle_model(rng, n, m, "random")
+    a = model.a.copy()
+    a[::2] = 1 / n
+    model = make(model.pi, a, model.b)
+    seqs = [rng.integers(0, m, size=t_len) for t_len in (70, 33, 33, 8, 2, 1)]
+    for steps in (40, SCORE_STEPS):
+        assert_blocks_match_history_oracles(model, seqs, steps)
+
+
+def test_scoring_blocks_stay_small():
+    # a 500 x 60 file at 8 states runs in one block under SCORE_STEPS; neither
+    # scoring nor decoding it may hold more than 1 MiB at once
+    rng = np.random.default_rng(70)
+    model = random_model(rng, 8, 40)
+    data = Dataset(list(rng.integers(0, 40, size=(500, 60))))
+    blocks = length_blocks(data, model.n_symbols, SCORE_STEPS)
+    assert len(blocks) == 1
+    for run in (score_block, viterbi_block):
+        tracemalloc.start()
+        try:
+            for _, obs, lengths in blocks:
+                run(model, obs, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (run.__name__, peak)
+    # short sequences fill a scoring block by rows, capped as in training
+    data = Dataset(list(rng.integers(0, 40, size=(10000, 2))))
+    blocks = length_blocks(data, model.n_symbols, SCORE_STEPS)
+    assert [len(rows) for rows, _, _ in blocks] == [BLOCK_STEPS, BLOCK_STEPS, 1808]

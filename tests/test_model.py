@@ -1,5 +1,6 @@
 """Model container, validation, sampling, and file formats."""
 
+import json
 import re
 
 import numpy as np
@@ -179,6 +180,28 @@ def test_model_json_round_trip(tmp_path):
     assert np.array_equal(loaded.pi, m.pi)
     assert np.array_equal(loaded.a, m.a)
     assert np.array_equal(loaded.b, m.b)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_model_json_round_trip_property(tmp_path_factory, n, m, seed):
+    rng = np.random.default_rng(seed)
+
+    def rows(k, width):  # stochastic rows with zeros among their entries
+        x = rng.uniform(0.0, 1.0, (k, width)) * (rng.random((k, width)) < 0.7)
+        x[:, 0] += 1e-3
+        return x / x.sum(axis=1, keepdims=True)
+
+    model = make(rows(1, n)[0], rows(n, n), rows(n, m))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    assert json.loads(path.read_text()) == {
+        "n_states": n, "n_symbols": m, "pi": model.pi.tolist(), "a": model.a.tolist(),
+        "b": model.b.tolist(),
+    }
+    loaded = load_model(path)
+    for name in ("pi", "a", "b"):
+        assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
 
 
 def test_load_model_rejects_bad_rows(tmp_path):
