@@ -28,6 +28,7 @@ from .inference import (
 from .model import (
     Dataset,
     HmmModel,
+    load_distinct_sequences,
     load_model,
     load_sequences,
     sample_sequences,
@@ -67,6 +68,7 @@ __all__ = [
     "initialize_model",
     "likelihood",
     "load_cluster_table",
+    "load_distinct_sequences",
     "load_model",
     "load_sequences",
     "run_bench",

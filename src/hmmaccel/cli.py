@@ -15,11 +15,27 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 from . import bench as bench_mod
-from .clustering import build_clusters, filter_low_weight, load_cluster_table, save_cluster_table
+from .clustering import (
+    build_clusters,
+    filter_low_weight,
+    load_cluster_table,
+    require_one_length,
+    save_cluster_table,
+)
 from .dtw import dtw_distance, euclidean_distance
 from .inference import SCORE_STEPS, length_blocks, score_block, viterbi_block
-from .model import HmmModel, load_model, load_sequences, sample_sequences, save_model, save_sequences
+from .model import (
+    HmmModel,
+    load_distinct_sequences,
+    load_model,
+    load_sequences,
+    sample_sequences,
+    save_model,
+    save_sequences,
+)
 from .training import TrainingConfig, em_train, initialize_model, weighted_em_train, write_trace_csv
 
 DEFAULT_BENCH_SIZES = "100,1000,10000"
@@ -51,14 +67,22 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    data = load_sequences(args.input, category_id=args.category_id)
+    # Each distinct line is clustered once, counted as often as it occurs.
+    data, inverse = load_distinct_sequences(args.input, category_id=args.category_id)
+    if args.distance == "euclidean":  # name the sequence by its position in the file
+        require_one_length(data.lengths[inverse])
     t0 = perf_counter()
-    table = build_clusters(data, distance=args.distance)
+    table = build_clusters(data, distance=args.distance, counts=np.bincount(inverse))
     seconds = perf_counter() - t0
     if args.min_weight is not None:
         table = filter_low_weight(table, args.min_weight)
     save_cluster_table(table, args.out)
-    print(f"clusters={len(table)} total_weight={table.total_weight} seconds={seconds:.6g}")
+    total = table.total_weight
+    print(
+        f"clusters={len(table)} total_weight={total} seconds={seconds:.6g} "
+        f"compression={total / len(table):.6g} "
+        f"max_weight={max(e.weight for e in table.entries)}"
+    )
     return 0
 
 
@@ -95,21 +119,24 @@ def _cmd_train(args) -> int:
 
 def _score_file(args, block_lines) -> int:
     """Run `block_lines(model, obs, lengths)` on each packed block of the
-    sequence file and print its lines in input order. Every sequence is
-    checked against the model before anything is printed.
+    sequence file's distinct lines and print one line per sequence, in
+    input order. Every sequence is checked against the model before
+    anything is printed.
 
-    Blocks go up to SCORE_STEPS padded steps, where training's go up to
-    BLOCK_STEPS: scoring keeps no (T, B, N) history, so a whole file
-    usually runs in one block (see `inference.SCORE_STEPS`)."""
+    A repeated line is scored once: a sequence's result does not depend on
+    its block, so its repeats print the same bits. Blocks go up to
+    SCORE_STEPS padded steps, where training's go up to BLOCK_STEPS:
+    scoring keeps no (T, B, N) history, so a whole file usually runs in
+    one block (see `inference.SCORE_STEPS`)."""
     model = load_model(args.model, renormalize=args.renormalize)
-    data = load_sequences(args.input, n_symbols=model.n_symbols)
+    data, inverse = load_distinct_sequences(args.input, n_symbols=model.n_symbols)
     lines = [""] * len(data)
     blocks = length_blocks(data, model.n_symbols, SCORE_STEPS)
     del data  # the blocks hold their own copy of every symbol
     for rows, obs, lengths in blocks:
         for row, line in zip(rows.tolist(), block_lines(model, obs, lengths)):
             lines[row] = line
-    sys.stdout.write("".join(lines))
+    sys.stdout.write("".join(map(lines.__getitem__, inverse.tolist())))
     return 0
 
 

@@ -17,6 +17,12 @@ Both keys come from the Dataset's flat buffer: the collapsed forms from
 one `x[1:] != x[:-1]` mask over the whole buffer, and the grouping from one
 `np.unique` per length group, each row viewed as a single np.void scalar.
 Clusters are then put in order of first appearance.
+
+Rows may stand for several sequences each: the `cluster` command passes
+the distinct lines of a sequence file with their counts, so the key work
+is done once per distinct line, and a weight is the sum of its rows'
+counts. Since the distinct lines come in order of first appearance,
+representatives and cluster order are those of the whole file.
 """
 
 from __future__ import annotations
@@ -89,33 +95,47 @@ def _group_equal_rows(data: Dataset):
     return first[order], cluster
 
 
-def build_clusters(data: Dataset, distance: str = "dtw") -> ClusterTable:
+def require_one_length(lengths: np.ndarray) -> None:
+    """Raise ValueError naming the first sequence whose length differs from
+    the first's, as Euclidean clustering needs one length."""
+    other = np.flatnonzero(lengths != lengths[0])
+    if other.size:
+        pos = int(other[0])
+        raise ValueError(
+            f"sequence {pos + 1} has length {lengths[pos]} but sequence 1 has "
+            f"length {lengths[0]}; euclidean clustering requires one length"
+        )
+
+
+def build_clusters(data: Dataset, distance: str = "dtw", counts=None) -> ClusterTable:
     """Cluster a Dataset into weighted representatives.
 
     distance: "dtw" or "euclidean" (the latter requires all sequences to
     share one length). Representatives are the first member of each
-    cluster, in order of first appearance.
+    cluster, in order of first appearance. counts[i], an integer >= 1,
+    is how many sequences row i stands for, as for the distinct lines of
+    `load_distinct_sequences`; a cluster's weight is the sum of its rows'
+    counts. None counts each row once.
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}, expected one of {DISTANCES}")
     if not len(data):
         raise ValueError("empty dataset")
-    lengths = data.lengths
+    if counts is not None:
+        counts = np.asarray(counts)
+        if counts.shape != (len(data),) or counts.dtype.kind not in "iu" or counts.min() < 1:
+            raise ValueError(f"counts must hold {len(data)} integers >= 1, one per sequence")
+        counts = counts.astype(np.int64, copy=False)
     if distance == "euclidean":
-        other = np.flatnonzero(lengths != lengths[0])
-        if other.size:
-            pos = int(other[0])
-            raise ValueError(
-                f"sequence {pos + 1} has length {lengths[pos]} but sequence 1 has "
-                f"length {lengths[0]}; euclidean clustering requires one length"
-            )
+        require_one_length(data.lengths)
 
     first, cluster = _group_equal_rows(_collapse(data) if distance == "dtw" else data)
-    weights = np.bincount(cluster, minlength=first.shape[0]).tolist()
+    weights = np.zeros(first.shape[0], dtype=np.int64)
+    np.add.at(weights, cluster, 1 if counts is None else counts)
     offsets = data.offsets
     entries = [
         ClusterEntry(data.values[offsets[r] : offsets[r + 1]].copy(), w)
-        for r, w in zip(first.tolist(), weights)
+        for r, w in zip(first.tolist(), weights.tolist())
     ]
     return ClusterTable(category_id=data.category_id, entries=entries)
 

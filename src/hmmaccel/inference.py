@@ -16,9 +16,9 @@ decoding), and gathers each block from the flat buffer as a right-padded
 still running at step t are a prefix of the block, and every recursion
 works on that prefix only. `_forward_block` runs the scaled forward pass,
 two batched matmuls per time step (the transition and the row sums).
-`estep_block` keeps its whole (T, B, N) history and adds the backward
-pass and the block's weighted expected counts, taken over the valid steps
-only and never building a per-sequence xi. `score_block` runs it with no
+`estep_block` keeps the whole (T, B, N) alpha and adds the backward pass
+and the block's weighted expected counts, taken over the valid steps only
+and never building a per-sequence xi. `score_block` runs it with no
 history, keeping only the coefficients, and turns them into one
 log-likelihood per sequence. `viterbi_block` runs the max-product
 recursion with one-byte back-pointers. Neither holds a (T, B, N) float
@@ -51,12 +51,12 @@ from .model import Dataset, HmmModel
 # stays within a few percent of a per-sequence loop.
 BLOCK_STEPS = 4096
 # Cap on the padded size of a scoring or decoding block. A training step
-# holds at least 5 * 8 * N bytes: the forward pass's emissions and alpha,
-# then their packed copies and beta. A scoring step holds its int64 symbol
-# (8 bytes) and either its c_t (8) or its back-pointer (N bytes below 257
-# states) and path entry (8): at most 16 + N bytes. At 8 states that is a
-# thirteenth of a training step, so a scoring block 8 times as long still
-# holds less, and a 500 x 60 file runs in one.
+# holds at least 3 * 8 * N bytes at the E-step's peak: its packed alpha,
+# emissions and beta. A scoring step holds its int64 symbol (8 bytes) and
+# either its c_t (8) or its back-pointer (N bytes below 257 states) and
+# path entry (8): at most 16 + N bytes. At 8 states that is an eighth of
+# a training step, so a scoring block 8 times as long holds no more, and
+# a 500 x 60 file runs in one.
 SCORE_STEPS = 8 * BLOCK_STEPS
 
 
@@ -167,16 +167,19 @@ def _batch_sizes(obs: np.ndarray, lengths) -> list[int]:
 
 def _forward_block(model: HmmModel, obs: np.ndarray, sizes: list[int], history: bool = True):
     """Scaled forward pass over a block obs (B, T) of int64 symbols, with
-    `sizes` from `_batch_sizes`.
+    `sizes` from `_batch_sizes`. Each step gathers its own emission
+    probabilities, so the block holds no padded (T, B, N) emission array.
 
-    With history, as training needs it, returns the emission probabilities
-    bt and the normalized alpha, both laid out (T, B, N) so that each step
-    works on one contiguous (B_t, N) prefix, and the coefficients c (T, B).
-    Without, as scoring needs it, alpha lives in a two-row ring (2, B, N),
-    each step gathers its own emissions, and only c comes back, as a (T, B)
-    view of a (B, T) array; the block then holds no (T, B, N) array. Entries
-    past a row's length are padding. A row with probability 0 gets a
-    non-finite c from the step where it dies.
+    With history, as training needs it, returns the emissions of the valid
+    (t, b) steps in `pack_padded_sequence` order, (sum_t B_t, N), which is
+    where each step gathers them; the normalized alpha, laid out (T, B, N)
+    so that each step works on one contiguous (B_t, N) prefix; and the
+    coefficients c (T, B). Without, as scoring needs it, alpha lives in a
+    two-row ring (2, B, N), each step's emissions in one (B, N) buffer,
+    and only c comes back, as a (T, B) view of a (B, T) array; the block
+    then holds no (T, B, N) array at all. Entries of alpha and c past a
+    row's length are padding. A row with probability 0 gets a non-finite
+    c from the step where it dies.
 
     Each step's row sums come from a matmul with an all-ones (N, N)
     matrix, which puts a row's sum in every column with bits that depend
@@ -190,40 +193,50 @@ def _forward_block(model: HmmModel, obs: np.ndarray, sizes: list[int], history: 
     _check_symbols(model, obs)
     a = model.a
     b_t = np.ascontiguousarray(model.b.T)
+    b_len, t_len = obs.shape
     if history:
-        bt = np.take(b_t, obs.T, axis=0)
-        alpha = np.empty_like(bt)
-        c = np.empty(obs.T.shape)
+        # Step t's symbols are steps[t, :k], copied into contiguous rows,
+        # which makes the per-step gathers cost about what one gather of the
+        # whole block does; on scoring's larger blocks the copy costs more
+        # than it saves. Its emissions go to rows first[t]:first[t] + k of
+        # the packed array. A padding row run beside a lone running row
+        # writes one row on, into the next step's first row, which that step
+        # then overwrites, or into the one spare row at the end.
+        steps = np.ascontiguousarray(obs.T)
+        first = list(itertools.accumulate(sizes[:-1], initial=0))
+        alpha = np.empty((t_len, b_len, a.shape[0]))  # step t in alpha[t]
+        c = np.empty((t_len, b_len))
+        et = np.empty((first[-1] + 1, a.shape[0]))
     else:
-        bt = np.empty((1, obs.shape[0], a.shape[0]))  # this step's emissions
-        alpha = np.empty((2, obs.shape[0], a.shape[0]))  # step t in alpha[t % 2]
+        steps = obs.T
+        first = [0] * (t_len + 1)
+        alpha = np.empty((2, b_len, a.shape[0]))  # step t in alpha[t % 2]
         c = np.empty(obs.shape).T
+        et = np.empty_like(alpha[0])
     ones = np.ones_like(a)
-    sums = np.empty_like(bt[0])
-    floor = min(2, obs.shape[0])
+    sums = np.empty_like(alpha[0])
+    floor = min(2, b_len)
     rows = None
     with np.errstate(divide="ignore", invalid="ignore"):
         # each step fills alpha[t] in place: f = (alpha[t-1] @ a) * b(o_t), c_t = 1 / sum f
-        for t in range(obs.shape[1]):
+        for t in range(t_len):
             k = max(sizes[t], floor)
             if k != rows:  # views of the running prefix, made again only when it shrinks
                 rows = k
-                al, bk, ck, sk = alpha[:, :k], bt[:, :k], c[:, :k, None], sums[:k]
+                al, ck, sk = alpha[:, :k], c[:, :k, None], sums[:k]
                 sk0 = sk[:, :1]
             at = al[t % len(al)]
-            if history:
-                et = bk[t]
-            else:  # symbols are checked; "clip" lets take write straight into out
-                et = b_t.take(obs[:k, t], axis=0, out=bk[0], mode="clip")
+            # symbols are checked; "clip" lets take write straight into out
+            ek = b_t.take(steps[t, :k], axis=0, out=et[first[t] : first[t] + k], mode="clip")
             if t == 0:
-                np.multiply(model.pi, et, out=at)
+                np.multiply(model.pi, ek, out=at)
             else:
                 np.matmul(al[(t - 1) % len(al)], a, out=at)
-                at *= et
+                at *= ek
             np.matmul(at, ones, out=sk)
             np.divide(1.0, sk0, out=ck[t])
             at *= ck[t]
-    return (bt, alpha, c) if history else c
+    return (et[:-1], alpha, c) if history else c
 
 
 def _length_runs(sizes: list[int]):
@@ -288,10 +301,11 @@ def estep_block(
     sum, as in `forward_backward`, but is only ever summed over t and b,
     so no (B, T, N, N) array is made.
 
-    The forward pass runs on the padded block; its alpha and emissions are
-    then gathered once into `pack_padded_sequence` order, valid (t, b)
-    steps only, where the backward pass and the counts work on them. A
-    block of one length is in that order already and needs no gather.
+    The forward pass runs on the padded block and gathers the emissions
+    straight into `pack_padded_sequence` order, valid (t, b) steps only;
+    its alpha is then gathered once into that order, where the backward
+    pass and the counts work. A block of one length is in that order
+    already and needs no gather.
     """
     obs = np.asarray(obs, dtype=np.int64)
     w = np.asarray(w, dtype=float)
@@ -311,9 +325,8 @@ def estep_block(
 
     # From here on every array holds the valid (t, b) entries only, t-major
     # as in pack_padded_sequence: step t's B_t rows are [off[t], off[t + 1]).
-    one_length = sizes[t_len - 1] == b_len  # then the padded arrays are packed already
+    one_length = sizes[t_len - 1] == b_len  # then the padded alpha is packed already
     valid = np.s_[:] if one_length else np.flatnonzero(np.arange(t_len)[:, None] < lengths)
-    bt = bt.reshape(-1, n)[valid]  # one at a time, so each padded array is freed
     alpha = alpha.reshape(-1, n)[valid]
     off = list(itertools.accumulate(sizes, initial=0))
 
@@ -325,9 +338,10 @@ def estep_block(
         if k < sizes[t]:  # rows whose last step is t
             beta[off[t] + k : off[t + 1]] = 1.0
 
-    # bt, beta and gamma are dropped as soon as they are used up, to keep
-    # peak memory near that of the forward pass
-    v = bt[b_len:] * beta[b_len:]  # b(o_t) beta_t for t >= 1
+    # Each packed array is reused in place or dropped as soon as it is used
+    # up, so that no more than three are alive at once.
+    v = bt[b_len:]  # b(o_t) beta_t for t >= 1, in place: bt is not read again
+    v *= beta[b_len:]
     del bt
     gamma = beta  # alpha * beta, in place: beta is not read again
     gamma *= alpha
@@ -347,9 +361,10 @@ def estep_block(
             prev = alpha[:-b_len]
         else:
             prev = alpha[np.arange(b_len, len(alpha)) - np.repeat(sizes[:-2], sizes[1:-1])]
+        del alpha
         f = prev @ a
         f *= v
-        prev *= (wp[b_len:] / (f @ ones))[:, None]  # alpha is not read again
+        prev *= (wp[b_len:] / (f @ ones))[:, None]
         a_num += a * (prev.T @ v)
     return float(w @ ll)
 

@@ -10,7 +10,10 @@ step per sequence. All randomness goes through numpy's default_rng
 
 The sequence-file parser does work per distinct line rather than per
 line: a repeated line costs one dictionary lookup, and int() runs once per
-distinct token.
+distinct token. `load_distinct_sequences` returns that work as it is, the
+distinct lines with an index from each sequence to its line, so that
+clustering, scoring and decoding can handle each distinct line once;
+`load_sequences` gathers the distinct lines back into file order.
 """
 
 from __future__ import annotations
@@ -312,17 +315,19 @@ class _SymbolTable(dict):
         return value
 
 
-def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> Dataset:
-    """Parse a sequence file: one sequence per line, non-negative ints
-    separated by whitespace; lines that are blank or start with '#' after
-    stripping are ignored.
+def load_distinct_sequences(
+    path, category_id: int = 0, n_symbols: int | None = None
+) -> tuple[Dataset, np.ndarray]:
+    """Parse a sequence file into its distinct lines and where they repeat:
+    (distinct, inverse), where `distinct` holds each distinct line's
+    sequence once, in order of first appearance, and inverse[i] is the row
+    of `distinct` that holds sequence i of the file. The format and the
+    faults are those of `load_sequences`.
 
-    Each distinct line is parsed once and its symbols reused for every
-    repeat, and int() runs once per distinct token, so a corpus of repeats
-    costs about one dictionary lookup per line. With n_symbols given, a
-    symbol >= n_symbols is bad input too. Raises ValueError naming the
-    file, and the 1-based line number of the first bad line where there is
-    one, on bad input.
+    Lines are distinct as text: "1 2" and " 1 2" are two rows with equal
+    symbols. Each distinct line is parsed once, and int() runs once per
+    distinct token, so a corpus of repeats costs about one dictionary
+    lookup per line.
     """
     index: dict[str, int] = {}  # line -> its row in `lines`, or -1 if skipped
     lines: list[str] = []  # distinct sequence lines, in order of first appearance
@@ -356,7 +361,7 @@ def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> 
             yield from toks
 
     try:
-        distinct = np.fromiter(map(symbols.__getitem__, tokens()), dtype=np.int64)
+        values = np.fromiter(map(symbols.__getitem__, tokens()), dtype=np.int64)
         clean = min(symbols.values()) >= 0 and (
             n_symbols is None or max(symbols.values()) < n_symbols
         )
@@ -365,17 +370,30 @@ def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> 
     if not clean:
         _raise_first_fault(path, lines, first_line, n_symbols)
 
-    # The distinct lines' symbols lie flat in `distinct`; repeats gather them.
-    lengths = np.array(counts, dtype=np.int64)
-    if len(rows) == len(lines):  # no repeats: the distinct lines are the file
-        return Dataset.from_flat(distinct, _offsets(lengths), category_id)
-    row_ids = np.array(rows, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    lengths = lengths[row_ids]
+    distinct = Dataset.from_flat(values, _offsets(counts), category_id)
+    # with no repeats the rows come in order: the distinct lines are the file
+    inverse = np.array(rows, dtype=np.int64) if len(rows) > len(lines) else np.arange(len(rows))
+    return distinct, inverse
+
+
+def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> Dataset:
+    """Parse a sequence file: one sequence per line, non-negative ints
+    separated by whitespace; lines that are blank or start with '#' after
+    stripping are ignored.
+
+    The distinct lines of `load_distinct_sequences`, gathered back into
+    file order. With n_symbols given, a symbol >= n_symbols is bad input
+    too. Raises ValueError naming the file, and the 1-based line number of
+    the first bad line where there is one, on bad input.
+    """
+    distinct, inverse = load_distinct_sequences(path, category_id, n_symbols)
+    if len(inverse) == len(distinct):  # no repeats
+        return distinct
+    lengths = distinct.lengths[inverse]
     offsets = _offsets(lengths)
-    index_of = np.repeat(starts[row_ids] - offsets[:-1], lengths)
+    index_of = np.repeat(distinct.offsets[inverse] - offsets[:-1], lengths)
     index_of += np.arange(offsets[-1])
-    return Dataset.from_flat(distinct[index_of], offsets, category_id)
+    return Dataset.from_flat(distinct.values[index_of], offsets, category_id)
 
 
 def _raise_first_fault(path, lines, first_line, n_symbols) -> None:

@@ -24,9 +24,12 @@ import hmmaccel
 from hmmaccel import (
     HmmModel,
     ImpossibleSequenceError,
+    build_clusters,
     cli,
     likelihood,
     load_model,
+    load_sequences,
+    save_cluster_table,
     save_model,
     viterbi,
 )
@@ -128,6 +131,7 @@ def test_cluster_four_sequences(tmp_path, capsys):
     code, stdout, _ = run(capsys, "cluster", str(seqs), str(out))
     assert code == 0
     assert stdout.startswith("clusters=2 total_weight=4 seconds=")
+    assert stdout.endswith(" compression=2 max_weight=3\n")
     payload = json.loads(out.read_text())
     assert [c["weight"] for c in payload["clusters"]] == [1, 3]
     assert payload["clusters"][1]["representative"] == [1, 2, 2, 2, 2, 3, 4]
@@ -137,6 +141,7 @@ def test_cluster_four_sequences(tmp_path, capsys):
     )
     assert code == 0
     assert stdout.startswith("clusters=4 total_weight=4 seconds=")
+    assert stdout.endswith(" compression=1 max_weight=1\n")
 
 
 def test_cluster_min_weight(tmp_path, capsys):
@@ -146,6 +151,7 @@ def test_cluster_min_weight(tmp_path, capsys):
     code, stdout, _ = run(capsys, "cluster", str(seqs), str(out), "--min-weight", "2")
     assert code == 0
     assert stdout.startswith("clusters=1 total_weight=3 ")
+    assert stdout.endswith(" compression=3 max_weight=3\n")
     payload = json.loads(out.read_text())
     assert payload["total_weight"] == 3
 
@@ -161,6 +167,15 @@ def test_cluster_errors(tmp_path, capsys):
     mixed.write_text("1 2 3\n1 2\n")
     code, _, err = run(capsys, "cluster", str(mixed), str(out), "--distance", "euclidean")
     assert code == 1 and "sequence 2" in err
+
+    # the offending line is the second distinct one but the third sequence
+    mixed.write_text("1 2\n1 2\n1 2 3\n")
+    code, _, err = run(capsys, "cluster", str(mixed), str(out), "--distance", "euclidean")
+    assert code == 1
+    assert err == (
+        "error: sequence 3 has length 3 but sequence 1 has length 2; "
+        "euclidean clustering requires one length\n"
+    )
 
 
 def test_train_sequence_file(tmp_path, capsys):
@@ -320,11 +335,22 @@ def test_non_utf8_input_names_file(tmp_path, capsys, command):
     assert err.startswith(f"error: {bad}: not UTF-8 text: ")
 
 
+SPACINGS = (" ", "\t ", "  ")
+
+
+def spaced(seq, sep):
+    """A sequence-file line for seq, its symbols joined by sep."""
+    return sep.join(map(str, seq.tolist())) + "\n"
+
+
 @st.composite
 def scoring_files(draw):
     """A model whose last symbol is never emitted, and a mixed-length file
     with a lone length-13 sequence, a length-3 group longer than one block,
-    and impossible sequences (those using the last symbol) among the rest."""
+    and impossible sequences (those using the last symbol) among the rest.
+    Lines repeat, some with other spacing, which the parser keeps as other
+    distinct lines with the same symbols. Returns the model, the file's
+    sequences and text, which of them are impossible, and a block cap."""
     n = draw(st.sampled_from([1, 2, 3, 8]))
     m = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -341,19 +367,26 @@ def scoring_files(draw):
     lengths = draw(st.permutations(lengths))
     impossible = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
     impossible[len(lengths) // 2] = True
-    seqs = []
+    pool = []
     for t_len, dead in zip(lengths, impossible):
         seq = rng.integers(0, m - 1, size=t_len)
         if dead:
             seq[rng.integers(0, t_len)] = m - 1
-        seqs.append(seq)
-    return model, seqs, impossible, draw(st.sampled_from([6, 9]))
+        pool.append(seq)
+    # every pool entry once, and repeats of any but the lone length-13 one
+    others = [i for i, t_len in enumerate(lengths) if t_len != 13]
+    repeats = draw(st.lists(st.sampled_from(others), max_size=2 * len(lengths)))
+    picks = draw(st.permutations(list(range(len(pool))) + repeats))
+    seps = draw(st.lists(st.sampled_from(SPACINGS), min_size=len(picks), max_size=len(picks)))
+    text = "".join(spaced(pool[i], sep) for i, sep in zip(picks, seps))
+    seqs = [pool[i] for i in picks]
+    return model, seqs, text, [impossible[i] for i in picks], draw(st.sampled_from([6, 9]))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(scoring_files())
 def test_eval_and_decode_match_per_sequence_calls(case):
-    model, seqs, impossible, block_steps = case
+    model, seqs, text, impossible, block_steps = case
     expected_eval, expected_decode = [], []
     for seq in seqs:
         try:
@@ -370,7 +403,7 @@ def test_eval_and_decode_match_per_sequence_calls(case):
     with tempfile.TemporaryDirectory() as tmp:
         model_path, seqs_path = Path(tmp) / "m.json", Path(tmp) / "seqs.txt"
         save_model(model, model_path)
-        seqs_path.write_text("".join(" ".join(map(str, s.tolist())) + "\n" for s in seqs))
+        seqs_path.write_text(text)
         outputs = []
         # a small scoring cap splits the length-3 group over several blocks
         with mock.patch.object(cli, "SCORE_STEPS", block_steps):
@@ -380,6 +413,49 @@ def test_eval_and_decode_match_per_sequence_calls(case):
                     assert main([command, str(model_path), str(seqs_path)]) == 0
                 outputs.append(out.getvalue().splitlines())
     assert outputs == [expected_eval, expected_decode]
+
+
+@st.composite
+def cluster_files(draw):
+    """A distance and the text of a sequence file for it: a few sequences
+    over three symbols, so that warps coincide, of one length for the
+    Euclidean distance and of lengths 1..6 for DTW, repeated in any order,
+    with other spacing, blank lines and comments between them."""
+    distance = draw(st.sampled_from(["euclidean", "dtw"]))
+    t_len = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [
+        rng.integers(0, 3, size=t_len if distance == "euclidean" else rng.integers(1, 7))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    lines = [
+        spaced(pool[i], draw(st.sampled_from(SPACINGS)))
+        if i >= 0 else draw(st.sampled_from(["\n", "# note\n", " \t\n"]))
+        for i in picks + draw(st.lists(st.just(-1), max_size=3))
+    ]
+    return distance, "".join(draw(st.permutations(lines)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cluster_files())
+def test_cluster_writes_the_table_of_the_whole_file(case):
+    # clustering the distinct lines with their counts must give the bytes
+    # that clustering every line of the file gives
+    distance, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        seqs, got, expected = (Path(tmp) / name for name in ("seqs.txt", "got.json", "exp.json"))
+        seqs.write_text(text)
+        table = build_clusters(load_sequences(seqs, category_id=3), distance=distance)
+        save_cluster_table(table, expected)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            argv = ["cluster", str(seqs), str(got), "--distance", distance, "--category-id", "3"]
+            assert main(argv) == 0
+        assert got.read_bytes() == expected.read_bytes()
+    assert out.getvalue().startswith(
+        f"clusters={len(table)} total_weight={table.total_weight} seconds="
+    )
 
 
 def per_sequence_lines(model, seqs):

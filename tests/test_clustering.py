@@ -202,6 +202,30 @@ def test_keyed_clustering_matches_scan_property(case):
     assert [e.representative.tolist() for e in table.entries] == [r.tolist() for r in reps]
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(clustering_corpora(), st.data())
+def test_counted_rows_match_their_expanded_corpus(case, data):
+    # rows with counts cluster as the corpus that repeats each row as often,
+    # its first copies in row order and the rest after them in any order
+    distance, rows = case
+    counts = data.draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
+    extra = [i for i, c in enumerate(counts) for _ in range(c - 1)]
+    order = list(range(len(rows))) + data.draw(st.permutations(extra))
+    expanded = Dataset([rows.sequences[i] for i in order])
+    table = build_clusters(rows, distance=distance, counts=np.array(counts))
+    expected = build_clusters(expanded, distance=distance)
+    assert [e.weight for e in table.entries] == [e.weight for e in expected.entries]
+    assert [e.representative.tolist() for e in table.entries] == [
+        e.representative.tolist() for e in expected.entries
+    ]
+
+
+@pytest.mark.parametrize("counts", [[1, 2], [1, 0, 2], [1, 2.0, 1], [[1, 1, 1]]])
+def test_bad_counts_rejected(counts):
+    with pytest.raises(ValueError, match="counts must hold 3 integers >= 1"):
+        build_clusters(dataset([[1], [2], [1]]), distance="dtw", counts=np.array(counts))
+
+
 def test_empty_sequence_rejected():
     data = Dataset([np.array([1, 2]), np.array([], dtype=np.int64), np.array([3])])
     for distance in ("dtw", "euclidean"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hmmaccel import (
     HmmModel,
+    load_distinct_sequences,
     load_model,
     load_sequences,
     sample_sequences,
@@ -283,6 +284,16 @@ def test_sequence_file_comments_and_blanks(tmp_path):
     assert [s.tolist() for s in data.sequences] == [[1, 2, 3], [4, 5]]
 
 
+def test_distinct_lines_keep_first_appearance(tmp_path):
+    path = tmp_path / "seqs.txt"
+    path.write_text("3 4\n1 2\n# c\n3 4\n 1 2\n1 2\n")
+    distinct, inverse = load_distinct_sequences(path, category_id=2)
+    # " 1 2" is another line than "1 2", so it gets a row of its own
+    assert [s.tolist() for s in distinct.sequences] == [[3, 4], [1, 2], [1, 2]]
+    assert inverse.tolist() == [0, 1, 0, 2, 1]
+    assert distinct.category_id == load_sequences(path, category_id=2).category_id == 2
+
+
 def test_sequence_file_errors_name_lines(tmp_path):
     path = tmp_path / "seqs.txt"
     path.write_text("1 2 3\n1 x 3\n")
@@ -351,7 +362,25 @@ def parse_outcome(parse, path, n_symbols=None):
 def assert_parses_like_oracle(path, n_symbols=None):
     outcome = parse_outcome(load_sequences, path, n_symbols)
     assert outcome == parse_outcome(parse_oracle, path, n_symbols)
+    assert_distinct_lines_match(path, n_symbols, outcome)
     return outcome
+
+
+def assert_distinct_lines_match(path, n_symbols, outcome):
+    """`load_distinct_sequences` fails as `load_sequences` does, or gives one
+    row per distinct sequence line, in order of first appearance, that
+    gathers back into `outcome`."""
+    try:
+        distinct, inverse = load_distinct_sequences(path, n_symbols=n_symbols)
+    except ValueError as exc:
+        assert str(exc) == outcome
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip() and not line.strip().startswith("#")]
+    first_seen = list(dict.fromkeys(lines))
+    assert inverse.dtype == np.int64
+    assert inverse.tolist() == [first_seen.index(line) for line in lines]
+    assert [distinct.sequences[i].tolist() for i in inverse] == outcome
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,27 @@ def test_packed_blocks_match_per_sequence_loop(case):
         assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 3)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(mixed_corpora(), st.randoms(use_true_random=False))
+def test_weighted_table_matches_classical_em_on_expanded_corpus(case, shuffle):
+    # a representative of weight w trains as w copies of itself, wherever
+    # the copies sit in the corpus and whatever blocks they fall into
+    init, seqs, weights, block_steps = case
+    expanded = [seq for seq, w in zip(seqs, weights) for _ in range(w)]
+    shuffle.shuffle(expanded)
+    table = ClusterTable(0, list(map(ClusterEntry, seqs, weights)))
+    cfg = TrainingConfig(iterations=4)
+    with mock.patch.object(inference, "BLOCK_STEPS", block_steps):
+        weighted = weighted_em_train(init, table, cfg)
+        classical = em_train(init, Dataset(expanded), cfg)
+    for got, exp in zip(weighted.per_iteration_log_likelihood,
+                        classical.per_iteration_log_likelihood, strict=True):
+        assert abs(got - exp) <= 1e-10 * max(1.0, abs(exp))
+    for name in ("pi", "a", "b"):
+        got, exp = getattr(weighted.final_model, name), getattr(classical.final_model, name)
+        assert np.abs(got - exp).max() <= 1e-10, name
+
+
 def test_block_kernel_names_impossible_sequence_in_later_length_group():
     # symbol 2 is never emitted, so sequence 5 (second row of the length-4
     # group, which comes second) is impossible
