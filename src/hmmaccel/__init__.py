@@ -8,18 +8,15 @@ time without changing the fitted parameters.
 
 from .bench import BenchReport, bench_row, run_bench
 from .clustering import (
-    ClusterEntry,
     ClusterTable,
     build_clusters,
     filter_low_weight,
     load_cluster_table,
     save_cluster_table,
 )
-from .dtw import DtwResult, dtw_distance, euclidean_distance, run_length_collapse
+from .dtw import DtwResult, dtw_distance, euclidean_distance
 from .inference import (
-    ForwardBackwardResult,
     ImpossibleSequenceError,
-    forward_backward,
     likelihood,
     score_block,
     viterbi,
@@ -49,11 +46,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchReport",
-    "ClusterEntry",
     "ClusterTable",
     "Dataset",
     "DtwResult",
-    "ForwardBackwardResult",
     "HmmModel",
     "ImpossibleSequenceError",
     "TrainingConfig",
@@ -64,7 +59,6 @@ __all__ = [
     "em_train",
     "euclidean_distance",
     "filter_low_weight",
-    "forward_backward",
     "initialize_model",
     "likelihood",
     "load_cluster_table",
@@ -72,7 +66,6 @@ __all__ = [
     "load_model",
     "load_sequences",
     "run_bench",
-    "run_length_collapse",
     "sample_sequences",
     "save_cluster_table",
     "save_model",

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from time import perf_counter
 
 import numpy as np
 
 from .clustering import build_clusters
-from .model import Dataset, HmmModel, sample_sequences
+from .model import HmmModel, sample_sequences
 from .training import TrainingConfig, em_train, initialize_model, weighted_em_train
 
 THREADS = 1  # no library-level concurrency inside timed regions
@@ -134,20 +134,7 @@ def run_bench(
     ]
 
 
-_CSV_FIELDS = [
-    "n_sequences",
-    "n_clusters_euclidean",
-    "n_clusters_dtw",
-    "t_cluster_euclidean_s",
-    "t_cluster_dtw_s",
-    "t_em_s",
-    "t_weighted_em_s",
-    "speedup",
-    "speedup_total",
-    "runs",
-    "distance",
-    "threads",
-]
+_CSV_FIELDS = [f.name for f in fields(BenchReport)]
 
 # (BenchReport field, header) for each column of the text table.
 _TEXT_COLUMNS = [

@@ -81,7 +81,7 @@ def _cmd_cluster(args) -> int:
     print(
         f"clusters={len(table)} total_weight={total} seconds={seconds:.6g} "
         f"compression={total / len(table):.6g} "
-        f"max_weight={max(e.weight for e in table.entries)}"
+        f"max_weight={table.weights.max()}"
     )
     return 0
 
@@ -167,6 +167,16 @@ def _cmd_decode(args) -> int:
 def _cmd_dist(args) -> int:
     data_a = load_sequences(args.file_a)
     data_b = load_sequences(args.file_b)
+    if args.distance == "euclidean":  # every pair must have one length: check before printing
+        t_len = data_a.lengths[0]
+        for path, data in ((args.file_a, data_a), (args.file_b, data_b)):
+            other = np.flatnonzero(data.lengths != t_len)
+            if other.size:
+                pos = int(other[0])
+                raise ValueError(
+                    f"{path}: sequence {pos + 1} has length {data.lengths[pos]} but sequence 1 "
+                    f"of {args.file_a} has length {t_len}; euclidean distance requires one length"
+                )
     for i, x in enumerate(data_a.sequences, start=1):
         for j, y in enumerate(data_b.sequences, start=1):
             if args.distance == "dtw":

@@ -18,6 +18,11 @@ one `x[1:] != x[:-1]` mask over the whole buffer, and the grouping from one
 `np.unique` per length group, each row viewed as a single np.void scalar.
 Clusters are then put in order of first appearance.
 
+A ClusterTable is itself flat: its representatives are one Dataset,
+gathered from the input with `Dataset.take`, beside one int64 array of
+weights. Training reads the representatives as they are, and a table file
+is read into the same two arrays.
+
 Rows may stand for several sequences each: the `cluster` command passes
 the distinct lines of a sequence file with their counts, so the key work
 is done once per distinct line, and a weight is the sum of its rows'
@@ -33,28 +38,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _exact_int, _write_json
+from .model import Dataset, _exact_int, _offsets, _write_json
 
 DISTANCES = ("dtw", "euclidean")
 
 
 @dataclass(frozen=True)
-class ClusterEntry:
-    representative: np.ndarray
-    weight: int
-
-
-@dataclass(frozen=True)
 class ClusterTable:
-    category_id: int
-    entries: list[ClusterEntry]
+    """Weighted representatives: sequence i of `reps` stands for weights[i]
+    sequences. `weights` is kept as a read-only int64 array of shape
+    (len(reps),), and must hold integers >= 1; the category is that of
+    `reps`."""
+
+    reps: Dataset
+    weights: np.ndarray
+
+    def __post_init__(self):
+        weights = np.array(self.weights, dtype=np.int64)
+        if (weights.shape != (len(self.reps),) or (weights < 1).any()
+                or not np.array_equal(weights, self.weights)):  # no fraction cut off, no wrap
+            raise ValueError(
+                f"weights must hold {len(self.reps)} integers >= 1, one per representative"
+            )
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def category_id(self) -> int:
+        return self.reps.category_id
 
     @property
     def total_weight(self) -> int:
-        return sum(e.weight for e in self.entries)
+        """The exact sum of the weights, as a Python int: no int64 wrap-around."""
+        return sum(self.weights.tolist())
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.reps)
 
 
 def _collapse(data: Dataset) -> Dataset:
@@ -79,7 +98,7 @@ def _group_equal_rows(data: Dataset):
     for t_len, members in data.length_groups():
         if t_len == 0:
             raise ValueError(f"sequence {members[0] + 1} is empty")
-        rows = data.rows(members, t_len)
+        rows = data.values[data.offsets[members][:, None] + np.arange(t_len)]
         keys = rows.view(np.dtype((np.void, rows.itemsize * t_len))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         firsts.append(members[first])
@@ -132,45 +151,41 @@ def build_clusters(data: Dataset, distance: str = "dtw", counts=None) -> Cluster
     first, cluster = _group_equal_rows(_collapse(data) if distance == "dtw" else data)
     weights = np.zeros(first.shape[0], dtype=np.int64)
     np.add.at(weights, cluster, 1 if counts is None else counts)
-    offsets = data.offsets
-    entries = [
-        ClusterEntry(data.values[offsets[r] : offsets[r + 1]].copy(), w)
-        for r, w in zip(first.tolist(), weights.tolist())
-    ]
-    return ClusterTable(category_id=data.category_id, entries=entries)
+    return ClusterTable(data.take(first), weights)
 
 
 def filter_low_weight(table: ClusterTable, min_weight: int) -> ClusterTable:
-    """Drop entries below min_weight; total_weight shrinks accordingly.
+    """Drop clusters below min_weight; total_weight shrinks accordingly.
 
     The default training pipeline never calls this: low-weight clusters can
     be legitimate rare behaviors, so removal is an explicit operator choice.
     """
     if min_weight < 1:
         raise ValueError(f"min_weight must be >= 1, got {min_weight}")
-    kept = [e for e in table.entries if e.weight >= min_weight]
-    if not kept:
+    kept = np.flatnonzero(table.weights >= min_weight)
+    if not kept.size:
         raise ValueError("all clusters filtered")
-    return ClusterTable(category_id=table.category_id, entries=kept)
+    return ClusterTable(table.reps.take(kept), table.weights[kept])
 
 
 def save_cluster_table(table: ClusterTable, path) -> None:
     """Write a cluster table as JSON, one cluster per line."""
+    values, offsets = table.reps.values.tolist(), table.reps.offsets.tolist()
     _write_json(
         {
             "category_id": table.category_id,
             "total_weight": table.total_weight,
             "clusters": [
-                {"representative": e.representative.tolist(), "weight": e.weight}
-                for e in table.entries
+                {"representative": values[lo:hi], "weight": w}
+                for lo, hi, w in zip(offsets, offsets[1:], table.weights.tolist())
             ],
         },
         path,
     )
 
 
-def _bulk_entries(clusters):
-    """The entries of a list of clusters that are all well formed, checked
+def _bulk_table(clusters, category_id):
+    """The table of a list of clusters that are all well formed, checked
     with a few whole-table tests; None if any test fails."""
     try:
         reps = [c["representative"] for c in clusters]
@@ -183,23 +198,23 @@ def _bulk_entries(clusters):
     flat = list(itertools.chain.from_iterable(reps))
     if min(lengths) == 0 or set(map(type, flat)) != {int}:
         return None
-    try:
+    try:  # a symbol or a weight too large for int64
         values = np.array(flat, dtype=np.int64)
+        weights = np.array(weights, dtype=np.int64)
     except OverflowError:
         return None
     if (values < 0).any():
         return None
-    reps = np.split(values, np.cumsum(lengths)[:-1])
-    return [ClusterEntry(rep, weight) for rep, weight in zip(reps, weights)]
+    return ClusterTable(Dataset.from_flat(values, _offsets(lengths), category_id), weights)
 
 
 def load_cluster_table(path) -> ClusterTable:
     """Read a cluster table, rejecting anything that would need rounding.
 
     Weights, symbols, category_id and total_weight must be JSON integers
-    (not floats or booleans); representatives must be non-empty flat lists
-    of non-negative symbols. Every error names the file, and the cluster
-    index where there is one.
+    (not floats or booleans); weights must lie in [1, 2**63), and
+    representatives must be non-empty flat lists of non-negative symbols.
+    Every error names the file, and the cluster index where there is one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -219,9 +234,8 @@ def load_cluster_table(path) -> ClusterTable:
     if not clusters:
         raise ValueError(f"cluster file {path} has no clusters")
 
-    entries = _bulk_entries(clusters)
-    if entries is None:  # check cluster by cluster, to name the first fault
-        entries = []
+    table = _bulk_table(clusters, category_id)
+    if table is None:  # some cluster is bad: check them one by one, to name the first
         for i, c in enumerate(clusters):
             where = f"cluster file {path}: cluster {i}"
             if not isinstance(c, dict):
@@ -233,6 +247,8 @@ def load_cluster_table(path) -> ClusterTable:
             weight = _exact_int(weight, f"{where} weight")
             if weight < 1:
                 raise ValueError(f"{where} has weight {weight}")
+            if weight >= 2**63:
+                raise ValueError(f"{where} has a weight too large for int64: {weight}")
             if not isinstance(rep, list):
                 raise ValueError(f"{where} representative must be a list of symbols")
             if not rep:
@@ -240,12 +256,9 @@ def load_cluster_table(path) -> ClusterTable:
             for pos, v in enumerate(rep):
                 if _exact_int(v, f"{where} symbol {pos}") < 0:
                     raise ValueError(f"{where} symbol {pos} is negative: {v}")
-            try:
-                entries.append(ClusterEntry(np.array(rep, dtype=np.int64), weight))
-            except OverflowError:
-                raise ValueError(f"{where} has a symbol too large for int64") from None
+            if max(rep) >= 2**63:
+                raise ValueError(f"{where} has a symbol too large for int64")
 
-    table = ClusterTable(category_id=category_id, entries=entries)
     if declared != table.total_weight:
         raise ValueError(
             f"cluster file {path}: total_weight {declared} does not match "

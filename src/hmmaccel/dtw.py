@@ -93,15 +93,3 @@ def euclidean_distance(x, y) -> float:
     if not xs:
         raise ValueError("empty sequence")
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(xs, ys)))
-
-
-def run_length_collapse(seq) -> tuple[int, ...]:
-    """Remove consecutive repeats, e.g. (1,2,2,2,2,3,4) -> (1,2,3,4)."""
-    out = []
-    prev = None
-    for v in seq:
-        v = int(v)
-        if v != prev:
-            out.append(v)
-            prev = v
-    return tuple(out)

@@ -24,9 +24,8 @@ log-likelihood per sequence. `viterbi_block` runs the max-product
 recursion with one-byte back-pointers. Neither holds a (T, B, N) float
 array, so their blocks can be 8 times the size of training's.
 `likelihood` and `viterbi` are the one-sequence case of `score_block` and
-`viterbi_block`.
-`forward_backward` is the per-sequence reference that returns every
-posterior; the tests check the block functions against it.
+`viterbi_block`. The tests keep a per-sequence forward-backward that
+returns every posterior, and check the block functions against it.
 
 A sequence gets the same score and path, bit for bit, whatever block it
 sits in, at whatever row and beside whatever lengths: see `score_block`
@@ -39,7 +38,6 @@ symbol range is checked here because it is an indexing hazard.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,22 +68,6 @@ class ImpossibleSequenceError(ValueError):
     def __init__(self, message: str = "impossible sequence", rows=None):
         super().__init__(message)
         self.rows = rows
-
-
-@dataclass(frozen=True)
-class ForwardBackwardResult:
-    """Posteriors and likelihood for one sequence.
-
-    gamma[t, i] is the posterior probability of being in state i at time t;
-    xi[t, i, j] the posterior of the i->j transition between times t and
-    t+1 (empty when T == 1). scaling holds the per-step coefficients c_t
-    with log_likelihood == -sum(log(scaling)).
-    """
-
-    log_likelihood: float
-    gamma: np.ndarray
-    xi: np.ndarray
-    scaling: np.ndarray
 
 
 def _check_symbols(model: HmmModel, obs: np.ndarray) -> None:
@@ -246,42 +228,6 @@ def _length_runs(sizes: list[int]):
             if sizes[t] < sizes[t - 1]]
 
 
-def forward_backward(model: HmmModel, seq) -> ForwardBackwardResult:
-    """Posterior state and transition distributions for one sequence."""
-    obs = np.asarray(seq, dtype=np.int64)
-    _check_symbols(model, obs)
-    bt = model.b[:, obs].T  # (T, N) emission probabilities per step
-    t_len = obs.shape[0]
-    n = model.n_states
-
-    alpha = np.empty((t_len, n))
-    c = np.empty(t_len)
-    for t in range(t_len):
-        f = model.pi * bt[0] if t == 0 else (alpha[t - 1] @ model.a) * bt[t]
-        s = f.sum()
-        if s == 0.0:
-            raise ImpossibleSequenceError("impossible sequence")
-        c[t] = 1.0 / s
-        alpha[t] = f * c[t]
-
-    beta = np.empty((t_len, n))
-    beta[t_len - 1] = 1.0
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = (model.a @ (bt[t + 1] * beta[t + 1])) * c[t + 1]
-
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-
-    if t_len > 1:
-        xi = alpha[:-1, :, None] * model.a[None, :, :] * (bt[1:] * beta[1:])[:, None, :]
-        xi /= xi.sum(axis=(1, 2), keepdims=True)
-    else:
-        xi = np.empty((0, n, n))
-
-    log_likelihood = float(-np.log(c).sum()) + 0.0  # avoid -0.0
-    return ForwardBackwardResult(log_likelihood, gamma, xi, c)
-
-
 def estep_block(
     model: HmmModel,
     obs: np.ndarray,
@@ -298,8 +244,8 @@ def estep_block(
     sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t xi_t^b to a_num
     (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b to b_num_mt[k] (M, N),
     and returns sum_b w_b log P(obs_b). Each xi_t is normalized by its own
-    sum, as in `forward_backward`, but is only ever summed over t and b,
-    so no (B, T, N, N) array is made.
+    sum, but is only ever summed over t and b, so no (B, T, N, N) array is
+    made.
 
     The forward pass runs on the padded block and gathers the emissions
     straight into `pack_padded_sequence` order, valid (t, b) steps only;

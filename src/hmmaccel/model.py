@@ -66,7 +66,8 @@ class Dataset:
     values[offsets[i]:offsets[i + 1]], so `offsets` has one entry more than
     there are sequences and starts at 0. `Dataset(sequences, category_id)`
     copies a list of 1-D arrays into that layout; `from_flat` adopts a
-    buffer and offsets as they are. Order is input order, which clustering
+    buffer and offsets as they are, and `take` gathers some of the
+    sequences into a new Dataset. Order is input order, which clustering
     and block building preserve.
     """
 
@@ -109,9 +110,15 @@ class Dataset:
         members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
         return [(int(lengths[g]), members[g]) for g in np.argsort(first)]
 
-    def rows(self, positions: np.ndarray, length: int) -> np.ndarray:
-        """The sequences at `positions`, all of this length, as a new (B, T) array."""
-        return self.values[self.offsets[positions][:, None] + np.arange(length)]
+    def take(self, rows) -> "Dataset":
+        """The sequences at positions `rows`, in that order, repeats allowed,
+        as a new Dataset with this one's category_id."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = self.lengths[rows]
+        offsets = _offsets(lengths)
+        index = np.repeat(self.offsets[rows] - offsets[:-1], lengths)
+        index += np.arange(offsets[-1])
+        return Dataset.from_flat(self.values[index], offsets, self.category_id)
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -387,13 +394,7 @@ def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> 
     the first bad line where there is one, on bad input.
     """
     distinct, inverse = load_distinct_sequences(path, category_id, n_symbols)
-    if len(inverse) == len(distinct):  # no repeats
-        return distinct
-    lengths = distinct.lengths[inverse]
-    offsets = _offsets(lengths)
-    index_of = np.repeat(distinct.offsets[inverse] - offsets[:-1], lengths)
-    index_of += np.arange(offsets[-1])
-    return Dataset.from_flat(distinct.values[index_of], offsets, category_id)
+    return distinct if len(inverse) == len(distinct) else distinct.take(inverse)
 
 
 def _raise_first_fault(path, lines, first_line, n_symbols) -> None:

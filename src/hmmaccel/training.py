@@ -16,8 +16,8 @@ sequence-steps, so a corpus of many lengths runs in as few blocks as one
 of a single length; every iteration then calls `inference.estep_block`
 once per block. Both trainers build their blocks the same way, so the
 summation order, and with it the weight-1 bit-identity, does not depend
-on the trainer. The tests keep the per-sequence accumulation loop over
-`inference.forward_backward` as the reference the blocks must match.
+on the trainer. The tests keep a per-sequence forward-backward and its
+accumulation loop as the reference the blocks must match.
 
 Re-estimation per iteration, with w_m the weight of sequence m:
 
@@ -89,11 +89,9 @@ def weighted_em_train(
     init: HmmModel, table: ClusterTable, config: TrainingConfig, on_iteration=None
 ) -> TrainingTrace:
     """Baum-Welch over cluster representatives, counts scaled by weights."""
-    if not table.entries:
+    if not len(table):
         raise ValueError("empty cluster table")
-    reps = Dataset([e.representative for e in table.entries])
-    weights = np.array([e.weight for e in table.entries], dtype=float)
-    return _run_em(init, reps, weights, config, on_iteration)
+    return _run_em(init, table.reps, table.weights.astype(float), config, on_iteration)
 
 
 def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> TrainingTrace:
@@ -135,26 +133,21 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
             )
 
         # denominators are the numerators' own marginals, so each quotient
-        # stays inside [0, 1] even after rounding
+        # stays inside [0, 1] even after rounding; a row whose denominator
+        # is not positive keeps the previous model's row
         a_den = a_num.sum(axis=1)
         b_den = b_num_mt.sum(axis=0)
-
+        a_ok, b_ok = a_den > 0.0, b_den > 0.0
         new_pi = pi_num / w_total
-        new_a = np.empty((n, n))
-        new_b = np.empty((n, m))
-        for i in range(n):
-            if a_den[i] > 0.0:
-                new_a[i] = a_num[i] / a_den[i]
-            else:
-                new_a[i] = model.a[i]
+        new_a = np.divide(a_num, a_den[:, None], out=model.a.copy(), where=a_ok[:, None])
+        new_b = np.divide(b_num_mt.T, b_den[:, None], out=model.b.copy(), where=b_ok[:, None])
+        for i in np.flatnonzero(~(a_ok & b_ok)).tolist():
+            if not a_ok[i]:
                 notes.append(
                     f"iteration {it}: state {i} has zero expected transition "
                     "count; A row carried over"
                 )
-            if b_den[i] > 0.0:
-                new_b[i] = b_num_mt[:, i] / b_den[i]
-            else:
-                new_b[i] = model.b[i]
+            if not b_ok[i]:
                 notes.append(
                     f"iteration {it}: state {i} has zero expected occupancy; "
                     "B row carried over"

@@ -1,16 +1,147 @@
-"""Reference block scoring and decoding that keep their whole history.
+"""The slow code that the library's fast paths replaced, kept as test oracles.
 
-These are `score_block` and `viterbi_block` as they were before scoring
-dropped its history: the forward pass keeps the (T, B, N) emission and
-alpha arrays, and Viterbi keeps a (T, B, N) table of log-emissions and
-`intp` back-pointers, taking each argmax over the last axis of a
-(B, N_j, N_i) score array. The tests require the library's functions to
-give the same bits on every row.
+- `forward_backward` is the per-sequence scaled forward-backward pass,
+  returning every posterior; `per_sequence_em` is the accumulation loop
+  over it that the block E-step replaced, with the same M-step.
+- `run_length_collapse` and `scan_clusters` are the per-sequence collapse
+  and the pairwise first-match scan that keyed clustering replaced.
+- `score_block_history` and `viterbi_block_history` are `score_block` and
+  `viterbi_block` as they were before scoring dropped its history: the
+  forward pass keeps the (T, B, N) emission and alpha arrays, and Viterbi
+  keeps a (T, B, N) table of log-emissions and `intp` back-pointers,
+  taking each argmax over the last axis of a (B, N_j, N_i) score array.
+  The tests require the library's functions to give the same bits on
+  every row.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from hmmaccel import HmmModel, ImpossibleSequenceError, dtw_distance, euclidean_distance
 from hmmaccel.inference import _batch_sizes, _check_symbols, _length_runs
+
+
+@dataclass(frozen=True)
+class ForwardBackwardResult:
+    """Posteriors and likelihood for one sequence.
+
+    gamma[t, i] is the posterior probability of being in state i at time t;
+    xi[t, i, j] the posterior of the i->j transition between times t and
+    t+1 (empty when T == 1). scaling holds the per-step coefficients c_t
+    with log_likelihood == -sum(log(scaling)).
+    """
+
+    log_likelihood: float
+    gamma: np.ndarray
+    xi: np.ndarray
+    scaling: np.ndarray
+
+
+def forward_backward(model: HmmModel, seq) -> ForwardBackwardResult:
+    """Posterior state and transition distributions for one sequence."""
+    obs = np.asarray(seq, dtype=np.int64)
+    _check_symbols(model, obs)
+    bt = model.b[:, obs].T  # (T, N) emission probabilities per step
+    t_len = obs.shape[0]
+    n = model.n_states
+
+    alpha = np.empty((t_len, n))
+    c = np.empty(t_len)
+    for t in range(t_len):
+        f = model.pi * bt[0] if t == 0 else (alpha[t - 1] @ model.a) * bt[t]
+        s = f.sum()
+        if s == 0.0:
+            raise ImpossibleSequenceError("impossible sequence")
+        c[t] = 1.0 / s
+        alpha[t] = f * c[t]
+
+    beta = np.empty((t_len, n))
+    beta[t_len - 1] = 1.0
+    for t in range(t_len - 2, -1, -1):
+        beta[t] = (model.a @ (bt[t + 1] * beta[t + 1])) * c[t + 1]
+
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+
+    if t_len > 1:
+        xi = alpha[:-1, :, None] * model.a[None, :, :] * (bt[1:] * beta[1:])[:, None, :]
+        xi /= xi.sum(axis=(1, 2), keepdims=True)
+    else:
+        xi = np.empty((0, n, n))
+
+    log_likelihood = float(-np.log(c).sum()) + 0.0  # avoid -0.0
+    return ForwardBackwardResult(log_likelihood, gamma, xi, c)
+
+
+def per_sequence_em(init, seqs, weights, iterations):
+    """The per-sequence accumulation loop over forward_backward, with the
+    same M-step as the library's. Returns the log-likelihood and the
+    re-estimated model of every iteration."""
+    n, m = init.n_states, init.n_symbols
+    model = init
+    history = []
+    for it in range(1, iterations + 1):
+        pi_num = np.zeros(n)
+        a_num = np.zeros((n, n))
+        b_num_mt = np.zeros((m, n))
+        total_ll = 0.0
+        for idx, (seq, w) in enumerate(zip(seqs, weights), start=1):
+            try:
+                fb = forward_backward(model, seq)
+            except ImpossibleSequenceError as exc:
+                raise ImpossibleSequenceError(
+                    f"sequence {idx} is impossible under the model at iteration {it}"
+                ) from exc
+            total_ll += w * fb.log_likelihood
+            wg = w * fb.gamma
+            pi_num += wg[0]
+            if len(seq) > 1:
+                a_num += w * fb.xi.sum(axis=0)
+            np.add.at(b_num_mt, seq, wg)
+        a_den = a_num.sum(axis=1)
+        b_den = b_num_mt.sum(axis=0)
+        new_a = model.a.copy()
+        new_b = model.b.copy()
+        for i in range(n):
+            if a_den[i] > 0.0:
+                new_a[i] = a_num[i] / a_den[i]
+            if b_den[i] > 0.0:
+                new_b[i] = b_num_mt[:, i] / b_den[i]
+        model = HmmModel(n, m, pi_num / sum(weights), new_a, new_b)
+        history.append((total_ll, model))
+    return history
+
+
+def run_length_collapse(seq) -> tuple[int, ...]:
+    """Remove consecutive repeats, e.g. (1,2,2,2,2,3,4) -> (1,2,3,4)."""
+    out = []
+    prev = None
+    for v in seq:
+        v = int(v)
+        if v != prev:
+            out.append(v)
+            prev = v
+    return tuple(out)
+
+
+def scan_clusters(data, distance):
+    """Each sequence joins the first representative at distance exactly
+    zero, or opens a new cluster: (representatives, weights)."""
+    if distance == "euclidean":
+        dist = euclidean_distance
+    else:
+        dist = lambda x, y: dtw_distance(x, y).distance  # noqa: E731
+    reps, weights = [], []
+    for seq in data.sequences:
+        for idx, rep in enumerate(reps):
+            if dist(seq, rep) == 0.0:
+                weights[idx] += 1
+                break
+        else:
+            reps.append(np.array(seq, dtype=np.int64))
+            weights.append(1)
+    return reps, weights
 
 
 def forward_history(model, obs, sizes):

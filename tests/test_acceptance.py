@@ -9,24 +9,22 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+from oracles import forward_backward, run_length_collapse
 
 from hmmaccel import (
     TrainingConfig,
-    ClusterEntry,
     ClusterTable,
     build_clusters,
     dtw_distance,
     em_train,
     initialize_model,
     likelihood,
-    run_length_collapse,
     sample_sequences,
     validate_model,
     viterbi,
     weighted_em_train,
 )
 from hmmaccel.cli import _bundled_bench_model
-from hmmaccel.inference import forward_backward
 from hmmaccel.model import Dataset, HmmModel
 
 
@@ -121,13 +119,13 @@ def test_criterion_2_worked_clustering_example():
         ]
         data = Dataset([np.array(r) for r in rows])
         dtw_table = build_clusters(data, distance="dtw")
-        assert len(dtw_table.entries) == 2
-        assert [e.weight for e in dtw_table.entries] == [1, 3]
-        assert dtw_table.entries[0].representative.tolist() == rows[0]
-        assert dtw_table.entries[1].representative.tolist() == rows[1]
+        assert len(dtw_table) == 2
+        assert dtw_table.weights.tolist() == [1, 3]
+        assert dtw_table.reps.sequences[0].tolist() == rows[0]
+        assert dtw_table.reps.sequences[1].tolist() == rows[1]
         euc_table = build_clusters(data, distance="euclidean")
-        assert len(euc_table.entries) == 4
-        assert [e.weight for e in euc_table.entries] == [1, 1, 1, 1]
+        assert len(euc_table) == 4
+        assert euc_table.weights.tolist() == [1, 1, 1, 1]
 
 
 def test_criterion_3_dtw_matches_path_enumeration():
@@ -294,10 +292,10 @@ def test_criterion_8_warp_redundant_corpus():
 
         data = Dataset(sequences)
         dtw_table = build_clusters(data, distance="dtw")
-        assert len(dtw_table.entries) == 25
+        assert len(dtw_table) == 25
         assert dtw_table.total_weight == 30000
         euc_table = build_clusters(data, distance="euclidean")
-        assert len(euc_table.entries) > 25
+        assert len(euc_table) > 25
 
 
 def test_criterion_9_weight_semantics():
@@ -310,7 +308,7 @@ def test_criterion_9_weight_semantics():
             a_params, b_params = [], []
             weighted = weighted_em_train(
                 init,
-                ClusterTable(0, [ClusterEntry(s, w)]),
+                ClusterTable(Dataset([s]), [w]),
                 config,
                 on_iteration=lambda it, m, ll: a_params.append((m.pi, m.a, m.b)),
             )
@@ -336,9 +334,7 @@ def test_criterion_9_weight_semantics():
         config = TrainingConfig(iterations=20)
         captured = {1: [], 7: []}
         for scale in (1, 7):
-            table = ClusterTable(
-                0, [ClusterEntry(s, w * scale) for s, w in zip(seqs, weights)]
-            )
+            table = ClusterTable(Dataset(seqs), [w * scale for w in weights])
             weighted_em_train(
                 init,
                 table,

@@ -507,6 +507,25 @@ def test_dist(tmp_path, capsys):
     assert lines[1] == f"2 1 {math.sqrt(3)!r}"
 
 
+def test_dist_euclidean_length_mismatch_prints_nothing(tmp_path, capsys):
+    # the first pair has one length; the mismatch is found before any line
+    fa = tmp_path / "a.txt"
+    fb = tmp_path / "b.txt"
+    fa.write_text("1 2\n3 4\n")
+    fb.write_text("1 2\n1 2 3\n")
+    code, stdout, err = run(capsys, "dist", str(fa), str(fb), "--distance", "euclidean")
+    assert code == 1
+    assert stdout == ""
+    assert err == (
+        f"error: {fb}: sequence 2 has length 3 but sequence 1 of {fa} has length 2; "
+        "euclidean distance requires one length\n"
+    )
+    fa.write_text("1 2\n3 4 5\n")
+    code, stdout, err = run(capsys, "dist", str(fa), str(fb), "--distance", "euclidean")
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {fa}: sequence 2 has length 3 but sequence 1 of {fa} ")
+
+
 def test_bench_tiny_run_text_and_csv_agree(tmp_path, capsys):
     csv_path = tmp_path / "bench.csv"
     code, stdout, _ = run(

@@ -4,18 +4,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import run_length_collapse, scan_clusters
+
 from hmmaccel import (
-    ClusterEntry,
     ClusterTable,
     build_clusters,
-    dtw_distance,
-    euclidean_distance,
     filter_low_weight,
     load_cluster_table,
-    run_length_collapse,
     save_cluster_table,
 )
 from hmmaccel.model import Dataset
@@ -50,49 +48,30 @@ def warp_redundant_dataset(rng, count, one_length=False):
     return dataset(rows)
 
 
-def scan_clusters(data, distance):
-    """Reference: the pairwise scan that keyed clustering replaced. Each
-    sequence joins the first representative at distance exactly zero."""
-    if distance == "euclidean":
-        dist = euclidean_distance
-    else:
-        dist = lambda x, y: dtw_distance(x, y).distance  # noqa: E731
-    reps, weights = [], []
-    for seq in data.sequences:
-        for idx, rep in enumerate(reps):
-            if dist(seq, rep) == 0.0:
-                weights[idx] += 1
-                break
-        else:
-            reps.append(np.array(seq, dtype=np.int64))
-            weights.append(1)
-    return reps, weights
-
-
 def test_four_sequences_dtw():
     table = build_clusters(dataset(FOUR), distance="dtw")
-    assert len(table.entries) == 2
-    assert table.entries[0].representative.tolist() == [1, 2, 3, 4, 5, 6, 7]
-    assert table.entries[0].weight == 1
-    assert table.entries[1].representative.tolist() == [1, 2, 2, 2, 2, 3, 4]
-    assert table.entries[1].weight == 3
+    assert len(table) == 2
+    assert table.reps.sequences[0].tolist() == [1, 2, 3, 4, 5, 6, 7]
+    assert table.weights[0] == 1
+    assert table.reps.sequences[1].tolist() == [1, 2, 2, 2, 2, 3, 4]
+    assert table.weights[1] == 3
     assert table.total_weight == 4
 
 
 def test_four_sequences_euclidean():
     table = build_clusters(dataset(FOUR), distance="euclidean")
-    assert len(table.entries) == 4
-    assert [e.weight for e in table.entries] == [1, 1, 1, 1]
-    for e, row in zip(table.entries, FOUR):
-        assert e.representative.tolist() == row
+    assert len(table) == 4
+    assert table.weights.tolist() == [1, 1, 1, 1]
+    for rep, row in zip(table.reps.sequences, FOUR):
+        assert rep.tolist() == row
 
 
 def test_copies_collapse_to_one_cluster():
     rows = [[3, 1, 4, 1, 5]] * 9
     for distance in ("dtw", "euclidean"):
         table = build_clusters(dataset(rows), distance=distance)
-        assert len(table.entries) == 1
-        assert table.entries[0].weight == 9
+        assert len(table) == 1
+        assert table.weights[0] == 9
 
 
 def test_weight_conservation():
@@ -108,20 +87,18 @@ def test_idempotent_on_representatives():
     rng = np.random.default_rng(22)
     data = random_dataset(rng, 80)
     table = build_clusters(data, distance="dtw")
-    again = build_clusters(
-        Dataset([e.representative for e in table.entries]), distance="dtw"
-    )
-    assert len(again.entries) == len(table.entries)
-    assert all(e.weight == 1 for e in again.entries)
-    for e1, e2 in zip(table.entries, again.entries):
-        assert np.array_equal(e1.representative, e2.representative)
+    again = build_clusters(table.reps, distance="dtw")
+    assert len(again) == len(table)
+    assert all(w == 1 for w in again.weights)
+    for r1, r2 in zip(table.reps.sequences, again.reps.sequences):
+        assert np.array_equal(r1, r2)
 
 
 def test_euclidean_groups_identical_sequences():
     rng = np.random.default_rng(23)
     rows = rng.integers(0, 2, size=(100, 4)).tolist()
     table = build_clusters(dataset(rows), distance="euclidean")
-    assert len(table.entries) == len({tuple(r) for r in rows})
+    assert len(table) == len({tuple(r) for r in rows})
 
 
 def test_dtw_groups_by_collapsed_form():
@@ -129,8 +106,8 @@ def test_dtw_groups_by_collapsed_form():
     data = random_dataset(rng, 120)
     table = build_clusters(data, distance="dtw")
     collapsed = {run_length_collapse(s) for s in data.sequences}
-    assert len(table.entries) == len(collapsed)
-    reps = {run_length_collapse(e.representative) for e in table.entries}
+    assert len(table) == len(collapsed)
+    reps = {run_length_collapse(r) for r in table.reps.sequences}
     assert reps == collapsed
 
 
@@ -141,10 +118,8 @@ def test_count_and_weight_multiset_permutation_invariant():
     perm = rng.permutation(50)
     shuffled = Dataset([data.sequences[i] for i in perm])
     table2 = build_clusters(shuffled, distance="dtw")
-    assert len(table2.entries) == len(table.entries)
-    assert sorted(e.weight for e in table2.entries) == sorted(
-        e.weight for e in table.entries
-    )
+    assert len(table2) == len(table)
+    assert sorted(table2.weights.tolist()) == sorted(table.weights.tolist())
 
 
 def test_keyed_clustering_matches_scan():
@@ -164,10 +139,10 @@ def test_keyed_clustering_matches_scan():
         for data in datasets:
             table = build_clusters(data, distance=distance)
             reps, weights = scan_clusters(data, distance)
-            assert [e.weight for e in table.entries] == weights
-            assert len(table.entries) < len(data.sequences)
-            for e, rep in zip(table.entries, reps):
-                assert np.array_equal(e.representative, rep)
+            assert table.weights.tolist() == weights
+            assert len(table) < len(data.sequences)
+            for got, rep in zip(table.reps.sequences, reps):
+                assert np.array_equal(got, rep)
 
 
 @st.composite
@@ -198,8 +173,8 @@ def test_keyed_clustering_matches_scan_property(case):
     distance, data = case
     table = build_clusters(data, distance=distance)
     reps, weights = scan_clusters(data, distance)
-    assert [e.weight for e in table.entries] == weights
-    assert [e.representative.tolist() for e in table.entries] == [r.tolist() for r in reps]
+    assert table.weights.tolist() == weights
+    assert [r.tolist() for r in table.reps.sequences] == [r.tolist() for r in reps]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -214,9 +189,9 @@ def test_counted_rows_match_their_expanded_corpus(case, data):
     expanded = Dataset([rows.sequences[i] for i in order])
     table = build_clusters(rows, distance=distance, counts=np.array(counts))
     expected = build_clusters(expanded, distance=distance)
-    assert [e.weight for e in table.entries] == [e.weight for e in expected.entries]
-    assert [e.representative.tolist() for e in table.entries] == [
-        e.representative.tolist() for e in expected.entries
+    assert table.weights.tolist() == expected.weights.tolist()
+    assert [r.tolist() for r in table.reps.sequences] == [
+        r.tolist() for r in expected.reps.sequences
     ]
 
 
@@ -254,17 +229,28 @@ def test_category_id_carried():
 
 def test_filter_low_weight():
     s1, s2 = np.array([1, 2]), np.array([3, 4])
-    table = ClusterTable(0, [ClusterEntry(s1, 5), ClusterEntry(s2, 1)])
+    table = ClusterTable(Dataset([s1, s2]), [5, 1])
     assert filter_low_weight(table, 1) is not table
-    assert len(filter_low_weight(table, 1).entries) == 2
+    assert len(filter_low_weight(table, 1)) == 2
     kept = filter_low_weight(table, 2)
-    assert len(kept.entries) == 1
-    assert kept.entries[0].weight == 5
+    assert len(kept) == 1
+    assert kept.weights[0] == 5
     assert kept.total_weight == 5
     with pytest.raises(ValueError, match="all clusters filtered"):
-        filter_low_weight(ClusterTable(0, [ClusterEntry(s1, 1)]), 2)
+        filter_low_weight(ClusterTable(Dataset([s1]), [1]), 2)
     with pytest.raises(ValueError, match="min_weight"):
         filter_low_weight(table, 0)
+
+
+def test_cluster_table_weights_one_per_representative():
+    reps = Dataset([np.array([1, 2]), np.array([3])], category_id=2)
+    table = ClusterTable(reps, [4, 1])
+    assert table.category_id == 2 and len(table) == 2 and table.total_weight == 5
+    assert table.weights.dtype == np.int64 and not table.weights.flags.writeable
+    wrapping = np.array([4, 2**63], dtype=np.uint64)
+    for weights in ([4], [4, 1, 1], [[4, 1]], 4, [4, 0], [4, 1.5], wrapping):
+        with pytest.raises(ValueError, match="weights must hold 2 integers >= 1"):
+            ClusterTable(reps, weights)
 
 
 def test_cluster_table_round_trip(tmp_path):
@@ -274,26 +260,27 @@ def test_cluster_table_round_trip(tmp_path):
     loaded = load_cluster_table(path)
     assert loaded.category_id == table.category_id
     assert loaded.total_weight == table.total_weight
-    assert len(loaded.entries) == 2
-    for e1, e2 in zip(loaded.entries, table.entries):
-        assert np.array_equal(e1.representative, e2.representative)
-        assert e1.weight == e2.weight
+    assert len(loaded) == 2
+    for r1, r2 in zip(loaded.reps.sequences, table.reps.sequences):
+        assert np.array_equal(r1, r2)
+    assert loaded.weights.tolist() == table.weights.tolist()
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     st.lists(
         st.tuples(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=7),
-                  st.integers(1, 2**40)),
+                  st.integers(1, 2**62)),
         min_size=1,
         max_size=10,
     ),
     st.integers(-5, 5),
 )
+@example([([1], 2**62), ([2, 3], 2**62), ([4], 2**62)], 0)  # a total of 3 * 2**62 > 2**63
 def test_cluster_table_round_trip_property(tmp_path_factory, clusters, category_id):
     path = tmp_path_factory.mktemp("table") / "clusters.json"
-    table = ClusterTable(category_id, [ClusterEntry(np.array(r, dtype=np.int64), w)
-                                       for r, w in clusters])
+    table = ClusterTable(Dataset([r for r, _ in clusters], category_id),
+                         [w for _, w in clusters])
     save_cluster_table(table, path)
     assert json.loads(path.read_text()) == {
         "category_id": category_id,
@@ -303,7 +290,9 @@ def test_cluster_table_round_trip_property(tmp_path_factory, clusters, category_
     assert len(path.read_text().splitlines()) == len(clusters) + 6  # one cluster per line
     loaded = load_cluster_table(path)
     assert loaded.category_id == category_id
-    assert [(e.representative.tolist(), e.weight) for e in loaded.entries] == clusters
+    assert [(r.tolist(), w) for r, w in zip(loaded.reps.sequences, loaded.weights.tolist())] == (
+        clusters
+    )
 
 
 def test_cluster_file_validation(tmp_path):
@@ -349,6 +338,7 @@ GOOD = {"representative": [1, 2], "weight": 2}
         ({"representative": 3, "weight": 1}, "cluster 1 representative must be a list"),
         ({"representative": [], "weight": 1}, "cluster 1 is empty"),
         ({"representative": [2**64], "weight": 1}, "cluster 1 has a symbol too large"),
+        ({"representative": [1, 2], "weight": 2**63}, "cluster 1 has a weight too large for int64"),
         ({"weight": 1}, "cluster 1 is missing key 'representative'"),
     ],
     ids=[
@@ -362,6 +352,7 @@ GOOD = {"representative": [1, 2], "weight": 2}
         "scalar-representative",
         "empty-representative",
         "huge-symbol",
+        "huge-weight",
         "missing-representative",
     ],
 )

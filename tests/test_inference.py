@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import score_block_history, viterbi_block_history
+from oracles import forward_backward, score_block_history, viterbi_block_history
 
 from hmmaccel import (
     HmmModel,
     ImpossibleSequenceError,
-    forward_backward,
     likelihood,
     score_block,
     viterbi,

@@ -479,3 +479,23 @@ def test_sequence_file_round_trip_property(tmp_path_factory, rows):
     assert loaded.values.tolist() == data.values.tolist()
     save_sequences(loaded, path.with_suffix(".again"))
     assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 2**63 - 1), max_size=5), max_size=8),
+    st.integers(-3, 3),
+    st.data(),
+)
+def test_dataset_take_matches_per_row_gather(rows, category_id, data):
+    # rows may be empty, and the positions repeat, run out of order or are none
+    dataset = Dataset([np.array(r, dtype=np.int64) for r in rows], category_id)
+    positions = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12)) if rows else []
+    got = dataset.take(np.array(positions, dtype=np.int64))
+    assert len(got) == len(positions)
+    assert got.category_id == category_id
+    assert [s.tolist() for s in got.sequences] == [rows[i] for i in positions]
+    expected = [dataset.sequences[i] for i in positions]
+    assert np.array_equal(got.values, np.concatenate(expected) if expected else [])
+    assert got.values.dtype == np.int64 and got.offsets.tolist()[0] == 0
+    assert not got.values.flags.writeable and not got.offsets.flags.writeable

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import per_sequence_em
 
 from hmmaccel import (
-    ClusterEntry,
     ClusterTable,
     HmmModel,
     ImpossibleSequenceError,
@@ -25,7 +25,7 @@ from hmmaccel import (
 )
 from hmmaccel import inference
 from hmmaccel.cli import _bundled_bench_model
-from hmmaccel.inference import BLOCK_STEPS, forward_backward, length_blocks
+from hmmaccel.inference import BLOCK_STEPS, length_blocks
 from hmmaccel.model import Dataset
 
 
@@ -63,45 +63,6 @@ def reestimate_by_enumeration(model, obs):
     return pi, a, b
 
 
-def per_sequence_em(init, seqs, weights, iterations):
-    """Reference: the per-sequence accumulation loop over forward_backward
-    that the block kernel replaced, with the same M-step. Returns the
-    log-likelihood and the re-estimated model of every iteration."""
-    n, m = init.n_states, init.n_symbols
-    model = init
-    history = []
-    for it in range(1, iterations + 1):
-        pi_num = np.zeros(n)
-        a_num = np.zeros((n, n))
-        b_num_mt = np.zeros((m, n))
-        total_ll = 0.0
-        for idx, (seq, w) in enumerate(zip(seqs, weights), start=1):
-            try:
-                fb = forward_backward(model, seq)
-            except ImpossibleSequenceError as exc:
-                raise ImpossibleSequenceError(
-                    f"sequence {idx} is impossible under the model at iteration {it}"
-                ) from exc
-            total_ll += w * fb.log_likelihood
-            wg = w * fb.gamma
-            pi_num += wg[0]
-            if len(seq) > 1:
-                a_num += w * fb.xi.sum(axis=0)
-            np.add.at(b_num_mt, seq, wg)
-        a_den = a_num.sum(axis=1)
-        b_den = b_num_mt.sum(axis=0)
-        new_a = model.a.copy()
-        new_b = model.b.copy()
-        for i in range(n):
-            if a_den[i] > 0.0:
-                new_a[i] = a_num[i] / a_den[i]
-            if b_den[i] > 0.0:
-                new_b[i] = b_num_mt[:, i] / b_den[i]
-        model = HmmModel(n, m, pi_num / sum(weights), new_a, new_b)
-        history.append((total_ll, model))
-    return history
-
-
 def assert_matches_per_sequence(train, init, data, seqs, weights, iterations):
     seen = []
     train(
@@ -126,7 +87,7 @@ def test_block_kernel_matches_per_sequence_loop_on_mixed_lengths():
     weights = [int(w) for w in rng.integers(1, 9, size=len(seqs))]
     init = initialize_model(3, 5, 12)
     assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 8)
-    table = ClusterTable(0, list(map(ClusterEntry, seqs, weights)))
+    table = ClusterTable(Dataset(seqs), weights)
     assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 8)
 
 
@@ -154,7 +115,7 @@ def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
     )
     init = initialize_model(2, 4, 13)
     assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
-    table = ClusterTable(0, list(map(ClusterEntry, seqs, weights)))
+    table = ClusterTable(Dataset(seqs), weights)
     assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 3)
 
 
@@ -181,7 +142,7 @@ def test_packed_blocks_match_per_sequence_loop(case):
     # length-13 row leads a block of several, so the prefix shrinks to it
     with mock.patch.object(inference, "BLOCK_STEPS", block_steps):
         assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
-        table = ClusterTable(0, list(map(ClusterEntry, seqs, weights)))
+        table = ClusterTable(Dataset(seqs), weights)
         assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 3)
 
 
@@ -193,7 +154,7 @@ def test_weighted_table_matches_classical_em_on_expanded_corpus(case, shuffle):
     init, seqs, weights, block_steps = case
     expanded = [seq for seq, w in zip(seqs, weights) for _ in range(w)]
     shuffle.shuffle(expanded)
-    table = ClusterTable(0, list(map(ClusterEntry, seqs, weights)))
+    table = ClusterTable(Dataset(seqs), weights)
     cfg = TrainingConfig(iterations=4)
     with mock.patch.object(inference, "BLOCK_STEPS", block_steps):
         weighted = weighted_em_train(init, table, cfg)
@@ -224,7 +185,7 @@ def test_block_kernel_names_impossible_sequence_in_later_length_group():
     assert message == "sequence 5 is impossible under the model at iteration 1"
     with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
         em_train(init, Dataset(seqs), TrainingConfig(iterations=2))
-    table = ClusterTable(0, [ClusterEntry(s, 3) for s in seqs])
+    table = ClusterTable(Dataset(seqs), [3] * len(seqs))
     with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
         weighted_em_train(init, table, TrainingConfig(iterations=2))
 
@@ -247,7 +208,7 @@ def test_impossible_sequence_named_in_input_order_across_blocks():
         assert blocks == [[0], [3], [1, 2]]
         with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
             em_train(init, Dataset(seqs), TrainingConfig(iterations=1))
-        table = ClusterTable(0, [ClusterEntry(s, 2) for s in seqs])
+        table = ClusterTable(Dataset(seqs), [2] * len(seqs))
         with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
             weighted_em_train(init, table, TrainingConfig(iterations=1))
 
@@ -311,7 +272,7 @@ def test_weight_one_reduction_bit_identical():
     init = initialize_model(3, 4, 1)
     cfg = TrainingConfig(iterations=15)
     classical = em_train(init, Dataset(seqs), cfg)
-    table = ClusterTable(0, [ClusterEntry(s, 1) for s in seqs])
+    table = ClusterTable(Dataset(seqs), [1] * len(seqs))
     weighted = weighted_em_train(init, table, cfg)
     assert np.array_equal(classical.final_model.pi, weighted.final_model.pi)
     assert np.array_equal(classical.final_model.a, weighted.final_model.a)
@@ -323,7 +284,7 @@ def test_two_copy_equivalence():
     s = np.array([3, 1, 1, 0, 2])
     init = initialize_model(2, 4, 7)
     cfg = TrainingConfig(iterations=20)
-    weighted = weighted_em_train(init, ClusterTable(0, [ClusterEntry(s, 2)]), cfg)
+    weighted = weighted_em_train(init, ClusterTable(Dataset([s]), [2]), cfg)
     classical = em_train(init, Dataset([s, s]), cfg)
     ll_w = weighted.per_iteration_log_likelihood
     ll_c = classical.per_iteration_log_likelihood
@@ -341,9 +302,7 @@ def test_weight_scale_invariance():
     cfg = TrainingConfig(iterations=12)
     captured = {1: [], 7: []}
     for scale in (1, 7):
-        table = ClusterTable(
-            0, [ClusterEntry(s, w * scale) for s, w in zip(seqs, weights)]
-        )
+        table = ClusterTable(Dataset(seqs), [w * scale for w in weights])
         weighted_em_train(
             init,
             table,
@@ -365,12 +324,12 @@ def test_entry_permutation_invariance():
     init = initialize_model(2, 3, 11)
     cfg = TrainingConfig(iterations=15)
     base = weighted_em_train(
-        init, ClusterTable(0, list(map(ClusterEntry, seqs, weights))), cfg
+        init, ClusterTable(Dataset(seqs), weights), cfg
     )
     perm = rng.permutation(8)
     shuffled = weighted_em_train(
         init,
-        ClusterTable(0, [ClusterEntry(seqs[i], weights[i]) for i in perm]),
+        ClusterTable(Dataset([seqs[i] for i in perm]), [weights[i] for i in perm]),
         cfg,
     )
     assert np.abs(base.final_model.pi - shuffled.final_model.pi).max() < 1e-10
@@ -387,9 +346,28 @@ def test_zero_occupancy_rows_carried_over():
     data = Dataset([np.array([0, 1, 0])])
     trace = em_train(init, data, TrainingConfig(iterations=2))
     assert any("state 1" in w for w in trace.warnings)
+    a_note = "has zero expected transition count; A row carried over"
+    b_note = "has zero expected occupancy; B row carried over"
+    assert trace.warnings == [
+        f"iteration {it}: state 1 {note}" for it in (1, 2) for note in (a_note, b_note)
+    ]
     assert trace.final_model.a[1].tolist() == [0.3, 0.7]
     assert trace.final_model.b[1].tolist() == [0.2, 0.8]
     assert validate_model(trace.final_model) == []
+
+    # a length-1 sequence has no transitions, so state 0 carries over its A
+    # row only: notes run by state, each state's A note before its B note
+    init = make(
+        [1.0, 0.0, 0.0],
+        [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.3, 0.3, 0.4]],
+        [[0.5, 0.5], [0.2, 0.8], [0.5, 0.5]],
+    )
+    trace = em_train(init, Dataset([np.array([0])]), TrainingConfig(iterations=1))
+    assert trace.warnings == [
+        f"iteration 1: state {i} {note}"
+        for i, note in [(0, a_note), (1, a_note), (1, b_note), (2, a_note), (2, b_note)]
+    ]
+    assert trace.final_model.a.tolist() == init.a.tolist()
 
 
 def test_ascent_and_stochasticity_every_iteration():
@@ -472,7 +450,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="ll_tolerance"):
         em_train(init, data, TrainingConfig(iterations=1, ll_tolerance=-1.0))
     with pytest.raises(ValueError, match="empty cluster table"):
-        weighted_em_train(init, ClusterTable(0, []), TrainingConfig(iterations=1))
+        weighted_em_train(init, ClusterTable(Dataset([]), []), TrainingConfig(iterations=1))
 
 
 def test_trace_timing_and_csv(tmp_path):
