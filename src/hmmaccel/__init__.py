@@ -17,6 +17,7 @@ from .clustering import (
 from .dtw import DtwResult, dtw_distance, euclidean_distance
 from .inference import (
     ImpossibleSequenceError,
+    length_blocks,
     likelihood,
     score_block,
     viterbi,
@@ -60,6 +61,7 @@ __all__ = [
     "euclidean_distance",
     "filter_low_weight",
     "initialize_model",
+    "length_blocks",
     "likelihood",
     "load_cluster_table",
     "load_distinct_sequences",

@@ -99,6 +99,14 @@ def _cmd_train(args) -> int:
     config = TrainingConfig(iterations=args.iterations, ll_tolerance=args.ll_tolerance)
     if weighted:
         table = load_cluster_table(args.input)
+        values = table.reps.values  # not empty, and no symbol is negative
+        if values.max() >= init.n_symbols:
+            at = int(np.argmax(values >= init.n_symbols))
+            i = int(np.searchsorted(table.reps.offsets, at, side="right")) - 1
+            raise ValueError(
+                f"cluster file {args.input}: cluster {i} uses symbol {values[at]}, "
+                f"out of range for a model with {init.n_symbols} symbols"
+            )
         trace = weighted_em_train(init, table, config)
     else:
         data = load_sequences(args.input, n_symbols=init.n_symbols)
@@ -118,10 +126,10 @@ def _cmd_train(args) -> int:
 
 
 def _score_file(args, block_lines) -> int:
-    """Run `block_lines(model, obs, lengths)` on each packed block of the
-    sequence file's distinct lines and print one line per sequence, in
-    input order. Every sequence is checked against the model before
-    anything is printed.
+    """Run `block_lines(model, block)` on each packed block of the sequence
+    file's distinct lines and print one line per sequence, in input order.
+    Every sequence is checked against the model before anything is
+    printed.
 
     A repeated line is scored once: a sequence's result does not depend on
     its block, so its repeats print the same bits. Blocks go up to
@@ -133,26 +141,26 @@ def _score_file(args, block_lines) -> int:
     lines = [""] * len(data)
     blocks = length_blocks(data, model.n_symbols, SCORE_STEPS)
     del data  # the blocks hold their own copy of every symbol
-    for rows, obs, lengths in blocks:
-        for row, line in zip(rows.tolist(), block_lines(model, obs, lengths)):
+    for block in blocks:
+        for row, line in zip(block.rows.tolist(), block_lines(model, block)):
             lines[row] = line
     sys.stdout.write("".join(map(lines.__getitem__, inverse.tolist())))
     return 0
 
 
-def _eval_lines(model, obs, lengths) -> list[str]:
-    return [f"{ll!r}\n" for ll in score_block(model, obs, lengths).tolist()]
+def _eval_lines(model, block) -> list[str]:
+    return [f"{ll!r}\n" for ll in score_block(model, block).tolist()]
 
 
-def _decode_lines(model, obs, lengths) -> list[str]:
-    paths, log_probs = viterbi_block(model, obs, lengths)
+def _decode_lines(model, block) -> list[str]:
+    paths, log_probs = viterbi_block(model, block)
     names = [str(i) for i in range(model.n_states)]
     # one row at a time to a list, so that the block's paths are never all
     # Python ints at once
     return [
         "-inf\n" if lp == -math.inf
         else " ".join([names[s] for s in path[:t].tolist()]) + f"\t{lp!r}\n"
-        for path, t, lp in zip(paths, lengths.tolist(), log_probs.tolist())
+        for path, t, lp in zip(paths, block.lengths.tolist(), log_probs.tolist())
     ]
 
 

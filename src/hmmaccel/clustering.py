@@ -54,12 +54,14 @@ class ClusterTable:
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.int64)
+        message = f"weights must hold {len(self.reps)} integers >= 1, one per representative"
+        try:
+            weights = np.array(self.weights, dtype=np.int64)
+        except OverflowError:  # a Python int outside int64
+            raise ValueError(message) from None
         if (weights.shape != (len(self.reps),) or (weights < 1).any()
                 or not np.array_equal(weights, self.weights)):  # no fraction cut off, no wrap
-            raise ValueError(
-                f"weights must hold {len(self.reps)} integers >= 1, one per representative"
-            )
+            raise ValueError(message)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 

@@ -6,38 +6,42 @@ log-likelihood is recovered exactly as -sum(log c_t) and no underflow can
 occur at any sequence length (Rabiner 1989, section V.A). The backward pass
 reuses the same coefficients.
 
-Training, scoring and decoding all run on packed blocks, in the layout of
-PyTorch's `pack_padded_sequence`. `length_blocks` sorts a Dataset's
-sequences longest first (stably, so a single-length corpus keeps input
-order), cuts that order into blocks of a capped number of padded
-sequence-steps (BLOCK_STEPS for training, SCORE_STEPS for scoring and
-decoding), and gathers each block from the flat buffer as a right-padded
-(B, T) array with its B lengths. Since the rows are sorted, the sequences
-still running at step t are a prefix of the block, and every recursion
-works on that prefix only. `_forward_block` runs the scaled forward pass,
-two batched matmuls per time step (the transition and the row sums).
-`estep_block` keeps the whole (T, B, N) alpha and adds the backward pass
-and the block's weighted expected counts, taken over the valid steps only
-and never building a per-sequence xi. `score_block` runs it with no
-history, keeping only the coefficients, and turns them into one
-log-likelihood per sequence. `viterbi_block` runs the max-product
-recursion with one-byte back-pointers. Neither holds a (T, B, N) float
-array, so their blocks can be 8 times the size of training's.
-`likelihood` and `viterbi` are the one-sequence case of `score_block` and
-`viterbi_block`. The tests keep a per-sequence forward-backward that
-returns every posterior, and check the block functions against it.
+Training, scoring and decoding all run on packed blocks, and
+`length_blocks` is the one place that makes them. It checks a Dataset's
+symbols once, sorts its sequences longest first (stably, so a
+single-length corpus keeps input order), cuts that order into blocks of a
+capped number of padded sequence-steps (BLOCK_STEPS for training,
+SCORE_STEPS for scoring and decoding), and gathers each block's symbols
+in the t-major order of PyTorch's `pack_padded_sequence`: step t holds
+the symbols of the B_t sequences still running at t. Since the rows are
+sorted, those are a prefix of the block, and every recursion works on
+that prefix only, reading each step's symbols as one contiguous run.
+`_forward_block` runs the scaled forward pass, two batched matmuls per
+time step (the transition and the row sums). `estep_block` keeps the
+packed alpha and adds the backward pass and the block's weighted expected
+counts, all in packed order, never building a per-sequence xi.
+`score_block` runs the forward pass with no history, keeping only the
+coefficients, and turns them into one log-likelihood per sequence.
+`viterbi_block` runs the max-product recursion with one-byte
+back-pointers. Neither holds a (T, B, N) float array, so their blocks can
+be 8 times the size of training's. `likelihood` and `viterbi` are the
+one-sequence case of `score_block` and `viterbi_block`. The tests keep a
+per-sequence forward-backward and padded block scorers, and check the
+packed kernels against them.
 
 A sequence gets the same score and path, bit for bit, whatever block it
 sits in, at whatever row and beside whatever lengths: see `score_block`
 and `viterbi_block`.
 
 Model validity is the caller's precondition (see model.validate_model);
-symbol range is checked here because it is an indexing hazard.
+symbol range is an indexing hazard, so `length_blocks` checks it, and the
+kernels trust its blocks.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,30 +74,35 @@ class ImpossibleSequenceError(ValueError):
         self.rows = rows
 
 
-def _check_symbols(model: HmmModel, obs: np.ndarray) -> None:
-    if obs.size == 0:
-        raise ValueError("empty sequence")
-    lo, hi = int(obs.min()), int(obs.max())
-    if lo < 0 or hi >= model.n_symbols:
-        raise ValueError(
-            f"symbol out of range: sequence uses {lo}..{hi}, "
-            f"model has {model.n_symbols} symbols"
-        )
+class Block(NamedTuple):
+    """B sequences of a Dataset, packed by `length_blocks`.
+
+    `rows` holds their input positions and `lengths` their lengths, longest
+    first, from T down to at least 1. `symbols` holds the symbols of the
+    valid (t, b) steps in t-major order: sequence rows[b]'s symbol at step
+    t sits at first_t + b, where first_t = B_0 + ... + B_{t-1}. One spare
+    in-range symbol follows the last step. `sizes` is
+    [B_0, ..., B_{T-1}, 0], where B_t counts the sequences still running
+    at step t, which are the block's first B_t rows.
+    """
+
+    rows: np.ndarray
+    lengths: np.ndarray
+    symbols: np.ndarray
+    sizes: list[int]
 
 
-def length_blocks(data: Dataset, n_symbols, steps=None):
-    """Packed blocks of a Dataset as (rows, obs, lengths): the input
-    positions of the block's B sequences, their symbols right-padded to
-    (B, T), and their B lengths.
+def length_blocks(data: Dataset, n_symbols, steps=None) -> list[Block]:
+    """The packed blocks of a Dataset.
 
     Sequences are sorted longest first, stably, so equal lengths keep
     input order, and the sorted order is cut into blocks of at most
     `steps` padded sequence-steps (BLOCK_STEPS when None; a longer
     sequence gets a block of its own) and at most BLOCK_STEPS rows, which
     bounds the per-row state of scoring and decoding, a few (N,) or
-    (N, N) arrays per row, at short lengths. A row is padded with copies
-    of its last symbol. Rejects the first empty sequence or sequence with
-    a symbol outside [0, n_symbols), by its 1-based position.
+    (N, N) arrays per row, at short lengths. Rejects the first empty
+    sequence or sequence with a symbol outside [0, n_symbols), by its
+    1-based position.
     """
     steps = BLOCK_STEPS if steps is None else steps
     values, offsets, lengths = data.values, data.offsets, data.lengths
@@ -116,148 +125,128 @@ def length_blocks(data: Dataset, n_symbols, steps=None):
         t_len = int(lengths[order[lo]])
         rows = order[lo : lo + max(1, min(steps // t_len, BLOCK_STEPS))]
         lens = lengths[rows]
-        at = np.minimum(np.arange(t_len), lens[:, None] - 1)
-        at += offsets[rows][:, None]
-        blocks.append((rows, values[at], lens))
+        at = np.add.outer(np.arange(t_len), offsets[rows]).ravel()  # t * B + b: row b at t
+        if lens[-1] < t_len:  # keep the valid steps only
+            at = at[(np.arange(t_len)[:, None] < lens).ravel()]
+        symbols = np.empty(len(at) + 1, dtype=np.int64)
+        values.take(at, out=symbols[:-1], mode="clip")  # "clip": no buffered copy
+        symbols[-1] = symbols[0]  # the spare
+        # B_t counts the lengths > t, which searchsorted finds in the ascending -lens
+        sizes = np.searchsorted(-lens, -np.arange(t_len + 1)).tolist()
+        blocks.append(Block(rows, lens, symbols, sizes))
         lo += len(rows)
     return blocks
 
 
-def _batch_sizes(obs: np.ndarray, lengths) -> list[int]:
-    """[B_0, ..., B_{T-1}, 0]: how many rows of a block obs (B, T) are still
-    running at each step. `lengths` must run longest first, from T down to
-    at least 1; None means every row has length T."""
-    b_len, t_len = obs.shape
-    if lengths is None:
-        return [b_len] * t_len + [0]
-    lengths = np.asarray(lengths)
-    if (
-        lengths.shape != (b_len,)
-        or lengths[0] != t_len
-        or lengths[-1] < 1
-        or (lengths[1:] > lengths[:-1]).any()
-    ):
-        raise ValueError(
-            f"lengths must run longest first from {t_len} down to at least 1, "
-            f"one per row of a ({b_len}, {t_len}) block"
-        )
-    if lengths[-1] == t_len:
-        return [b_len] * t_len + [0]
-    # B_t counts the lengths > t, which searchsorted finds in the ascending -lengths
-    return np.searchsorted(-lengths, -np.arange(t_len + 1)).tolist()
+def step_weights(block: Block, weights: np.ndarray) -> np.ndarray:
+    """Each valid step's weight, packed as the block's symbols are: the
+    weight of sequence rows[b] at each of its steps. `weights` is indexed
+    by input position."""
+    running = np.arange(len(block.sizes) - 1)[:, None] < block.lengths
+    return np.broadcast_to(weights[block.rows], running.shape)[running]
 
 
-def _forward_block(model: HmmModel, obs: np.ndarray, sizes: list[int], history: bool = True):
-    """Scaled forward pass over a block obs (B, T) of int64 symbols, with
-    `sizes` from `_batch_sizes`. Each step gathers its own emission
-    probabilities, so the block holds no padded (T, B, N) emission array.
+def _forward_block(model: HmmModel, block: Block, history: bool = True):
+    """Scaled forward pass over a block. Each step gathers the emission
+    probabilities of its own symbols, so the block holds no padded
+    (T, B, N) emission array.
 
-    With history, as training needs it, returns the emissions of the valid
-    (t, b) steps in `pack_padded_sequence` order, (sum_t B_t, N), which is
-    where each step gathers them; the normalized alpha, laid out (T, B, N)
-    so that each step works on one contiguous (B_t, N) prefix; and the
-    coefficients c (T, B). Without, as scoring needs it, alpha lives in a
-    two-row ring (2, B, N), each step's emissions in one (B, N) buffer,
-    and only c comes back, as a (T, B) view of a (B, T) array; the block
-    then holds no (T, B, N) array at all. Entries of alpha and c past a
-    row's length are padding. A row with probability 0 gets a non-finite
-    c from the step where it dies.
+    With history, as training needs it, returns the emissions and the
+    normalized alpha of the valid steps in the block's packed order,
+    each (sum_t B_t, N), and the coefficients c (T, B). Without, as
+    scoring needs it, alpha and the emissions live in two-slot rings and
+    only c comes back, as a (T, W) view of a (W, T) array, where W is B
+    but at least 2; the block then holds no (T, B, N) array at all.
+    Entries of c past a row's length are padding. A row with probability
+    0 gets a non-finite c from the step where it dies.
 
     Each step's row sums come from a matmul with an all-ones (N, N)
     matrix, which puts a row's sum in every column with bits that depend
     on that row alone, as the transition matmul's do; a BLAS gemv
     (x @ ones(N)) rounds a row by the row count and the row's offset.
     numpy sends a one-row matmul down another BLAS path than a multi-row
-    one, so in a block of two or more rows a step runs on at least two;
-    the second is padding once its own sequence has ended. Both modes do
-    the same arithmetic, so they give the same c bits.
+    one, so in a block of two or more rows, and in every scoring block, a
+    step runs on at least two. The second is padding once its own
+    sequence has ended, and reads the symbol after the step's last: the
+    next step's first, or the block's spare. Both modes do the same
+    arithmetic, so they give the same c bits.
     """
-    _check_symbols(model, obs)
     a = model.a
     b_t = np.ascontiguousarray(model.b.T)
-    b_len, t_len = obs.shape
+    n = a.shape[0]
+    symbols, sizes = block.symbols, block.sizes
+    t_len = len(sizes) - 1
+    first = list(itertools.accumulate(sizes, initial=0))  # step t at first[t]
     if history:
-        # Step t's symbols are steps[t, :k], copied into contiguous rows,
-        # which makes the per-step gathers cost about what one gather of the
-        # whole block does; on scoring's larger blocks the copy costs more
-        # than it saves. Its emissions go to rows first[t]:first[t] + k of
-        # the packed array. A padding row run beside a lone running row
-        # writes one row on, into the next step's first row, which that step
-        # then overwrites, or into the one spare row at the end.
-        steps = np.ascontiguousarray(obs.T)
-        first = list(itertools.accumulate(sizes[:-1], initial=0))
-        alpha = np.empty((t_len, b_len, a.shape[0]))  # step t in alpha[t]
-        c = np.empty((t_len, b_len))
-        et = np.empty((first[-1] + 1, a.shape[0]))
+        # A padding row run beside a lone running row writes one row on,
+        # into the next step's first row, which that step then overwrites,
+        # or into the one spare row at the end.
+        width = sizes[0]
+        slot = first
+        alpha = np.empty((first[-1] + 1, n))
+        c = np.empty((t_len, width))
     else:
-        steps = obs.T
-        first = [0] * (t_len + 1)
-        alpha = np.empty((2, b_len, a.shape[0]))  # step t in alpha[t % 2]
-        c = np.empty(obs.shape).T
-        et = np.empty_like(alpha[0])
+        width = max(sizes[0], 2)
+        slot = [t % 2 * width for t in range(t_len)]
+        alpha = np.empty((2 * width, n))
+        c = np.empty((width, t_len)).T
+    et = np.empty_like(alpha)
     ones = np.ones_like(a)
-    sums = np.empty_like(alpha[0])
-    floor = min(2, b_len)
+    sums = np.empty((width, n))
+    floor = min(2, width)
     rows = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        # each step fills alpha[t] in place: f = (alpha[t-1] @ a) * b(o_t), c_t = 1 / sum f
+        # each step fills its alpha rows in place: f = (alpha_{t-1} @ a) * b(o_t), c_t = 1 / sum f
         for t in range(t_len):
             k = max(sizes[t], floor)
             if k != rows:  # views of the running prefix, made again only when it shrinks
                 rows = k
-                al, ck, sk = alpha[:, :k], c[:, :k, None], sums[:k]
+                ck, sk = c[:, :k, None], sums[:k]
                 sk0 = sk[:, :1]
-            at = al[t % len(al)]
+            at = alpha[slot[t] : slot[t] + k]
             # symbols are checked; "clip" lets take write straight into out
-            ek = b_t.take(steps[t, :k], axis=0, out=et[first[t] : first[t] + k], mode="clip")
+            ek = b_t.take(symbols[first[t] : first[t] + k], axis=0,
+                          out=et[slot[t] : slot[t] + k], mode="clip")
             if t == 0:
                 np.multiply(model.pi, ek, out=at)
             else:
-                np.matmul(al[(t - 1) % len(al)], a, out=at)
+                np.matmul(alpha[slot[t - 1] : slot[t - 1] + k], a, out=at)
                 at *= ek
             np.matmul(at, ones, out=sk)
             np.divide(1.0, sk0, out=ck[t])
             at *= ck[t]
-    return (et[:-1], alpha, c) if history else c
+    return (et[:-1], alpha[:-1], c) if history else c
 
 
 def _length_runs(sizes: list[int]):
     """(lo, hi, T) for each run of rows [lo, hi) of one length T in a block,
-    from its `_batch_sizes`: the rows of length T are [B_T, B_{T-1})."""
+    from its sizes: the rows of length T are [B_T, B_{T-1})."""
     return [(sizes[t], sizes[t - 1], t) for t in range(len(sizes) - 1, 0, -1)
             if sizes[t] < sizes[t - 1]]
 
 
 def estep_block(
     model: HmmModel,
-    obs: np.ndarray,
-    w: np.ndarray,
+    block: Block,
+    wp: np.ndarray,
     pi_num: np.ndarray,
     a_num: np.ndarray,
     b_num_mt: np.ndarray,
-    lengths=None,
 ) -> float:
     """Add the weighted expected counts of a block of sequences in place.
 
-    obs is (B, T), B sequences right-padded to the longest, with `lengths`
-    as for `score_block`; w holds their B weights. Adds
+    wp holds the block's per-step weights, from `step_weights`. Adds
     sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t xi_t^b to a_num
     (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b to b_num_mt[k] (M, N),
     and returns sum_b w_b log P(obs_b). Each xi_t is normalized by its own
     sum, but is only ever summed over t and b, so no (B, T, N, N) array is
-    made.
-
-    The forward pass runs on the padded block and gathers the emissions
-    straight into `pack_padded_sequence` order, valid (t, b) steps only;
-    its alpha is then gathered once into that order, where the backward
-    pass and the counts work. A block of one length is in that order
-    already and needs no gather.
+    made. The backward pass and the counts work in the block's packed
+    order, valid (t, b) steps only: step t's B_t rows are
+    [off[t], off[t + 1]).
     """
-    obs = np.asarray(obs, dtype=np.int64)
-    w = np.asarray(w, dtype=float)
-    sizes = _batch_sizes(obs, lengths)
-    bt, alpha, c = _forward_block(model, obs, sizes)
-    b_len, t_len = obs.shape
+    sizes = block.sizes
+    bt, alpha, c = _forward_block(model, block)
+    b_len, t_len = sizes[0], len(sizes) - 1
     n = model.n_states
     a = model.a
     ones = np.ones(n)
@@ -269,13 +258,7 @@ def estep_block(
     if dead.any():
         raise ImpossibleSequenceError(rows=np.flatnonzero(dead))
 
-    # From here on every array holds the valid (t, b) entries only, t-major
-    # as in pack_padded_sequence: step t's B_t rows are [off[t], off[t + 1]).
-    one_length = sizes[t_len - 1] == b_len  # then the padded alpha is packed already
-    valid = np.s_[:] if one_length else np.flatnonzero(np.arange(t_len)[:, None] < lengths)
-    alpha = alpha.reshape(-1, n)[valid]
     off = list(itertools.accumulate(sizes, initial=0))
-
     beta = np.empty_like(bt)
     beta[off[t_len - 1] :] = 1.0
     for t in range(t_len - 2, -1, -1):
@@ -292,18 +275,18 @@ def estep_block(
     gamma = beta  # alpha * beta, in place: beta is not read again
     gamma *= alpha
     del beta
-    wp = np.repeat(w[None], t_len, axis=0).reshape(-1)[valid]
     gamma *= (wp / (gamma @ ones))[:, None]  # weighted posteriors
     pi_num += gamma[:b_len].sum(axis=0)
-    symbols = obs.T.reshape(-1)[valid]
+    symbols = block.symbols[:-1]
     for j in range(n):
         b_num_mt[:, j] += np.bincount(symbols, weights=gamma[:, j], minlength=model.n_symbols)
     del gamma
 
     if t_len > 1:
         # xi_t(i, j) = alpha_{t-1}(i) a_ij v_t(j) / norm_t, with alpha_{t-1}
-        # taken at the same b: the entry off[t - 1] + b of each off[t] + b
-        if one_length:
+        # taken at the same b: the entry off[t - 1] + b of each off[t] + b,
+        # which in a block of one length is always b_len entries back
+        if sizes[t_len - 1] == b_len:
             prev = alpha[:-b_len]
         else:
             prev = alpha[np.arange(b_len, len(alpha)) - np.repeat(sizes[:-2], sizes[1:-1])]
@@ -312,46 +295,35 @@ def estep_block(
         f *= v
         prev *= (wp[b_len:] / (f @ ones))[:, None]
         a_num += a * (prev.T @ v)
-    return float(w @ ll)
+    return float(wp[:b_len] @ ll)
 
 
-def score_block(model: HmmModel, obs: np.ndarray, lengths=None) -> np.ndarray:
-    """log P(obs_b | model) for each row of a block obs (B, T), or -inf
-    where the row has probability 0.
-
-    `lengths` gives each row's length, longest first, from T down; a row
-    is right-padded past its length with any in-range symbols. None means
-    every row has length T.
+def score_block(model: HmmModel, block: Block) -> np.ndarray:
+    """log P(sequence | model) for each row of a block, or -inf where the
+    row has probability 0.
 
     A row gets the same bits whatever block it sits in. Each step's
     matmuls give a row bits that depend on that row alone (see
-    `_forward_block`); a lone row runs as two copies, so that every
-    matmul takes the multi-row BLAS path; and each row's -sum_t log c_t
-    is summed along a contiguous run of exactly its own steps, the order
-    numpy uses for a 1-D array, where summing the (T, B) columns would use
-    another order for one row than for several.
+    `_forward_block`), and every step runs on at least two rows, so that
+    every matmul takes the multi-row BLAS path; and each row's
+    -sum_t log c_t is summed along a contiguous run of exactly its own
+    steps, the order numpy uses for a 1-D array, where summing the (T, B)
+    columns would use another order for one row than for several.
     """
-    obs = np.asarray(obs, dtype=np.int64)
-    lone = obs.shape[0] == 1
-    if lone:
-        obs = np.repeat(obs, 2, axis=0)
-        lengths = None if lengths is None else np.repeat(lengths, 2)
-    sizes = _batch_sizes(obs, lengths)
-    ct = _forward_block(model, obs, sizes, history=False).T  # (B, T), contiguous
-    ll = np.empty(obs.shape[0])
+    ct = _forward_block(model, block, history=False).T  # (W, T), contiguous
+    ll = np.empty(len(block.rows))
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(ct, out=ct)
-        for lo, hi, t_end in _length_runs(sizes):
+        for lo, hi, t_end in _length_runs(block.sizes):
             ll[lo:hi] = -ct[lo:hi, :t_end].sum(axis=1) + 0.0  # + 0.0: no -0.0
     ll[~np.isfinite(ll)] = -np.inf
-    return ll[:1] if lone else ll
+    return ll
 
 
-def viterbi_block(model: HmmModel, obs: np.ndarray, lengths=None):
+def viterbi_block(model: HmmModel, block: Block):
     """Most probable state path and its joint log-probability for each row
-    of a block obs (B, T), with `lengths` as for `score_block`: paths
-    (B, T) and log_probs (B,), where log_probs is -inf for a row with
-    probability 0 and a path holds 0 past its row's length.
+    of a block: paths (B, T) and log_probs (B,), where log_probs is -inf
+    for a row with probability 0 and a path holds 0 past its row's length.
 
     Ties at every argmax resolve to the lowest state index, which makes each
     path the one minimizing (q_T, ..., q_1) lexicographically among all
@@ -364,11 +336,10 @@ def viterbi_block(model: HmmModel, obs: np.ndarray, lengths=None):
     holds a state index, one byte below 257 states, and each step gathers
     its own log-emissions, so the block holds no (T, B, N) float array.
     """
-    obs = np.asarray(obs, dtype=np.int64)
-    _check_symbols(model, obs)
-    b_len, t_len = obs.shape
+    symbols, sizes = block.symbols, block.sizes
+    b_len, t_len = sizes[0], len(sizes) - 1
     n = model.n_states
-    sizes = _batch_sizes(obs, lengths)
+    first = list(itertools.accumulate(sizes, initial=0))  # step t at first[t]
 
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.pi)
@@ -383,7 +354,7 @@ def viterbi_block(model: HmmModel, obs: np.ndarray, lengths=None):
     hits = np.empty(scores.shape, dtype=bool)
     ranked = np.empty(scores.shape, dtype=index)
     best = np.empty((n, b_len))
-    delta = log_pi[:, None] + log_b.take(obs[:, 0], axis=1)  # (N, B)
+    delta = log_pi[:, None] + log_b.take(symbols[:b_len], axis=1)  # (N, B)
     rows, dk, sk, hk, rk, bk = b_len, delta, scores, hits, ranked, best
     for t in range(1, t_len):
         # scores[i, j, b]: best path ending i -> j. Rows that have ended
@@ -401,7 +372,7 @@ def viterbi_block(model: HmmModel, obs: np.ndarray, lengths=None):
         pt = psi[t, :, :rows]
         np.maximum.reduce(rk, axis=0, out=pt)
         np.subtract(n - 1, pt, out=pt)  # the lowest maximizing i
-        np.add(bk, log_b.take(obs[:rows, t], axis=1), out=dk)
+        np.add(bk, log_b.take(symbols[first[t] : first[t + 1]], axis=1), out=dk)
     del scores, hits, ranked, sk, hk, rk  # freed before the paths are made
 
     last = delta.argmax(axis=0)
@@ -418,7 +389,8 @@ def viterbi_block(model: HmmModel, obs: np.ndarray, lengths=None):
 
 def likelihood(model: HmmModel, seq) -> float:
     """log P(sequence | model): the one-row case of `score_block`."""
-    ll = float(score_block(model, np.asarray(seq, dtype=np.int64)[None])[0])
+    (block,) = length_blocks(Dataset([seq]), model.n_symbols)
+    ll = float(score_block(model, block)[0])
     if ll == -np.inf:
         raise ImpossibleSequenceError("impossible sequence")
     return ll
@@ -427,7 +399,8 @@ def likelihood(model: HmmModel, seq) -> float:
 def viterbi(model: HmmModel, seq):
     """Most probable state path and its joint log-probability for one
     sequence: the one-row case of `viterbi_block`."""
-    paths, log_probs = viterbi_block(model, np.asarray(seq, dtype=np.int64)[None])
+    (block,) = length_blocks(Dataset([seq]), model.n_symbols)
+    paths, log_probs = viterbi_block(model, block)
     if log_probs[0] == -np.inf:
         raise ImpossibleSequenceError("impossible sequence")
     return paths[0], float(log_probs[0])

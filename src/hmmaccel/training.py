@@ -10,14 +10,17 @@ table, and the numerical behavior of the two modes can be compared at
 tight tolerances.
 
 The E-step runs block by block. Before the first iteration
-`inference.length_blocks` sorts the sequences longest first and cuts them
-into packed blocks of at most `inference.BLOCK_STEPS` padded
-sequence-steps, so a corpus of many lengths runs in as few blocks as one
-of a single length; every iteration then calls `inference.estep_block`
-once per block. Both trainers build their blocks the same way, so the
-summation order, and with it the weight-1 bit-identity, does not depend
-on the trainer. The tests keep a per-sequence forward-backward and its
-accumulation loop as the reference the blocks must match.
+`inference.length_blocks` checks the symbols, sorts the sequences longest
+first and cuts them into packed blocks of at most `inference.BLOCK_STEPS`
+padded sequence-steps, so a corpus of many lengths runs in as few blocks
+as one of a single length, and `inference.step_weights` lays each block's
+weights out as its steps are; every iteration then calls
+`inference.estep_block` once per block. Only the inference module knows
+the packed layout: this one reads a block's `rows` alone, to name an
+impossible sequence. Both trainers build their blocks the same way, so
+the summation order, and with it the weight-1 bit-identity, does not
+depend on the trainer. The tests keep a per-sequence forward-backward and
+its accumulation loop as the reference the blocks must match.
 
 Re-estimation per iteration, with w_m the weight of sequence m:
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterTable
-from .inference import ImpossibleSequenceError, estep_block, length_blocks
+from .inference import ImpossibleSequenceError, estep_block, length_blocks, step_weights
 from .model import Dataset, HmmModel, require_valid
 
 
@@ -103,8 +106,7 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
     if not len(data):
         raise ValueError("no training sequences")
     blocks = [
-        (rows, obs, lengths, weights[rows])
-        for rows, obs, lengths in length_blocks(data, init.n_symbols)
+        (block, step_weights(block, weights)) for block in length_blocks(data, init.n_symbols)
     ]
 
     n, m = init.n_states, init.n_symbols
@@ -122,11 +124,11 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
         total_ll = 0.0
 
         dead = []  # input positions of impossible sequences
-        for rows, obs, lengths, w in blocks:
+        for block, wp in blocks:
             try:
-                total_ll += estep_block(model, obs, w, pi_num, a_num, b_num_mt, lengths)
+                total_ll += estep_block(model, block, wp, pi_num, a_num, b_num_mt)
             except ImpossibleSequenceError as exc:
-                dead.append(rows[exc.rows].min())
+                dead.append(block.rows[exc.rows].min())
         if dead:
             raise ImpossibleSequenceError(
                 f"sequence {min(dead) + 1} is impossible under the model at iteration {it}"

@@ -6,11 +6,13 @@
 - `run_length_collapse` and `scan_clusters` are the per-sequence collapse
   and the pairwise first-match scan that keyed clustering replaced.
 - `score_block_history` and `viterbi_block_history` are `score_block` and
-  `viterbi_block` as they were before scoring dropped its history: the
+  `viterbi_block` as they were before scoring dropped its history and
+  blocks were packed: they take a right-padded (B, T) block with its B
+  lengths, as `padded_block` builds it, and check its symbols. The
   forward pass keeps the (T, B, N) emission and alpha arrays, and Viterbi
   keeps a (T, B, N) table of log-emissions and `intp` back-pointers,
   taking each argmax over the last axis of a (B, N_j, N_i) score array.
-  The tests require the library's functions to give the same bits on
+  The tests require the library's packed kernels to give the same bits on
   every row.
 """
 
@@ -19,7 +21,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from hmmaccel import HmmModel, ImpossibleSequenceError, dtw_distance, euclidean_distance
-from hmmaccel.inference import _batch_sizes, _check_symbols, _length_runs
+from hmmaccel.inference import _length_runs
+
+
+def _check_symbols(model, obs):
+    if obs.size == 0:
+        raise ValueError("empty sequence")
+    lo, hi = int(obs.min()), int(obs.max())
+    if lo < 0 or hi >= model.n_symbols:
+        raise ValueError(
+            f"symbol out of range: sequence uses {lo}..{hi}, "
+            f"model has {model.n_symbols} symbols"
+        )
+
+
+def padded_block(seqs):
+    """Sequences sorted longest first as a (B, T) block, each row padded
+    with copies of its last symbol, and their B lengths."""
+    lengths = np.array([len(s) for s in seqs])
+    at = np.minimum(np.arange(lengths[0]), lengths[:, None] - 1)
+    return np.array([np.asarray(s)[i] for s, i in zip(seqs, at)], dtype=np.int64), lengths
+
+
+def _sizes(obs, lengths):
+    """[B_0, ..., B_{T-1}, 0]: how many rows of a padded block obs (B, T)
+    are still running at each step; None means every row has length T."""
+    b_len, t_len = obs.shape
+    lengths = np.full(b_len, t_len) if lengths is None else np.asarray(lengths)
+    return [int((lengths > t).sum()) for t in range(t_len + 1)]
 
 
 @dataclass(frozen=True)
@@ -181,7 +210,7 @@ def score_block_history(model, obs, lengths=None):
     if lone:
         obs = np.repeat(obs, 2, axis=0)
         lengths = None if lengths is None else np.repeat(lengths, 2)
-    sizes = _batch_sizes(obs, lengths)
+    sizes = _sizes(obs, lengths)
     _, _, c = forward_history(model, obs, sizes)
     ct = np.ascontiguousarray(c.T)
     ll = np.empty(obs.shape[0])
@@ -198,7 +227,7 @@ def viterbi_block_history(model, obs, lengths=None):
     _check_symbols(model, obs)
     b_len, t_len = obs.shape
     n = model.n_states
-    sizes = _batch_sizes(obs, lengths)
+    sizes = _sizes(obs, lengths)
 
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.pi)

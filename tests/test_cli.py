@@ -318,6 +318,39 @@ def test_train_bad_symbol_names_file_and_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_weighted_train_bad_symbol_names_cluster_file(tmp_path, capsys):
+    init = write_json(
+        tmp_path / "init.json",
+        {
+            "n_states": 2,
+            "n_symbols": 3,
+            "pi": [0.5, 0.5],
+            "a": [[0.6, 0.4], [0.3, 0.7]],
+            "b": [[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]],
+        },
+    )
+    table = write_json(
+        tmp_path / "table.json",
+        {
+            "category_id": 0,
+            "total_weight": 3,
+            "clusters": [
+                {"representative": [0, 1], "weight": 2},
+                {"representative": [2, 7], "weight": 1},
+            ],
+        },
+    )
+    out = tmp_path / "model.json"
+    code, stdout, err = run(capsys, "train", table, str(out), "--init-model", init)
+    assert code == 1
+    assert stdout == ""
+    assert err == (
+        f"error: cluster file {table}: cluster 1 uses symbol 7, "
+        "out of range for a model with 3 symbols\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "cluster", "train"])
 def test_non_utf8_input_names_file(tmp_path, capsys, command):
     bad = tmp_path / "bad.txt"

@@ -248,7 +248,7 @@ def test_cluster_table_weights_one_per_representative():
     assert table.category_id == 2 and len(table) == 2 and table.total_weight == 5
     assert table.weights.dtype == np.int64 and not table.weights.flags.writeable
     wrapping = np.array([4, 2**63], dtype=np.uint64)
-    for weights in ([4], [4, 1, 1], [[4, 1]], 4, [4, 0], [4, 1.5], wrapping):
+    for weights in ([4], [4, 1, 1], [[4, 1]], 4, [4, 0], [4, 1.5], wrapping, [4, 2**63]):
         with pytest.raises(ValueError, match="weights must hold 2 integers >= 1"):
             ClusterTable(reps, weights)
 

@@ -3,12 +3,13 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import forward_backward, score_block_history, viterbi_block_history
+from oracles import forward_backward, padded_block, score_block_history, viterbi_block_history
 
 from hmmaccel import (
     HmmModel,
@@ -18,7 +19,14 @@ from hmmaccel import (
     viterbi,
     viterbi_block,
 )
-from hmmaccel.inference import BLOCK_STEPS, SCORE_STEPS, _forward_block, length_blocks
+from hmmaccel import inference
+from hmmaccel.inference import (
+    BLOCK_STEPS,
+    SCORE_STEPS,
+    _forward_block,
+    length_blocks,
+    step_weights,
+)
 from hmmaccel.model import Dataset
 
 
@@ -171,9 +179,9 @@ def test_length_one_sequence():
 def test_symbol_range_checked():
     rng = np.random.default_rng(37)
     model = random_model(rng, 2, 3)
-    with pytest.raises(ValueError, match="symbol out of range"):
+    with pytest.raises(ValueError, match=r"^sequence 1 uses symbols outside \[0, 3\)$"):
         likelihood(model, [0, 3])
-    with pytest.raises(ValueError, match="empty sequence"):
+    with pytest.raises(ValueError, match="^sequence 1 is empty$"):
         likelihood(model, [])
 
 
@@ -232,8 +240,9 @@ def test_blocks_match_enumeration():
         m_sym = int(rng.integers(2, 5))
         model = random_model(rng, n, m_sym)
         obs = rng.integers(0, m_sym, size=(int(rng.integers(1, 5)), int(rng.integers(1, 6))))
-        lls = score_block(model, obs)
-        paths, lps = viterbi_block(model, obs)
+        (block,) = length_blocks(Dataset(list(obs)), m_sym)
+        lls = score_block(model, block)
+        paths, lps = viterbi_block(model, block)
         assert lls.shape == lps.shape == (obs.shape[0],)
         assert paths.shape == obs.shape
         for row, ll, path, lp in zip(obs.tolist(), lls, paths, lps):
@@ -245,8 +254,9 @@ def test_blocks_match_enumeration():
 
 def test_blocks_mark_impossible_rows():
     obs = [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
-    assert score_block(DETERMINISTIC_CHAIN, obs).tolist() == [-np.inf, 0.0, -np.inf]
-    paths, lps = viterbi_block(DETERMINISTIC_CHAIN, obs)
+    (block,) = length_blocks(Dataset(obs), 2)
+    assert score_block(DETERMINISTIC_CHAIN, block).tolist() == [-np.inf, 0.0, -np.inf]
+    paths, lps = viterbi_block(DETERMINISTIC_CHAIN, block)
     assert lps.tolist() == [-np.inf, 0.0, -np.inf]
     assert paths[1].tolist() == [0, 1, 0]
 
@@ -260,26 +270,27 @@ def test_scaling_coefficients_do_not_depend_on_block(n):
     model = random_model(rng, n, 6)
     seq = rng.integers(0, 6, size=9)
 
-    def forward(obs, sizes):
-        _, _, c = _forward_block(model, obs, sizes)
-        c_scoring = _forward_block(model, obs, sizes, history=False)
-        for t, k in enumerate(sizes[:-1]):  # the running rows of each step
-            assert np.array_equal(c_scoring[t, :k], c[t, :k]), (obs.shape, t)
+    def forward(rows):
+        (block,) = length_blocks(Dataset(rows), 6)
+        _, _, c = _forward_block(model, block)
+        c_scoring = _forward_block(model, block, history=False)
+        for t, k in enumerate(block.sizes[:-1]):  # the running rows of each step
+            assert np.array_equal(c_scoring[t, :k], c[t, :k]), (len(rows), t)
         return c
 
-    c = forward(np.stack([seq, seq]), [2] * 9 + [0])
+    c = forward([seq, seq])
     expected = c[:, 0].copy()
     for b_len in (2, 3, 7, 8, 9, 68):
         for offset in sorted({0, 1, b_len // 2, b_len - 1}):
             obs = rng.integers(0, 6, size=(b_len, 9))
             obs[offset] = seq
-            c = forward(obs, [b_len] * 9 + [0])
+            c = forward(list(obs))
             assert np.array_equal(c[:, offset], expected), (b_len, offset)
         # the row leads a block of shorter rows, so the prefix shrinks to it
         lengths = np.sort(rng.integers(1, 9, size=b_len))[::-1]
         lengths[0] = 9
-        sizes = [int((lengths > t).sum()) for t in range(10)]
-        c = forward(obs[np.argsort(np.arange(b_len) != offset)], sizes)
+        obs = obs[np.argsort(np.arange(b_len) != offset)]
+        c = forward([row[:t_len] for row, t_len in zip(obs, lengths)])
         assert np.array_equal(c[:, 0], expected), b_len
 
 
@@ -289,8 +300,9 @@ def test_packed_blocks_match_per_sequence_calls():
         model = random_model(rng, int(rng.integers(1, 6)), 4)
         lengths = np.sort(rng.integers(1, 12, size=int(rng.integers(1, 9))))[::-1]
         obs = rng.integers(0, 4, size=(len(lengths), lengths[0]))
-        lls = score_block(model, obs, lengths)
-        paths, lps = viterbi_block(model, obs, lengths)
+        (block,) = length_blocks(Dataset([row[:t] for row, t in zip(obs, lengths)]), 4)
+        lls = score_block(model, block)
+        paths, lps = viterbi_block(model, block)
         for row, t_len, ll, path, lp in zip(obs, lengths, lls, paths, lps):
             exp_path, exp_lp = viterbi(model, row[:t_len])
             assert ll == likelihood(model, row[:t_len])
@@ -299,13 +311,45 @@ def test_packed_blocks_match_per_sequence_calls():
             assert not path[t_len:].any()
 
 
-def test_block_lengths_checked():
-    obs = np.zeros((3, 4), dtype=np.int64)
-    for bad in ([4, 3], [3, 3, 2], [4, 2, 3], [4, 3, 0]):
-        with pytest.raises(ValueError, match="lengths must run longest first"):
-            score_block(DETERMINISTIC_CHAIN, obs, bad)
-        with pytest.raises(ValueError, match="lengths must run longest first"):
-            viterbi_block(DETERMINISTIC_CHAIN, obs, bad)
+@st.composite
+def ragged_blocks(draw):
+    """A ragged Dataset with its symbol count, a small step cap (or None)
+    and a small BLOCK_STEPS."""
+    m = draw(st.integers(1, 5))
+    seqs = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=9),
+                         min_size=1, max_size=25))
+    steps = draw(st.none() | st.integers(1, 40))
+    return Dataset(seqs), m, steps, draw(st.integers(1, 12))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ragged_blocks())
+def test_block_invariants(case):
+    data, m, steps, block_steps = case
+    with mock.patch.object(inference, "BLOCK_STEPS", block_steps):
+        blocks = length_blocks(data, m, steps)
+    seqs, lengths = data.sequences, data.lengths.tolist()
+    order = sorted(range(len(data)), key=lambda i: -lengths[i])  # a stable sort
+    assert np.concatenate([block.rows for block in blocks]).tolist() == order
+    weights = np.arange(len(data)) + 1.0
+    for block in blocks:
+        rows, sizes = block.rows.tolist(), block.sizes
+        t_len = lengths[rows[0]]
+        assert block.lengths.tolist() == [lengths[r] for r in rows]
+        assert len(rows) <= block_steps
+        assert len(rows) == 1 or len(rows) * t_len <= (block_steps if steps is None else steps)
+        assert sizes == [sum(lengths[r] > t for r in rows) for t in range(t_len + 1)]
+        assert sizes[0] == len(rows) and sizes[-1] == 0
+        assert len(block.symbols) == sum(sizes) + 1
+        wp = step_weights(block, weights)
+        assert len(wp) == sum(sizes)
+        first = 0
+        for t, k in enumerate(sizes[:-1]):
+            for b in range(k):
+                assert block.symbols[first + b] == seqs[rows[b]][t], (t, b)
+                assert wp[first + b] == weights[rows[b]], (t, b)
+            first += k
+        assert 0 <= block.symbols[-1] < m  # the spare
 
 
 def oracle_model(rng, n, m, kind):
@@ -328,18 +372,26 @@ def oracle_model(rng, n, m, kind):
 
 def assert_blocks_match_history_oracles(model, seqs, steps):
     """Score and decode `seqs` in blocks of at most `steps` padded steps, and
-    the history oracles in training's blocks, and require the same bits."""
+    the history oracles in training's blocks, padded, and require the same
+    bits."""
     data = Dataset(seqs)
+
+    def history(block):
+        obs, lengths = padded_block([seqs[row] for row in block.rows])
+        return score_block_history(model, obs, lengths), viterbi_block_history(model, obs, lengths)
+
+    def packed(block):
+        return score_block(model, block), viterbi_block(model, block)
+
     results = []
-    for blocks, score, decode in (
-        (length_blocks(data, model.n_symbols), score_block_history, viterbi_block_history),
-        (length_blocks(data, model.n_symbols, steps), score_block, viterbi_block),
+    for blocks, run in (
+        (length_blocks(data, model.n_symbols), history),
+        (length_blocks(data, model.n_symbols, steps), packed),
     ):
         lls, lps, paths = np.empty(len(seqs)), np.empty(len(seqs)), [None] * len(seqs)
-        for rows, obs, lengths in blocks:
-            lls[rows] = score(model, obs, lengths)
-            block_paths, lps[rows] = decode(model, obs, lengths)
-            for row, path, t_len in zip(rows, block_paths, lengths):
+        for block in blocks:
+            lls[block.rows], (block_paths, lps[block.rows]) = run(block)
+            for row, path, t_len in zip(block.rows, block_paths, block.lengths):
                 paths[row] = path[:t_len].tolist()
         results.append((lls.tobytes(), lps.tobytes(), paths))
     assert results[1] == results[0]
@@ -388,8 +440,8 @@ def test_scoring_blocks_stay_small():
     for run in (score_block, viterbi_block):
         tracemalloc.start()
         try:
-            for _, obs, lengths in blocks:
-                run(model, obs, lengths)
+            for block in blocks:
+                run(model, block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -397,4 +449,4 @@ def test_scoring_blocks_stay_small():
     # short sequences fill a scoring block by rows, capped as in training
     data = Dataset(list(rng.integers(0, 40, size=(10000, 2))))
     blocks = length_blocks(data, model.n_symbols, SCORE_STEPS)
-    assert [len(rows) for rows, _, _ in blocks] == [BLOCK_STEPS, BLOCK_STEPS, 1808]
+    assert [len(block.rows) for block in blocks] == [BLOCK_STEPS, BLOCK_STEPS, 1808]

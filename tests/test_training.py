@@ -103,14 +103,14 @@ def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
     )
     weights = [int(w) for w in rng.integers(1, 5, size=len(seqs))]
     blocks = length_blocks(Dataset(seqs), 4)
-    assert [lengths.tolist() for _, _, lengths in blocks] == [
+    assert [block.lengths.tolist() for block in blocks] == [
         [t_long] * 4,
         [t_long] * 4,
         [t_long] * 4,
         [t_long] * 3 + [3],
         [3] * 4 + [1] * 3,
     ]
-    assert np.concatenate([rows for rows, _, _ in blocks]).tolist() == (
+    assert np.concatenate([block.rows for block in blocks]).tolist() == (
         list(range(5, 20)) + list(range(5)) + list(range(20, 23))
     )
     init = initialize_model(2, 4, 13)
@@ -204,7 +204,7 @@ def test_impossible_sequence_named_in_input_order_across_blocks():
     with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
         per_sequence_em(init, seqs, [1] * len(seqs), 1)
     with mock.patch.object(inference, "BLOCK_STEPS", 4):
-        blocks = [rows.tolist() for rows, _, _ in length_blocks(Dataset(seqs), 3)]
+        blocks = [block.rows.tolist() for block in length_blocks(Dataset(seqs), 3)]
         assert blocks == [[0], [3], [1, 2]]
         with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
             em_train(init, Dataset(seqs), TrainingConfig(iterations=1))
