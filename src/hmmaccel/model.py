@@ -9,11 +9,16 @@ step per sequence. All randomness goes through numpy's default_rng
 (PCG64), so sampling is reproducible given a seed.
 
 The sequence-file parser does work per distinct line rather than per
-line: a repeated line costs one dictionary lookup, and int() runs once per
-distinct token. `load_distinct_sequences` returns that work as it is, the
-distinct lines with an index from each sequence to its line, so that
-clustering, scoring and decoding can handle each distinct line once;
-`load_sequences` gathers the distinct lines back into file order.
+line: a repeated line costs one dictionary lookup. The distinct lines are
+then parsed in one of two ways. Text of ASCII digits and ASCII whitespace
+alone, with no token longer than 18 digits, as `save_sequences` writes
+it, goes through one np.fromstring call. Any other text, and any file
+with a fault, goes through int() per token of each distinct line, which
+accepts whatever int() accepts and names the first faulty line.
+`load_distinct_sequences` returns that work as it is, the distinct lines
+with an index from each sequence to its line, so that clustering, scoring
+and decoding can handle each distinct line once; `load_sequences` gathers
+the distinct lines back into file order.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ class Dataset:
 
     def __init__(self, sequences, category_id: int = 0):
         rows = [np.asarray(s, dtype=np.int64) for s in sequences]
+        for i, row in enumerate(rows, start=1):
+            if row.ndim != 1:
+                raise ValueError(f"sequence {i} is not a 1-D array")
         values = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
         self._adopt(values, _offsets([len(r) for r in rows]), category_id)
 
@@ -314,14 +322,6 @@ def save_sequences(dataset: Dataset, path) -> None:
                          for lo, hi in zip(offsets, offsets[1:])))
 
 
-class _SymbolTable(dict):
-    """token -> int(token), calling int() once per distinct token."""
-
-    def __missing__(self, tok: str) -> int:
-        value = self[tok] = int(tok)
-        return value
-
-
 def load_distinct_sequences(
     path, category_id: int = 0, n_symbols: int | None = None
 ) -> tuple[Dataset, np.ndarray]:
@@ -332,9 +332,11 @@ def load_distinct_sequences(
     faults are those of `load_sequences`.
 
     Lines are distinct as text: "1 2" and " 1 2" are two rows with equal
-    symbols. Each distinct line is parsed once, and int() runs once per
-    distinct token, so a corpus of repeats costs about one dictionary
-    lookup per line.
+    symbols. A repeated line costs one dictionary lookup. The distinct
+    lines go through `_parse_plain`, one np.fromstring call, when they hold
+    only ASCII digits and ASCII whitespace, no token longer than 18 digits
+    and no symbol out of range; anything else (`+3`, `1_0`, `٣`, a NEL
+    separator, a fault) goes through `_parse_lines`, int() per token.
     """
     index: dict[str, int] = {}  # line -> its row in `lines`, or -1 if skipped
     lines: list[str] = []  # distinct sequence lines, in order of first appearance
@@ -358,26 +360,10 @@ def load_distinct_sequences(
     if not rows:
         raise ValueError(f"{path}: no sequences found")
 
-    counts: list[int] = []
-    symbols = _SymbolTable()
-
-    def tokens():
-        for line in lines:
-            toks = line.split()
-            counts.append(len(toks))
-            yield from toks
-
-    try:
-        values = np.fromiter(map(symbols.__getitem__, tokens()), dtype=np.int64)
-        clean = min(symbols.values()) >= 0 and (
-            n_symbols is None or max(symbols.values()) < n_symbols
-        )
-    except (ValueError, OverflowError):  # not an integer, or too large for int64
-        clean = False
-    if not clean:
-        _raise_first_fault(path, lines, first_line, n_symbols)
-
-    distinct = Dataset.from_flat(values, _offsets(counts), category_id)
+    parsed = _parse_plain(lines, n_symbols)
+    values, offsets = parsed if parsed is not None else _parse_lines(
+        path, lines, first_line, n_symbols)
+    distinct = Dataset.from_flat(values, offsets, category_id)
     # with no repeats the rows come in order: the distinct lines are the file
     inverse = np.array(rows, dtype=np.int64) if len(rows) > len(lines) else np.arange(len(rows))
     return distinct, inverse
@@ -397,23 +383,59 @@ def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> 
     return distinct if len(inverse) == len(distinct) else distinct.take(inverse)
 
 
-def _raise_first_fault(path, lines, first_line, n_symbols) -> None:
-    """Raise the fault of the first bad line among the distinct lines, which
-    come in file order. A non-integer outranks a negative symbol, which
-    outranks one out of range."""
+_PLAIN = b"0123456789 \t\n\r\x0b\x0c"  # ASCII digits and ASCII whitespace
+
+
+def _parse_plain(lines, n_symbols):
+    """(values, offsets) of the distinct lines in one np.fromstring call, or
+    None unless every byte is in _PLAIN, no token has more than 18 digits
+    (so every one is below 2**63) and every symbol is below n_symbols. Each
+    line ends in one newline, except perhaps the last; none is blank."""
+    # a space before and a newline after give every token both its edges
+    raw = "".join([" ", *lines, "\n"]).encode()
+    if raw.translate(None, _PLAIN):
+        return None
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    digit = byte > 32  # every byte in _PLAIN above the space is a digit
+    edges = np.flatnonzero(digit[1:] != digit[:-1])  # token starts and ends, in turn
+    starts = edges[::2]
+    edges[1::2] -= starts  # ends become token lengths
+    if edges[1::2].max() > 18:
+        return None
+    offsets = np.zeros(len(lines) + 1, dtype=np.int64)
+    # tokens before each line's newline; the added one is spare if the last
+    # line had its own
+    offsets[1:] = np.searchsorted(starts, np.flatnonzero(byte == 10)[: len(lines)])
+    del byte, digit, edges, starts
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if values.size != offsets[-1] or (n_symbols is not None and values.max() >= n_symbols):
+        return None
+    return values, offsets
+
+
+def _parse_lines(path, lines, first_line, n_symbols):
+    """(values, offsets) of the distinct lines, which come in file order,
+    through int() per token; raises the fault of the first bad line. A
+    non-integer outranks a negative symbol, which outranks one out of range
+    or too large for 64 bits."""
+    values: list[int] = []
+    counts: list[int] = []
     for line, lineno in zip(lines, first_line):
         try:
-            values = [int(tok) for tok in line.split()]
+            row = [int(tok) for tok in line.split()]
         except ValueError:
             fault = "symbols must be base-10 integers"
         else:
-            top = max(values)
-            if min(values) < 0:
+            top = max(row)
+            if min(row) < 0:
                 fault = "negative symbol"
             elif n_symbols is not None and top >= n_symbols:
                 fault = f"symbol {top} is out of range for a model with {n_symbols} symbols"
             elif top >= 2**63:
                 fault = f"symbol {top} does not fit in 64 bits"
             else:
+                values += row
+                counts.append(len(row))
                 continue
         raise ValueError(f"{path}: line {lineno}: {fault}")
+    return np.array(values, dtype=np.int64), _offsets(counts)

@@ -2,10 +2,11 @@
 
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmmaccel import (
@@ -18,6 +19,7 @@ from hmmaccel import (
     save_sequences,
     validate_model,
 )
+from hmmaccel import model as model_module
 from hmmaccel.model import Dataset, require_valid
 
 
@@ -465,6 +467,69 @@ def test_load_sequences_matches_per_line_oracle(tmp_path_factory, case):
     assert_parses_like_oracle(path, n_symbols)
 
 
+@st.composite
+def plain_files(draw):
+    """A sequence file of the plain kind that `save_sequences` writes and
+    `_parse_plain` reads: tokens of 1-19 ASCII digits, with leading zeros
+    and values up to 2**63 - 1, separated by ASCII whitespace, among blank
+    lines, comments and repeated lines. Returns the file's text and an
+    n_symbols (or None)."""
+    value = st.one_of(st.integers(0, 30), st.integers(0, 2**63 - 1))
+    token = st.builds(lambda v, width: str(v).zfill(width), value, st.integers(1, 19))
+    space = st.sampled_from([" ", "  ", "\t", "\v", "\f", " \t "])
+
+    @st.composite
+    def row(draw):
+        parts = [draw(space) + t for t in draw(st.lists(token, min_size=1, max_size=6))]
+        return draw(st.sampled_from(["", " ", "\t"])) + "".join(parts)[1:] + draw(
+            st.sampled_from(["", " ", "\f"])
+        )
+
+    other = st.sampled_from(["", "   ", "# note 1 2", "\t# 99999999999999999999"])
+    pool = draw(st.lists(st.one_of(row(), row(), other), min_size=1, max_size=8))
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    n_symbols = draw(st.one_of(st.none(), st.integers(1, 40)))
+    return ending.join(lines) + draw(st.sampled_from(["", ending])), n_symbols
+
+
+def distinct_outcome(path, n_symbols):
+    """values, offsets and inverse of `load_distinct_sequences` as lists,
+    or the ValueError message."""
+    try:
+        distinct, inverse = load_distinct_sequences(path, n_symbols=n_symbols)
+    except ValueError as exc:
+        return str(exc)
+    return distinct.values.tolist(), distinct.offsets.tolist(), inverse.tolist()
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(plain_files())
+@example(("123456789012345678 0\n", None))  # 18 digits: the one-call parse
+@example(("9223372036854775807\n", None))  # 19 digits: int() per token
+@example(("1 9223372036854775808\n", None))  # the 64-bit fault
+@example(("1\x1c2\n", None))  # a separator str.split accepts and the guard does not
+def test_plain_files_parse_alike_on_both_paths(tmp_path_factory, case):
+    text, n_symbols = case
+    path = tmp_path_factory.mktemp("plain") / "seqs.txt"
+    path.write_bytes(text.encode("utf-8"))
+    if "9223372036854775808" in text:  # the oracle reads any int, so check the fault here
+        outcome = parse_outcome(load_sequences, path, n_symbols)
+        assert outcome == f"{path}: line 1: symbol 9223372036854775808 does not fit in 64 bits"
+    else:
+        outcome = assert_parses_like_oracle(path, n_symbols)
+
+    with mock.patch.object(model_module, "_parse_lines", wraps=model_module._parse_lines) as slow:
+        fast = distinct_outcome(path, n_symbols)
+    tokens = [t for line in text.split("\n") if not line.lstrip().startswith("#")
+              for t in line.split()]
+    if tokens:  # else no sequences, and neither path runs
+        plain = "\x1c" not in text and max(map(len, tokens)) <= 18 and isinstance(outcome, list)
+        assert slow.called != plain
+    with mock.patch.object(model_module, "_parse_plain", return_value=None):
+        assert distinct_outcome(path, n_symbols) == fast
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=7), min_size=1,
                 max_size=12))
@@ -479,6 +544,16 @@ def test_sequence_file_round_trip_property(tmp_path_factory, rows):
     assert loaded.values.tolist() == data.values.tolist()
     save_sequences(loaded, path.with_suffix(".again"))
     assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "sequences, number",
+    [([[[0, 1], [1, 2]]], 1), ([5], 1), ([[0, 1], [[2]]], 2)],
+    ids=["2-d", "scalar", "second"],
+)
+def test_dataset_rejects_rows_that_are_not_1d(sequences, number):
+    with pytest.raises(ValueError, match=f"^sequence {number} is not a 1-D array$"):
+        Dataset(sequences)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
