@@ -126,6 +126,8 @@ def run_bench(
     """
     if not sizes:
         raise ValueError("no corpus sizes")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     row_seeds = [int(rng.integers(2**63)) for _ in sizes]
     return [

@@ -222,31 +222,24 @@ def _add_renormalize(parser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hmmaccel",
-        description="Discrete-HMM training accelerated by weighted sequence clustering.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="sample sequences from a model into a file")
+def _gen_args(p) -> None:
     p.add_argument("model", help="model JSON file")
     p.add_argument("out", help="output sequence file")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_renormalize(p)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("cluster", help="cluster a sequence file into a weighted table")
+
+def _cluster_args(p) -> None:
     p.add_argument("input", help="sequence file")
     p.add_argument("out", help="output cluster table JSON")
     p.add_argument("--distance", choices=("dtw", "euclidean"), default="dtw")
     p.add_argument("--min-weight", type=int, default=None, help="drop clusters below this weight")
     p.add_argument("--category-id", type=int, default=0)
-    p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("train", help="train a model on a sequence or cluster file")
+
+def _train_args(p) -> None:
     p.add_argument("input", help="sequence file (classical) or cluster JSON (weighted)")
     p.add_argument("out", help="output model JSON")
     p.add_argument("--iterations", type=int, default=50)
@@ -257,27 +250,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ll-tolerance", type=float, default=None, help="early-stop threshold")
     p.add_argument("--trace", default=None, help="trace CSV path (default: OUT.trace.csv)")
     _add_renormalize(p)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="log-likelihood of each sequence in a file")
+
+def _score_args(p) -> None:
     p.add_argument("model")
     p.add_argument("input", help="sequence file")
     _add_renormalize(p)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("decode", help="Viterbi state path of each sequence in a file")
-    p.add_argument("model")
-    p.add_argument("input", help="sequence file")
-    _add_renormalize(p)
-    p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("dist", help="pairwise distances between two sequence files")
+def _dist_args(p) -> None:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--distance", choices=("dtw", "euclidean"), default="dtw")
-    p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("bench", help="classical vs cluster-weighted training benchmark")
+
+def _bench_args(p) -> None:
     p.add_argument("--model", default=None, help="generator model JSON (default: bundled)")
     p.add_argument("--sizes", default=DEFAULT_BENCH_SIZES, help="comma-separated corpus sizes")
     p.add_argument("--length", type=int, default=5)
@@ -286,13 +273,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--distance", choices=("dtw", "euclidean"), default="euclidean")
     p.add_argument("--csv", default=None, help="also write the report as CSV here")
-    p.set_defaults(func=_cmd_bench)
 
+
+# name: (help, argument adder, handler), in the order that --help lists them
+COMMANDS = {
+    "gen": ("sample sequences from a model into a file", _gen_args, _cmd_gen),
+    "cluster": ("cluster a sequence file into a weighted table", _cluster_args, _cmd_cluster),
+    "train": ("train a model on a sequence or cluster file", _train_args, _cmd_train),
+    "eval": ("log-likelihood of each sequence in a file", _score_args, _cmd_eval),
+    "decode": ("Viterbi state path of each sequence in a file", _score_args, _cmd_decode),
+    "dist": ("pairwise distances between two sequence files", _dist_args, _cmd_dist),
+    "bench": ("classical vs cluster-weighted training benchmark", _bench_args, _cmd_bench),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one named `only`. The second
+    prints the same usage line as the first, so that an error its top level
+    reports (an extra argument) reads the same."""
+    parser = argparse.ArgumentParser(
+        prog="hmmaccel",
+        description="Discrete-HMM training accelerated by weighted sequence clustering.",
+    )
+    # Only here: in the full parser a metavar would also replace `command`
+    # in the missing-command and invalid-choice errors.
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_args, func) in COMMANDS.items():
+        if only is None or name == only:
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command builds only its own parser; anything else (no
+    # arguments, --help, a typo) gets the full one and its messages
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _exact_int, _offsets, _write_json
+from .model import Dataset, _exact_int, _offsets
 
 DISTANCES = ("dtw", "euclidean")
 
@@ -171,19 +171,22 @@ def filter_low_weight(table: ClusterTable, min_weight: int) -> ClusterTable:
 
 
 def save_cluster_table(table: ClusterTable, path) -> None:
-    """Write a cluster table as JSON, one cluster per line."""
+    """Write a cluster table as JSON, one cluster per line, in the layout of
+    `_write_json`. A representative is a list of Python ints, whose repr is
+    its JSON, so each cluster is formatted without json."""
     values, offsets = table.reps.values.tolist(), table.reps.offsets.tolist()
-    _write_json(
-        {
-            "category_id": table.category_id,
-            "total_weight": table.total_weight,
-            "clusters": [
-                {"representative": values[lo:hi], "weight": w}
-                for lo, hi, w in zip(offsets, offsets[1:], table.weights.tolist())
-            ],
-        },
-        path,
+    body = ",\n    ".join([
+        '{"representative": %s, "weight": %d}' % (values[lo:hi], w)
+        for lo, hi, w in zip(offsets, offsets[1:], table.weights.tolist())
+    ])
+    clusters = f"[\n    {body}\n  ]" if body else "[]"
+    text = (
+        f'{{\n  "category_id": {json.dumps(table.category_id)},\n'
+        f'  "total_weight": {table.total_weight},\n'
+        f'  "clusters": {clusters}\n}}\n'
     )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _bulk_table(clusters, category_id):

@@ -199,6 +199,8 @@ def sample_sequences(
         raise ValueError(f"count must be >= 1, got {count}")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     cum_pi = np.cumsum(model.pi)
@@ -336,7 +338,7 @@ def load_distinct_sequences(
     lines go through `_parse_plain`, one np.fromstring call, when they hold
     only ASCII digits and ASCII whitespace, no token longer than 18 digits
     and no symbol out of range; anything else (`+3`, `1_0`, `٣`, a NEL
-    separator, a fault) goes through `_parse_lines`, int() per token.
+    separator, a fault) goes through `_parse_lines`, int() per distinct token.
     """
     index: dict[str, int] = {}  # line -> its row in `lines`, or -1 if skipped
     lines: list[str] = []  # distinct sequence lines, in order of first appearance
@@ -413,16 +415,25 @@ def _parse_plain(lines, n_symbols):
     return values, offsets
 
 
+class _SymbolTable(dict):
+    """token -> int(token), calling int() once per distinct token."""
+
+    def __missing__(self, tok: str) -> int:
+        value = self[tok] = int(tok)
+        return value
+
+
 def _parse_lines(path, lines, first_line, n_symbols):
     """(values, offsets) of the distinct lines, which come in file order,
-    through int() per token; raises the fault of the first bad line. A
-    non-integer outranks a negative symbol, which outranks one out of range
-    or too large for 64 bits."""
+    through int() once per distinct token; raises the fault of the first
+    bad line. A non-integer outranks a negative symbol, which outranks one
+    out of range or too large for 64 bits."""
     values: list[int] = []
     counts: list[int] = []
+    symbol = _SymbolTable().__getitem__
     for line, lineno in zip(lines, first_line):
         try:
-            row = [int(tok) for tok in line.split()]
+            row = list(map(symbol, line.split()))
         except ValueError:
             fault = "symbols must be base-10 integers"
         else:

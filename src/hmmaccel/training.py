@@ -71,6 +71,8 @@ def initialize_model(n_states: int, n_symbols: int, seed: int) -> HmmModel:
     """
     if n_states < 1 or n_symbols < 1:
         raise ValueError("n_states and n_symbols must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     pi = rng.uniform(0.1, 1.0, n_states)
     a = rng.uniform(0.1, 1.0, (n_states, n_states))
@@ -100,7 +102,7 @@ def weighted_em_train(
 def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> TrainingTrace:
     if config.iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {config.iterations}")
-    if config.ll_tolerance is not None and config.ll_tolerance < 0:
+    if config.ll_tolerance is not None and not config.ll_tolerance >= 0:  # NaN too
         raise ValueError(f"ll_tolerance must be >= 0, got {config.ll_tolerance}")
     require_valid(init)
     if not len(data):

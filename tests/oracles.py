@@ -14,6 +14,8 @@
   taking each argmax over the last axis of a (B, N_j, N_i) score array.
   The tests require the library's packed kernels to give the same bits on
   every row.
+- `save_cluster_table_json` is the cluster-table writer that encoded each
+  cluster with `json.dumps`; `save_cluster_table` must write its bytes.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ import numpy as np
 
 from hmmaccel import HmmModel, ImpossibleSequenceError, dtw_distance, euclidean_distance
 from hmmaccel.inference import _length_runs
+from hmmaccel.model import _write_json
 
 
 def _check_symbols(model, obs):
@@ -152,6 +155,22 @@ def run_length_collapse(seq) -> tuple[int, ...]:
             out.append(v)
             prev = v
     return tuple(out)
+
+
+def save_cluster_table_json(table, path):
+    """Write a cluster table through `_write_json`, one json.dumps per cluster."""
+    values, offsets = table.reps.values.tolist(), table.reps.offsets.tolist()
+    _write_json(
+        {
+            "category_id": table.category_id,
+            "total_weight": table.total_weight,
+            "clusters": [
+                {"representative": values[lo:hi], "weight": w}
+                for lo, hi, w in zip(offsets, offsets[1:], table.weights.tolist())
+            ],
+        },
+        path,
+    )
 
 
 def scan_clusters(data, distance):

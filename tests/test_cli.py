@@ -644,6 +644,94 @@ def test_bench_rejects_empty_size_list(capsys):
     assert err == "error: no corpus sizes\n"
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "bench"])
+def test_negative_seed_is_named(tmp_path, capsys, command):
+    model = write_json(tmp_path / "m.json", CHAIN_MODEL)
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("0 1\n")
+    argv = {
+        "gen": ["gen", model, str(tmp_path / "out.txt"), "--count", "2", "--length", "2"],
+        "train": ["train", str(seqs), str(tmp_path / "out.json"), "--states", "2",
+                  "--symbols", "2"],
+        "bench": ["bench", "--model", model, "--sizes", "2", "--runs", "1"],
+    }[command]
+    code, stdout, err = run(capsys, *argv, "--seed", "-1")
+    assert (code, stdout, err) == (1, "", "error: seed must be >= 0, got -1\n")
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_train_rejects_nan_tolerance_and_takes_inf(tmp_path, capsys):
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("0 1 1\n1 0 0\n")
+    common = ["--states", "2", "--symbols", "2", "--iterations", "5"]
+    code, stdout, err = run(capsys, "train", str(seqs), str(tmp_path / "nan.json"), *common,
+                            "--ll-tolerance", "nan")
+    assert (code, stdout, err) == (1, "", "error: ll_tolerance must be >= 0, got nan\n")
+    code, stdout, _ = run(capsys, "train", str(seqs), str(tmp_path / "inf.json"), *common,
+                          "--ll-tolerance", "inf")
+    assert code == 0 and stdout.startswith("mode=classical iterations=2 ")
+
+
+COMMAND_NAMES = ["gen", "cluster", "train", "eval", "decode", "dist", "bench"]
+
+# help and usage errors, each printed by the top level or by one command
+PARSER_CASES = [
+    [],
+    ["-h"],
+    *[[name, "-h"] for name in COMMAND_NAMES],
+    ["bogus"],
+    ["-h", "eval"],
+    ["eval", "a", "b", "extra"],  # the top level rejects it, under its own usage line
+    ["cluster", "a", "b", "--distance", "cos"],
+    ["train", "a", "b", "--iterations", "x"],
+    ["eval", "--bogus", "a", "b"],
+]
+
+
+def exit_output(capsys, parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # fixes the help wrapping
+    assert exit_output(capsys, main, argv) == exit_output(capsys, full_parse, argv)
+
+
+def test_full_parser_errors_name_the_command_argument(monkeypatch, capsys):
+    # a metavar here would put "{gen,...}" where "command" is
+    monkeypatch.setenv("COLUMNS", "80")
+    _, _, err = exit_output(capsys, main, [])
+    assert err.endswith("error: the following arguments are required: command\n")
+    _, _, err = exit_output(capsys, main, ["bogus"])
+    assert "error: argument command: invalid choice: 'bogus'" in err
+
+
+def test_console_script_path_builds_one_command(monkeypatch, capsys):
+    argv = ["eval", "a", "b", "extra"]
+    built = []
+    build_parser = cli.build_parser
+
+    def spy(only=None):
+        built.append(only)
+        return build_parser(only)
+
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(sys, "argv", ["hmmaccel", *argv])
+    got = exit_output(capsys, lambda _: main(), None)
+    assert built == ["eval"]
+    assert got == exit_output(capsys, lambda a: build_parser().parse_args(a), argv)
+
+
 def test_exports_resolve_once():
     names = hmmaccel.__all__
     assert len(names) == len(set(names))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import run_length_collapse, scan_clusters
+from oracles import run_length_collapse, save_cluster_table_json, scan_clusters
 
 from hmmaccel import (
     ClusterTable,
@@ -293,6 +293,26 @@ def test_cluster_table_round_trip_property(tmp_path_factory, clusters, category_
     assert [(r.tolist(), w) for r, w in zip(loaded.reps.sequences, loaded.weights.tolist())] == (
         clusters
     )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 2**62), min_size=1, max_size=6),
+                  st.integers(1, 2**62)),
+        max_size=8,
+    ),
+    st.integers(-5, 5),
+)
+@example([([0], 1)], 0)
+@example([([2**62], 2**62), ([7], 1)], -1)
+def test_cluster_table_writer_matches_json_writer(tmp_path_factory, clusters, category_id):
+    folder = tmp_path_factory.mktemp("table")
+    table = ClusterTable(Dataset([r for r, _ in clusters], category_id),
+                         np.array([w for _, w in clusters], dtype=np.int64))
+    save_cluster_table(table, folder / "fast.json")
+    save_cluster_table_json(table, folder / "json.json")
+    assert (folder / "fast.json").read_bytes() == (folder / "json.json").read_bytes()
 
 
 def test_cluster_file_validation(tmp_path):

@@ -449,6 +449,10 @@ def test_config_validation():
         em_train(init, data, TrainingConfig(iterations=0))
     with pytest.raises(ValueError, match="ll_tolerance"):
         em_train(init, data, TrainingConfig(iterations=1, ll_tolerance=-1.0))
+    with pytest.raises(ValueError, match="^ll_tolerance must be >= 0, got nan$"):
+        em_train(init, data, TrainingConfig(iterations=1, ll_tolerance=math.nan))
+    trace = em_train(init, data, TrainingConfig(iterations=3, ll_tolerance=math.inf))
+    assert len(trace.per_iteration_log_likelihood) == 2
     with pytest.raises(ValueError, match="empty cluster table"):
         weighted_em_train(init, ClusterTable(Dataset([]), []), TrainingConfig(iterations=1))
 
