@@ -133,9 +133,8 @@ def _score_file(args, block_lines) -> int:
 
     A repeated line is scored once: a sequence's result does not depend on
     its block, so its repeats print the same bits. Blocks go up to
-    SCORE_STEPS padded steps, where training's go up to BLOCK_STEPS:
-    scoring keeps no (T, B, N) history, so a whole file usually runs in
-    one block (see `inference.SCORE_STEPS`)."""
+    SCORE_STEPS padded steps: scoring keeps no (T, B, N) history, so a
+    whole file usually runs in one block (see `inference.SCORE_STEPS`)."""
     model = load_model(args.model, renormalize=args.renormalize)
     data, inverse = load_distinct_sequences(args.input, n_symbols=model.n_symbols)
     lines = [""] * len(data)
@@ -196,8 +195,13 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    sizes = []
+    for tok in filter(str.strip, args.sizes.split(",")):
+        try:
+            sizes.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--sizes: {tok.strip()!r} is not an integer") from None
     model = load_model(args.model) if args.model else _bundled_bench_model()
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     reports = bench_mod.run_bench(
         model,
         sizes,

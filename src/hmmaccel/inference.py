@@ -10,7 +10,7 @@ Training, scoring and decoding all run on packed blocks, and
 `length_blocks` is the one place that makes them. It checks a Dataset's
 symbols once, sorts its sequences longest first (stably, so a
 single-length corpus keeps input order), cuts that order into blocks of a
-capped number of padded sequence-steps (BLOCK_STEPS for training,
+capped number of padded sequence-steps (`estep_steps(N)` for training,
 SCORE_STEPS for scoring and decoding), and gathers each block's symbols
 in the t-major order of PyTorch's `pack_padded_sequence`: step t holds
 the symbols of the B_t sequences still running at t. Since the rows are
@@ -19,12 +19,15 @@ that prefix only, reading each step's symbols as one contiguous run.
 `_forward_block` runs the scaled forward pass, two batched matmuls per
 time step (the transition and the row sums). `estep_block` keeps the
 packed alpha and adds the backward pass and the block's weighted expected
-counts, all in packed order, never building a per-sequence xi.
+counts, all in packed order, never building a per-sequence xi. It runs
+in a workspace of three packed (P + 1, N) buffers that `estep_workspace`
+makes once per training run, so no block or iteration allocates a packed
+array; training's cap keeps that workspace within ESTEP_BYTES.
 `score_block` runs the forward pass with no history, keeping only the
 coefficients, and turns them into one log-likelihood per sequence.
 `viterbi_block` runs the max-product recursion with one-byte
 back-pointers. Neither holds a (T, B, N) float array, so their blocks can
-be 8 times the size of training's. `likelihood` and `viterbi` are the
+be larger than training's: SCORE_STEPS. `likelihood` and `viterbi` are the
 one-sequence case of `score_block` and `viterbi_block`. The tests keep a
 per-sequence forward-backward and padded block scorers, and check the
 packed kernels against them.
@@ -47,18 +50,25 @@ import numpy as np
 
 from .model import Dataset, HmmModel
 
-# Cap on the padded size B * T of a training block, and on the rows of any
-# block. Larger blocks mean fewer Python-level steps but larger (T, B, N)
-# temporaries; at 4096 a 10,000 x 5 corpus runs in 13 blocks and peak memory
-# stays within a few percent of a per-sequence loop.
+# Cap on the rows of any block, which bounds the per-row state of scoring
+# and decoding (a few (N,) or (N, N) arrays per row) at short lengths, and
+# the padded size B * T of a block when no cap is given.
 BLOCK_STEPS = 4096
+# Byte budget of training's E-step workspace, the three (P + 1, N) float64
+# buffers of `estep_workspace`. `estep_steps` turns it into training's cap
+# on a block's padded steps: 14,562 at 3 states, where a 10,000 x 5 corpus
+# trains in 4 blocks, and 5,460 at 8. The workspace is made once per run
+# and reused by every block and iteration, so a larger block costs no fresh
+# pages. In a sweep of caps from 1,024 to 65,536 steps at 3 and 8 states
+# (BENCH_15.json), the time per iteration stopped falling at about 8,192
+# steps; differences above that were within the host's noise.
+ESTEP_BYTES = 2**20
 # Cap on the padded size of a scoring or decoding block. A training step
-# holds at least 3 * 8 * N bytes at the E-step's peak: its packed alpha,
-# emissions and beta. A scoring step holds its int64 symbol (8 bytes) and
-# either its c_t (8) or its back-pointer (N bytes below 257 states) and
-# path entry (8): at most 16 + N bytes. At 8 states that is an eighth of
-# a training step, so a scoring block 8 times as long holds no more, and
-# a 500 x 60 file runs in one.
+# holds 3 * 8 * N bytes of workspace. A scoring step holds its int64 symbol
+# (8 bytes) and either its c_t (8) or its back-pointer (N bytes below 257
+# states) and path entry (8): at most 16 + N bytes. At 8 states a block of
+# this cap then holds about 0.8 MB, within training's budget, and a 500 x 60
+# file runs in one.
 SCORE_STEPS = 8 * BLOCK_STEPS
 
 
@@ -98,11 +108,10 @@ def length_blocks(data: Dataset, n_symbols, steps=None) -> list[Block]:
     Sequences are sorted longest first, stably, so equal lengths keep
     input order, and the sorted order is cut into blocks of at most
     `steps` padded sequence-steps (BLOCK_STEPS when None; a longer
-    sequence gets a block of its own) and at most BLOCK_STEPS rows, which
-    bounds the per-row state of scoring and decoding, a few (N,) or
-    (N, N) arrays per row, at short lengths. Rejects the first empty
-    sequence or sequence with a symbol outside [0, n_symbols), by its
-    1-based position.
+    sequence gets a block of its own) and at most BLOCK_STEPS rows.
+    Training passes `estep_steps(N)`, scoring and decoding SCORE_STEPS.
+    Rejects the first empty sequence or sequence with a symbol outside
+    [0, n_symbols), by its 1-based position.
     """
     steps = BLOCK_STEPS if steps is None else steps
     values, offsets, lengths = data.values, data.offsets, data.lengths
@@ -138,6 +147,21 @@ def length_blocks(data: Dataset, n_symbols, steps=None) -> list[Block]:
     return blocks
 
 
+def estep_steps(n_states: int) -> int:
+    """Training's cap on a block's padded steps: the most for which the
+    workspace of `estep_workspace`, spare row included, stays within
+    ESTEP_BYTES at n_states states."""
+    return max(1, ESTEP_BYTES // (3 * 8 * n_states) - 1)
+
+
+def estep_workspace(blocks: list[Block], n_states: int) -> np.ndarray:
+    """The workspace `estep_block` runs every block in: three (P + 1, N)
+    float64 buffers, where P is the largest block's count of valid steps.
+    Make it once per training run; its contents between calls do not
+    matter."""
+    return np.empty((3, max(len(block.symbols) for block in blocks), n_states))
+
+
 def step_weights(block: Block, weights: np.ndarray) -> np.ndarray:
     """Each valid step's weight, packed as the block's symbols are: the
     weight of sequence rows[b] at each of its steps. `weights` is indexed
@@ -146,17 +170,19 @@ def step_weights(block: Block, weights: np.ndarray) -> np.ndarray:
     return np.broadcast_to(weights[block.rows], running.shape)[running]
 
 
-def _forward_block(model: HmmModel, block: Block, history: bool = True):
+def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None):
     """Scaled forward pass over a block. Each step gathers the emission
     probabilities of its own symbols, so the block holds no padded
     (T, B, N) emission array.
 
-    With history, as training needs it, returns the emissions and the
-    normalized alpha of the valid steps in the block's packed order,
-    each (sum_t B_t, N), and the coefficients c (T, B). Without, as
-    scoring needs it, alpha and the emissions live in two-slot rings and
-    only c comes back, as a (T, W) view of a (W, T) array, where W is B
-    but at least 2; the block then holds no (T, B, N) array at all.
+    Given the workspace of `estep_workspace`, as training needs it, keeps
+    the history: writes the emissions and the normalized alpha of the
+    valid steps, in the block's packed order, into work[1] and work[0],
+    and returns views of them, each (sum_t B_t, N), and the coefficients
+    c (T, B). Without, as scoring needs it, alpha and the emissions live
+    in two-slot rings and only c comes back, as a (T, W) view of a (W, T)
+    array, where W is B but at least 2; the block then holds no (T, B, N)
+    array at all.
     Entries of c past a row's length are padding. A row with probability
     0 gets a non-finite c from the step where it dies.
 
@@ -177,20 +203,20 @@ def _forward_block(model: HmmModel, block: Block, history: bool = True):
     symbols, sizes = block.symbols, block.sizes
     t_len = len(sizes) - 1
     first = list(itertools.accumulate(sizes, initial=0))  # step t at first[t]
-    if history:
+    if work is not None:
         # A padding row run beside a lone running row writes one row on,
         # into the next step's first row, which that step then overwrites,
         # or into the one spare row at the end.
         width = sizes[0]
         slot = first
-        alpha = np.empty((first[-1] + 1, n))
+        alpha, et = work[0, : first[-1] + 1], work[1, : first[-1] + 1]
         c = np.empty((t_len, width))
     else:
         width = max(sizes[0], 2)
         slot = [t % 2 * width for t in range(t_len)]
         alpha = np.empty((2 * width, n))
+        et = np.empty_like(alpha)
         c = np.empty((width, t_len)).T
-    et = np.empty_like(alpha)
     ones = np.ones_like(a)
     sums = np.empty((width, n))
     floor = min(2, width)
@@ -215,7 +241,7 @@ def _forward_block(model: HmmModel, block: Block, history: bool = True):
             np.matmul(at, ones, out=sk)
             np.divide(1.0, sk0, out=ck[t])
             at *= ck[t]
-    return (et[:-1], alpha[:-1], c) if history else c
+    return c if work is None else (et[:-1], alpha[:-1], c)
 
 
 def _length_runs(sizes: list[int]):
@@ -232,20 +258,22 @@ def estep_block(
     pi_num: np.ndarray,
     a_num: np.ndarray,
     b_num_mt: np.ndarray,
+    work: np.ndarray,
 ) -> float:
     """Add the weighted expected counts of a block of sequences in place.
 
-    wp holds the block's per-step weights, from `step_weights`. Adds
-    sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t xi_t^b to a_num
-    (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b to b_num_mt[k] (M, N),
-    and returns sum_b w_b log P(obs_b). Each xi_t is normalized by its own
-    sum, but is only ever summed over t and b, so no (B, T, N, N) array is
-    made. The backward pass and the counts work in the block's packed
-    order, valid (t, b) steps only: step t's B_t rows are
-    [off[t], off[t + 1]).
+    wp holds the block's per-step weights, from `step_weights`, and work
+    is a workspace from `estep_workspace` for a list of blocks that holds
+    this one. Adds sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t
+    xi_t^b to a_num (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b to
+    b_num_mt[k] (M, N), and returns sum_b w_b log P(obs_b). Each xi_t is
+    normalized by its own sum, but is only ever summed over t and b, so no
+    (B, T, N, N) array is made. The backward pass and the counts work in
+    the block's packed order, valid (t, b) steps only: step t's B_t rows
+    are [off[t], off[t + 1]).
     """
     sizes = block.sizes
-    bt, alpha, c = _forward_block(model, block)
+    bt, alpha, c = _forward_block(model, block, work)
     b_len, t_len = sizes[0], len(sizes) - 1
     n = model.n_states
     a = model.a
@@ -259,41 +287,57 @@ def estep_block(
         raise ImpossibleSequenceError(rows=np.flatnonzero(dead))
 
     off = list(itertools.accumulate(sizes, initial=0))
-    beta = np.empty_like(bt)
+    p = off[-1]
+    beta = work[2, :p]
     beta[off[t_len - 1] :] = 1.0
     for t in range(t_len - 2, -1, -1):
         k, nxt = sizes[t + 1], np.s_[off[t + 1] : off[t + 2]]
-        beta[off[t] : off[t] + k] = ((bt[nxt] * beta[nxt]) @ a.T) * c[t + 1, :k, None]
+        v_next = bt[nxt]  # made b(o_{t+1}) beta_{t+1} in place: no emission is read again
+        v_next *= beta[nxt]
+        np.matmul(v_next, a.T, out=beta[off[t] : off[t] + k])
+        beta[off[t] : off[t] + k] *= c[t + 1, :k, None]
         if k < sizes[t]:  # rows whose last step is t
             beta[off[t] + k : off[t + 1]] = 1.0
+    v = bt[b_len:]  # b(o_t) beta_t for t >= 1
+    # c is not read again: its first p entries take the (P,) row sums
+    row_sums = c.reshape(-1)[:p]
 
-    # Each packed array is reused in place or dropped as soon as it is used
-    # up, so that no more than three are alive at once.
-    v = bt[b_len:]  # b(o_t) beta_t for t >= 1, in place: bt is not read again
-    v *= beta[b_len:]
-    del bt
+    # The three workspace buffers are reused in place as each is used up.
+    # Rows are scaled one state column at a time: numpy buffers an in-place
+    # multiply by a broadcast (P, 1) column, up to 64 KB a call.
     gamma = beta  # alpha * beta, in place: beta is not read again
     gamma *= alpha
-    del beta
-    gamma *= (wp / (gamma @ ones))[:, None]  # weighted posteriors
-    pi_num += gamma[:b_len].sum(axis=0)
+    np.matmul(gamma, ones, out=row_sums)
+    np.divide(wp, row_sums, out=row_sums)
     symbols = block.symbols[:-1]
     for j in range(n):
+        gamma[:, j] *= row_sums  # weighted posteriors
         b_num_mt[:, j] += np.bincount(symbols, weights=gamma[:, j], minlength=model.n_symbols)
-    del gamma
+    pi_num += gamma[:b_len].sum(axis=0)
 
     if t_len > 1:
         # xi_t(i, j) = alpha_{t-1}(i) a_ij v_t(j) / norm_t, with alpha_{t-1}
         # taken at the same b: the entry off[t - 1] + b of each off[t] + b,
-        # which in a block of one length is always b_len entries back
+        # which in a block of one length is always b_len entries back.
+        m = p - b_len
         if sizes[t_len - 1] == b_len:
-            prev = alpha[:-b_len]
+            prev, f = alpha[:m], work[2, :m]
         else:
-            prev = alpha[np.arange(b_len, len(alpha)) - np.repeat(sizes[:-2], sizes[1:-1])]
-        del alpha
-        f = prev @ a
+            # prev is gathered where gamma was, and f goes where alpha was.
+            # Step t reads alpha rows [off[t - 1], off[t - 1] + B_t), which
+            # run on into step t + 1's until a row ends, so one copy serves
+            # each run of steps.
+            prev, f = work[2, :m], work[0, :m]
+            starts = [t for t in range(1, t_len) if t == 1 or sizes[t - 1] < sizes[t - 2]]
+            for t0, t1 in zip(starts, starts[1:] + [t_len]):
+                run = off[t1] - off[t0]
+                prev[off[t0] - b_len : off[t1] - b_len] = alpha[off[t0 - 1] : off[t0 - 1] + run]
+        np.matmul(prev, a, out=f)
         f *= v
-        prev *= (wp[b_len:] / (f @ ones))[:, None]
+        norm = np.matmul(f, ones, out=row_sums[:m])
+        np.divide(wp[b_len:], norm, out=norm)
+        for j in range(n):
+            prev[:, j] *= norm
         a_num += a * (prev.T @ v)
     return float(wp[:b_len] @ ll)
 
@@ -310,7 +354,7 @@ def score_block(model: HmmModel, block: Block) -> np.ndarray:
     steps, the order numpy uses for a 1-D array, where summing the (T, B)
     columns would use another order for one row than for several.
     """
-    ct = _forward_block(model, block, history=False).T  # (W, T), contiguous
+    ct = _forward_block(model, block).T  # (W, T), contiguous
     ll = np.empty(len(block.rows))
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(ct, out=ct)

@@ -306,22 +306,55 @@ def load_model(path, renormalize: bool = False) -> HmmModel:
     return model
 
 
-class _NameTable(dict):
-    """symbol -> str(symbol), calling str() once per distinct symbol."""
-
-    def __missing__(self, symbol: int) -> str:
-        name = self[symbol] = str(symbol)
-        return name
+# 10**1 .. 10**18: a magnitude below 2**63 has one digit more than it
+# reaches of these
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 
 
 def save_sequences(dataset: Dataset, path) -> None:
-    """Write sequences one per line, symbols space-separated. str() runs
-    once per distinct symbol."""
-    names = _NameTable()
-    values, offsets = dataset.values.tolist(), dataset.offsets.tolist()
+    """Write sequences one per line, symbols space-separated, in decimal
+    with a leading `-` for a negative symbol; an empty sequence is an empty
+    line.
+
+    The text is built in one uint8 buffer by numpy calls over all symbols
+    at once: each token's digit count, from comparisons with powers of ten,
+    gives its place, its separator goes at its end (a newline after a line's
+    last token), and its digits are filled from the last backwards, one
+    pass per digit position over the tokens that have one.
+    """
+    values, offsets = dataset.values, dataset.offsets
+    lengths = np.diff(offsets)
+    neg = values < 0
+    mag = values.view(np.uint64).copy()  # |value|, exact for -2**63 too
+    np.negative(mag, out=mag, where=neg)
+    digits = np.ones(len(values), dtype=np.uint8)
+    for power in _POWERS_OF_TEN:
+        more = mag >= power
+        if not more.any():
+            break
+        digits += more
+    at = np.cumsum(digits + neg + 1, dtype=np.intp)  # one past each token's separator
+    empty = offsets[:-1][lengths == 0]
+    if len(empty):  # an empty line's newline comes before the next token
+        at += np.searchsorted(empty, np.arange(len(values)), side="right")
+    size = len(values) + int(digits.sum(dtype=np.intp)) + int(neg.sum()) + len(empty)
+    text = np.full(size, ord("\n"), dtype=np.uint8)
+    at -= 1  # each token's separator
+    text[at] = ord(" ")
+    text[at[offsets[1:][lengths > 0] - 1]] = ord("\n")
+    text[at[neg] - 1 - digits[neg]] = ord("-")
+    for place in range(int(digits.max(initial=0))):
+        if place:  # the tokens with a digit at this place
+            live = digits > place
+            at, mag, digits = at[live], mag[live], digits[live]
+        at -= 1
+        rest = mag // 10
+        mag -= rest * 10
+        mag += ord("0")
+        text[at] = mag
+        mag = rest
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(" ".join(map(names.__getitem__, values[lo:hi])) + "\n"
-                         for lo, hi in zip(offsets, offsets[1:])))
+        fh.write(text.tobytes().decode("ascii"))
 
 
 def load_distinct_sequences(

@@ -11,10 +11,11 @@ tight tolerances.
 
 The E-step runs block by block. Before the first iteration
 `inference.length_blocks` checks the symbols, sorts the sequences longest
-first and cuts them into packed blocks of at most `inference.BLOCK_STEPS`
+first and cuts them into packed blocks of at most `inference.estep_steps(N)`
 padded sequence-steps, so a corpus of many lengths runs in as few blocks
-as one of a single length, and `inference.step_weights` lays each block's
-weights out as its steps are; every iteration then calls
+as one of a single length; `inference.estep_workspace` makes the one
+workspace every block runs in, and `inference.step_weights` lays each
+block's weights out as its steps are. Every iteration then calls
 `inference.estep_block` once per block. Only the inference module knows
 the packed layout: this one reads a block's `rows` alone, to name an
 impossible sequence. Both trainers build their blocks the same way, so
@@ -41,7 +42,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterTable
-from .inference import ImpossibleSequenceError, estep_block, length_blocks, step_weights
+from .inference import (
+    ImpossibleSequenceError,
+    estep_block,
+    estep_steps,
+    estep_workspace,
+    length_blocks,
+    step_weights,
+)
 from .model import Dataset, HmmModel, require_valid
 
 
@@ -107,9 +115,9 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
     require_valid(init)
     if not len(data):
         raise ValueError("no training sequences")
-    blocks = [
-        (block, step_weights(block, weights)) for block in length_blocks(data, init.n_symbols)
-    ]
+    blocks = length_blocks(data, init.n_symbols, estep_steps(init.n_states))
+    work = estep_workspace(blocks, init.n_states)
+    blocks = [(block, step_weights(block, weights)) for block in blocks]
 
     n, m = init.n_states, init.n_symbols
     w_total = float(weights.sum())
@@ -128,7 +136,7 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
         dead = []  # input positions of impossible sequences
         for block, wp in blocks:
             try:
-                total_ll += estep_block(model, block, wp, pi_num, a_num, b_num_mt)
+                total_ll += estep_block(model, block, wp, pi_num, a_num, b_num_mt, work)
             except ImpossibleSequenceError as exc:
                 dead.append(block.rows[exc.rows].min())
         if dead:

@@ -16,6 +16,8 @@
   every row.
 - `save_cluster_table_json` is the cluster-table writer that encoded each
   cluster with `json.dumps`; `save_cluster_table` must write its bytes.
+- `save_sequences_join` is the sequence-file writer that joined str()
+  names line by line; `save_sequences` must write its bytes.
 """
 
 from dataclasses import dataclass
@@ -276,3 +278,22 @@ def viterbi_block_history(model, obs, lengths=None):
         if t:
             paths[:k, t - 1] = psi[t, rows[:k], paths[:k, t]]
     return paths, delta.max(axis=1) + 0.0
+
+
+class _NameTable(dict):
+    """symbol -> str(symbol), calling str() once per distinct symbol."""
+
+    def __missing__(self, symbol: int) -> str:
+        name = self[symbol] = str(symbol)
+        return name
+
+
+def save_sequences_join(dataset, path):
+    """Write sequences one per line, symbols space-separated: str() once per
+    distinct symbol and one str.join per line. `save_sequences` must write
+    its bytes."""
+    names = _NameTable()
+    values, offsets = dataset.values.tolist(), dataset.offsets.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(" ".join(map(names.__getitem__, values[lo:hi])) + "\n"
+                         for lo, hi in zip(offsets, offsets[1:])))

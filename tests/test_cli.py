@@ -644,6 +644,13 @@ def test_bench_rejects_empty_size_list(capsys):
     assert err == "error: no corpus sizes\n"
 
 
+@pytest.mark.parametrize("sizes, token", [("5,x", "x"), ("5, 2.5", "2.5"), ("1e3", "1e3")])
+def test_bench_names_a_size_that_is_not_an_integer(capsys, sizes, token):
+    code, stdout, err = run(capsys, "bench", "--sizes", sizes, "--runs", "1")
+    assert (code, stdout) == (1, "")
+    assert err == f"error: --sizes: {token!r} is not an integer\n"
+
+
 @pytest.mark.parametrize("command", ["gen", "train", "bench"])
 def test_negative_seed_is_named(tmp_path, capsys, command):
     model = write_json(tmp_path / "m.json", CHAIN_MODEL)

@@ -24,6 +24,8 @@ from hmmaccel.inference import (
     BLOCK_STEPS,
     SCORE_STEPS,
     _forward_block,
+    estep_block,
+    estep_workspace,
     length_blocks,
     step_weights,
 )
@@ -272,8 +274,8 @@ def test_scaling_coefficients_do_not_depend_on_block(n):
 
     def forward(rows):
         (block,) = length_blocks(Dataset(rows), 6)
-        _, _, c = _forward_block(model, block)
-        c_scoring = _forward_block(model, block, history=False)
+        _, _, c = _forward_block(model, block, estep_workspace([block], n))
+        c_scoring = _forward_block(model, block)
         for t, k in enumerate(block.sizes[:-1]):  # the running rows of each step
             assert np.array_equal(c_scoring[t, :k], c[t, :k]), (len(rows), t)
         return c
@@ -450,3 +452,63 @@ def test_scoring_blocks_stay_small():
     data = Dataset(list(rng.integers(0, 40, size=(10000, 2))))
     blocks = length_blocks(data, model.n_symbols, SCORE_STEPS)
     assert [len(block.rows) for block in blocks] == [BLOCK_STEPS, BLOCK_STEPS, 1808]
+
+
+def estep_counts(model, blocks, weights, work, fill):
+    """One E-step over `blocks` in `work`, filled with `fill` before each
+    block: the counts and each block's log-likelihood, as bytes."""
+    n, m = model.n_states, model.n_symbols
+    counts = np.zeros(n), np.zeros((n, n)), np.zeros((m, n))
+    lls = []
+    for block in blocks:
+        work.fill(fill)
+        lls.append(estep_block(model, block, step_weights(block, weights), *counts, work))
+    return [x.tobytes() for x in counts], np.array(lls).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, lengths, steps",
+    [
+        (3, [6] * 40, None),  # one length: prev is a view of alpha
+        (3, [9, 7, 7, 4, 2, 1] * 6, None),  # mixed lengths: prev is gathered
+        (2, [30] * 4 + [3] * 30, 120),  # a short block after a long one
+        (1, [5, 3, 3, 1] * 5, None),
+    ],
+    ids=["one-length", "mixed", "short-after-long", "one-state"],
+)
+def test_estep_reads_nothing_it_did_not_write_to_its_workspace(n, lengths, steps):
+    # a NaN left in the workspace would reach the counts if any of it were
+    # read before it is written
+    rng = np.random.default_rng(80 + n)
+    model = random_model(rng, n, 4)
+    data = Dataset([rng.integers(0, 4, size=t) for t in lengths])
+    weights = rng.integers(1, 6, size=len(data)).astype(float)
+    blocks = length_blocks(data, 4, steps)
+    if steps:
+        assert [len(block.symbols) - 1 for block in blocks] == [120, 90]
+    work = estep_workspace(blocks, n)
+    assert estep_counts(model, blocks, weights, work, np.nan) == estep_counts(
+        model, blocks, weights, np.zeros_like(work), 0.0
+    )
+
+
+@pytest.mark.parametrize("lengths", [[5] * 250, [6, 5, 5, 4] * 60], ids=["one-length", "mixed"])
+def test_estep_allocates_less_than_one_packed_array(lengths):
+    # once the workspace exists, an E-step over a block of P >= 1,000 steps
+    # at 3 states allocates less than one (P, N) float64 array
+    rng = np.random.default_rng(81)
+    model = random_model(rng, 3, 4)
+    (block,) = length_blocks(Dataset([rng.integers(0, 4, size=t) for t in lengths]), 4)
+    p = len(block.symbols) - 1
+    assert p >= 1000
+    work = estep_workspace([block], 3)
+    wp = step_weights(block, np.ones(len(lengths)))
+    counts = np.zeros(3), np.zeros((3, 3)), np.zeros((4, 3))
+    estep_block(model, block, wp, *counts, work)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        estep_block(model, block, wp, *counts, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * 3 * 8, (peak, p * 3 * 8)

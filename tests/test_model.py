@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import save_sequences_join
 
 from hmmaccel import (
     HmmModel,
@@ -544,6 +545,28 @@ def test_sequence_file_round_trip_property(tmp_path_factory, rows):
     assert loaded.values.tolist() == data.values.tolist()
     save_sequences(loaded, path.with_suffix(".again"))
     assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+
+EDGE_SYMBOLS = [0, 9, 10, -1, -10, 10**18 - 1, 10**18, -(10**18), 2**63 - 1, -(2**63)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(
+    st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-120, 120),
+                       st.sampled_from(EDGE_SYMBOLS)), max_size=6),
+    max_size=10,
+))
+@example([[7], [-3], [0]])  # one-symbol lines
+@example([[], [5], []])  # empty lines around a token
+@example([])
+@example([EDGE_SYMBOLS])
+def test_save_sequences_writes_the_bytes_of_the_join_writer(tmp_path_factory, rows):
+    # every int64, with 1 to 19 digits and a sign, and empty lines anywhere
+    data = Dataset([np.array(r, dtype=np.int64) for r in rows])
+    out = tmp_path_factory.mktemp("save")
+    save_sequences(data, out / "numpy.txt")
+    save_sequences_join(data, out / "join.txt")
+    assert (out / "numpy.txt").read_bytes() == (out / "join.txt").read_bytes()
 
 
 @pytest.mark.parametrize(

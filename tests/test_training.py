@@ -1,5 +1,6 @@
 """Classical and weighted Baum-Welch re-estimation."""
 
+import contextlib
 import itertools
 import math
 from unittest import mock
@@ -24,8 +25,14 @@ from hmmaccel import (
     write_trace_csv,
 )
 from hmmaccel import inference
+from hmmaccel import training as training_module
 from hmmaccel.cli import _bundled_bench_model
-from hmmaccel.inference import BLOCK_STEPS, length_blocks
+from hmmaccel.inference import (
+    ESTEP_BYTES,
+    estep_steps,
+    estep_workspace,
+    length_blocks,
+)
 from hmmaccel.model import Dataset
 
 
@@ -63,6 +70,19 @@ def reestimate_by_enumeration(model, obs):
     return pi, a, b
 
 
+@contextlib.contextmanager
+def training_blocks(steps, n_states):
+    """Train in blocks of at most `steps` padded steps at n_states states,
+    through the workspace budget that gives that cap, and yield a spy on
+    the E-step, which runs once per block and iteration."""
+    budget = (steps + 1) * 3 * 8 * n_states
+    with mock.patch.object(inference, "ESTEP_BYTES", budget), mock.patch.object(
+        training_module, "estep_block", wraps=inference.estep_block
+    ) as spy:
+        assert estep_steps(n_states) == steps
+        yield spy
+
+
 def assert_matches_per_sequence(train, init, data, seqs, weights, iterations):
     seen = []
     train(
@@ -95,14 +115,15 @@ def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
     # one length fills four blocks, the last one partial and topped up with
     # a shorter sequence, ahead of a block of two shorter lengths
     rng = np.random.default_rng(49)
-    t_long = BLOCK_STEPS // 4
+    steps = 4096
+    t_long = steps // 4
     seqs = (
         [rng.integers(0, 4, size=3) for _ in range(5)]
         + [rng.integers(0, 4, size=t_long) for _ in range(15)]
         + [rng.integers(0, 4, size=1) for _ in range(3)]
     )
     weights = [int(w) for w in rng.integers(1, 5, size=len(seqs))]
-    blocks = length_blocks(Dataset(seqs), 4)
+    blocks = length_blocks(Dataset(seqs), 4, steps)
     assert [block.lengths.tolist() for block in blocks] == [
         [t_long] * 4,
         [t_long] * 4,
@@ -114,16 +135,20 @@ def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
         list(range(5, 20)) + list(range(5)) + list(range(20, 23))
     )
     init = initialize_model(2, 4, 13)
-    assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
     table = ClusterTable(Dataset(seqs), weights)
-    assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 3)
+    with training_blocks(steps, 2) as spy:
+        assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
+        assert spy.call_count == 3 * 5
+        assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 3)
+        assert spy.call_count == 2 * 3 * 5
 
 
 @st.composite
 def mixed_corpora(draw):
     """Sequences of lengths 1..12 plus a lone longest one of length 13,
-    their weights 1..8, a model size and a small block cap."""
-    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=14)) + [13]
+    their weights 1..8, a model size and a small block cap. At least six
+    sequences, so that every cap splits them over two blocks or more."""
+    lengths = draw(st.lists(st.integers(1, 12), min_size=5, max_size=14)) + [13]
     lengths = draw(st.permutations(lengths))
     n = draw(st.integers(1, 4))
     m = draw(st.integers(2, 5))
@@ -140,10 +165,14 @@ def test_packed_blocks_match_per_sequence_loop(case):
     init, seqs, weights, block_steps = case
     # a small cap splits lengths across blocks; at 30 and 64 the lone
     # length-13 row leads a block of several, so the prefix shrinks to it
-    with mock.patch.object(inference, "BLOCK_STEPS", block_steps):
+    n_blocks = len(length_blocks(Dataset(seqs), init.n_symbols, block_steps))
+    assert n_blocks > 1
+    with training_blocks(block_steps, init.n_states) as spy:
         assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
+        assert spy.call_count == 3 * n_blocks
         table = ClusterTable(Dataset(seqs), weights)
         assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 3)
+        assert spy.call_count == 2 * 3 * n_blocks
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -156,9 +185,12 @@ def test_weighted_table_matches_classical_em_on_expanded_corpus(case, shuffle):
     shuffle.shuffle(expanded)
     table = ClusterTable(Dataset(seqs), weights)
     cfg = TrainingConfig(iterations=4)
-    with mock.patch.object(inference, "BLOCK_STEPS", block_steps):
+    with training_blocks(block_steps, init.n_states) as spy:
         weighted = weighted_em_train(init, table, cfg)
+        assert spy.call_count > cfg.iterations  # more than one block
+        spy.reset_mock()
         classical = em_train(init, Dataset(expanded), cfg)
+        assert spy.call_count > cfg.iterations
     for got, exp in zip(weighted.per_iteration_log_likelihood,
                         classical.per_iteration_log_likelihood, strict=True):
         assert abs(got - exp) <= 1e-10 * max(1.0, abs(exp))
@@ -203,14 +235,38 @@ def test_impossible_sequence_named_in_input_order_across_blocks():
     message = "sequence 2 is impossible under the model at iteration 1"
     with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
         per_sequence_em(init, seqs, [1] * len(seqs), 1)
-    with mock.patch.object(inference, "BLOCK_STEPS", 4):
-        blocks = [block.rows.tolist() for block in length_blocks(Dataset(seqs), 3)]
-        assert blocks == [[0], [3], [1, 2]]
+    blocks = [block.rows.tolist() for block in length_blocks(Dataset(seqs), 3, 4)]
+    assert blocks == [[0], [3], [1, 2]]
+    with training_blocks(4, 2) as spy:
         with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
             em_train(init, Dataset(seqs), TrainingConfig(iterations=1))
+        assert spy.call_count == 3  # every block runs before the error names one
         table = ClusterTable(Dataset(seqs), [2] * len(seqs))
         with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
             weighted_em_train(init, table, TrainingConfig(iterations=1))
+        assert spy.call_count == 6
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 64])
+def test_training_block_cap_keeps_the_workspace_within_budget(n):
+    # a sequence of exactly the cap fills the largest block training makes;
+    # its workspace fits the budget, and one more step would not
+    steps = estep_steps(n)
+    rng = np.random.default_rng(n)
+    lengths = [steps, steps // 2 + 1, steps // 2, 7, 3, 1, 1]
+    blocks = length_blocks(Dataset([rng.integers(0, 2, size=t) for t in lengths]), 2, steps)
+    assert max(len(block.symbols) for block in blocks) == steps + 1
+    work = estep_workspace(blocks, n)
+    assert work.shape == (3, steps + 1, n) and work.dtype == np.float64
+    assert work.nbytes <= ESTEP_BYTES < work.nbytes + 3 * 8 * n
+
+
+def test_ragged_corpus_of_147_by_30_trains_in_one_block_at_8_states():
+    rng = np.random.default_rng(71)
+    data = Dataset(list(rng.integers(0, 40, size=(147, 30))))
+    with mock.patch.object(training_module, "estep_block", wraps=inference.estep_block) as spy:
+        em_train(initialize_model(8, 40, 3), data, TrainingConfig(iterations=2))
+    assert spy.call_count == 2
 
 
 def test_initialize_degenerate():
