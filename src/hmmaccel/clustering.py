@@ -15,7 +15,13 @@ the key is that collapsed form.
 
 Both keys come from the Dataset's flat buffer: the collapsed forms from
 one `x[1:] != x[:-1]` mask over the whole buffer, and the grouping from one
-`np.unique` per length group, each row viewed as a single np.void scalar.
+uint64 hash per row, computed for all rows at once: the row's length plus
+the sum of (symbol + 1) * C**k, where k counts the places after the
+symbol in its row, C is a fixed odd constant, and the arithmetic wraps
+mod 2**64. One `np.unique` over the hashes groups the rows, and every row
+is then checked against its group's first. Two different rows that share
+a hash fail that check; the rows are then grouped by their bytes instead,
+so the hash only speeds the grouping up and never merges unequal rows.
 Clusters are then put in order of first appearance.
 
 A ClusterTable is itself flat: its representatives are one Dataset,
@@ -41,6 +47,7 @@ import numpy as np
 from .model import Dataset, _exact_int, _offsets
 
 DISTANCES = ("dtw", "euclidean")
+_KEY_BASE = 0x9E3779B97F4A7C15  # odd: no power of it wraps to 0, so every symbol counts
 
 
 @dataclass(frozen=True)
@@ -93,27 +100,27 @@ def _collapse(data: Dataset) -> Dataset:
 def _group_equal_rows(data: Dataset):
     """Group identical sequences: (first, cluster), where first holds the
     position of each group's first member in order of first appearance and
-    cluster[i] is the group of sequence i. Inside a length group each row,
-    viewed as one np.void scalar, is its own key for np.unique."""
-    firsts, groups = [], []
-    count = 0  # groups found so far
-    for t_len, members in data.length_groups():
-        if t_len == 0:
-            raise ValueError(f"sequence {members[0] + 1} is empty")
-        rows = data.values[data.offsets[members][:, None] + np.arange(t_len)]
-        keys = rows.view(np.dtype((np.void, rows.itemsize * t_len))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        firsts.append(members[first])
-        groups.append((members, count + inverse))
-        count += first.shape[0]
-    first = np.concatenate(firsts)
+    cluster[i] is the group of sequence i. Rows are grouped by their keys,
+    then every row is checked against its group's first; if two different
+    rows share a key, they are grouped by their bytes instead."""
+    values, offsets, lengths = data.values, data.offsets, data.lengths
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        raise ValueError(f"sequence {empty[0] + 1} is empty")
+    powers = np.ones(lengths.max(), dtype=np.uint64)  # _KEY_BASE**k, wrapping
+    np.cumprod(np.full(powers.shape[0] - 1, _KEY_BASE, dtype=np.uint64), out=powers[1:])
+    places = np.repeat(offsets[1:] - 1, lengths) - np.arange(values.shape[0])  # symbols after
+    keys = np.add.reduceat((values.view(np.uint64) + 1) * powers[places], offsets[:-1])
+    keys += lengths.astype(np.uint64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    heads = data.take(first[inverse])  # each row's group's first row
+    if not (np.array_equal(heads.offsets, offsets) and np.array_equal(heads.values, values)):
+        rows = np.array([row.tobytes() for row in data.sequences], dtype=object)
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0])
-    cluster = np.empty(len(data), dtype=np.int64)
-    for members, inverse in groups:
-        cluster[members] = rank[inverse]
-    return first[order], cluster
+    return first[order], rank[inverse]
 
 
 def require_one_length(lengths: np.ndarray) -> None:
@@ -133,26 +140,32 @@ def build_clusters(data: Dataset, distance: str = "dtw", counts=None) -> Cluster
 
     distance: "dtw" or "euclidean" (the latter requires all sequences to
     share one length). Representatives are the first member of each
-    cluster, in order of first appearance. counts[i], an integer >= 1,
-    is how many sequences row i stands for, as for the distinct lines of
-    `load_distinct_sequences`; a cluster's weight is the sum of its rows'
-    counts. None counts each row once.
+    cluster, in order of first appearance. counts[i], an integer in
+    [1, 2**63), is how many sequences row i stands for, as for the distinct
+    lines of `load_distinct_sequences`; a cluster's weight is the sum of its
+    rows' counts, and must stay below 2**63. None counts each row once.
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}, expected one of {DISTANCES}")
     if not len(data):
         raise ValueError("empty dataset")
+    message = (f"counts must hold {len(data)} integers >= 1, one per sequence, "
+               "and no cluster's sum may reach 2**63")
     if counts is not None:
         counts = np.asarray(counts)
-        if counts.shape != (len(data),) or counts.dtype.kind not in "iu" or counts.min() < 1:
-            raise ValueError(f"counts must hold {len(data)} integers >= 1, one per sequence")
-        counts = counts.astype(np.int64, copy=False)
+        if (counts.shape != (len(data),) or counts.dtype.kind not in "iu" or counts.min() < 1
+                or counts.max() >= 2**63):
+            raise ValueError(message)
     if distance == "euclidean":
         require_one_length(data.lengths)
 
     first, cluster = _group_equal_rows(_collapse(data) if distance == "dtw" else data)
-    weights = np.zeros(first.shape[0], dtype=np.int64)
-    np.add.at(weights, cluster, 1 if counts is None else counts)
+    # sums that could pass int64 are taken exactly, as Python ints
+    exact = counts is not None and int(counts.max()) * len(counts) >= 2**63
+    weights = np.zeros(first.shape[0], dtype=object if exact else np.int64)
+    np.add.at(weights, cluster, 1 if counts is None else counts.astype(weights.dtype, copy=False))
+    if exact and weights.max() >= 2**63:
+        raise ValueError(message)
     return ClusterTable(data.take(first), weights)
 
 

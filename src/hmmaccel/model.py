@@ -24,6 +24,7 @@ the distinct lines back into file order.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -110,13 +111,6 @@ class Dataset:
         """Read-only per-sequence views of `values`."""
         offsets = self.offsets.tolist()
         return [self.values[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-
-    def length_groups(self) -> list[tuple[int, np.ndarray]]:
-        """(length, positions) for each sequence length, in order of first
-        appearance, with the positions of its sequences in input order."""
-        lengths, first, group = np.unique(self.lengths, return_index=True, return_inverse=True)
-        members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
-        return [(int(lengths[g]), members[g]) for g in np.argsort(first)]
 
     def take(self, rows) -> "Dataset":
         """The sequences at positions `rows`, in that order, repeats allowed,
@@ -373,35 +367,24 @@ def load_distinct_sequences(
     and no symbol out of range; anything else (`+3`, `1_0`, `٣`, a NEL
     separator, a fault) goes through `_parse_lines`, int() per distinct token.
     """
-    index: dict[str, int] = {}  # line -> its row in `lines`, or -1 if skipped
-    lines: list[str] = []  # distinct sequence lines, in order of first appearance
-    first_line: list[int] = []
-    rows: list[int] = []  # row in `lines` of each sequence
+    index: dict[str, int] = {}  # distinct line -> its number, in order of first appearance
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                row = index.get(line)
-                if row is None:
-                    text = line.strip()
-                    row = -1 if not text or text.startswith("#") else len(lines)
-                    if row >= 0:
-                        lines.append(line)
-                        first_line.append(lineno)
-                    index[line] = row
-                if row >= 0:
-                    rows.append(row)
+            ids = np.array([index.setdefault(line, len(index)) for line in fh], dtype=np.int64)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    if not rows:
+    # a distinct line holds a sequence unless it is blank or a comment
+    keep = np.array([t[:1] not in ("", "#") for t in map(str.strip, index)], dtype=bool)
+    inverse = (np.cumsum(keep) - 1)[ids[keep[ids]]]  # skipped lines dropped
+    if not inverse.size:
         raise ValueError(f"{path}: no sequences found")
 
+    lines = list(itertools.compress(index, keep))  # in order of first appearance
     parsed = _parse_plain(lines, n_symbols)
-    values, offsets = parsed if parsed is not None else _parse_lines(
-        path, lines, first_line, n_symbols)
-    distinct = Dataset.from_flat(values, offsets, category_id)
-    # with no repeats the rows come in order: the distinct lines are the file
-    inverse = np.array(rows, dtype=np.int64) if len(rows) > len(lines) else np.arange(len(rows))
-    return distinct, inverse
+    if parsed is None:  # name a bad line by its first line number
+        first_line = (np.unique(ids, return_index=True)[1][keep] + 1).tolist()
+        parsed = _parse_lines(path, lines, first_line, n_symbols)
+    return Dataset.from_flat(*parsed, category_id), inverse
 
 
 def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> Dataset:

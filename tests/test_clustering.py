@@ -16,6 +16,7 @@ from hmmaccel import (
     load_cluster_table,
     save_cluster_table,
 )
+from hmmaccel import clustering
 from hmmaccel.model import Dataset
 
 FOUR = [
@@ -195,10 +196,34 @@ def test_counted_rows_match_their_expanded_corpus(case, data):
     ]
 
 
-@pytest.mark.parametrize("counts", [[1, 2], [1, 0, 2], [1, 2.0, 1], [[1, 1, 1]]])
+@pytest.mark.parametrize("counts", [
+    [1, 2], [1, 0, 2], [1, 2.0, 1], [[1, 1, 1]],
+    np.array([2**64 - 1, 2, 1], dtype=np.uint64),  # no int64 holds the first
+    np.array([2**63 - 1] * 3, dtype=np.int64),  # rows 1 and 3 sum past int64
+])
 def test_bad_counts_rejected(counts):
     with pytest.raises(ValueError, match="counts must hold 3 integers >= 1"):
         build_clusters(dataset([[1], [2], [1]]), distance="dtw", counts=np.array(counts))
+
+
+def test_largest_counts_accepted():
+    counts = np.array([2**62, 1, 2**62 - 1])
+    table = build_clusters(dataset([[1], [2], [1]]), distance="dtw", counts=counts)
+    assert table.weights.tolist() == [2**63 - 1, 1]
+
+
+@pytest.mark.parametrize("oracle_test", [
+    test_keyed_clustering_matches_scan,
+    test_keyed_clustering_matches_scan_property,
+    test_counted_rows_match_their_expanded_corpus,
+])
+def test_scan_oracles_hold_when_keys_collide(monkeypatch, oracle_test):
+    # with base 0 a row's key is its last symbol plus its length, so most
+    # rows share a key with a different row, and grouping falls back to bytes
+    monkeypatch.setattr(clustering, "_KEY_BASE", 0)
+    table = build_clusters(dataset([[1, 2], [2, 2], [1, 2]]), distance="euclidean")
+    assert table.weights.tolist() == [2, 1]
+    oracle_test()
 
 
 def test_empty_sequence_rejected():

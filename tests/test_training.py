@@ -511,6 +511,8 @@ def test_config_validation():
     assert len(trace.per_iteration_log_likelihood) == 2
     with pytest.raises(ValueError, match="empty cluster table"):
         weighted_em_train(init, ClusterTable(Dataset([]), []), TrainingConfig(iterations=1))
+    with pytest.raises(ValueError, match="^no training sequences$"):
+        em_train(init, Dataset([]), TrainingConfig(iterations=1))
 
 
 def test_trace_timing_and_csv(tmp_path):
