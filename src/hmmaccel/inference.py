@@ -4,7 +4,12 @@ The forward pass normalizes each alpha row to sum 1 and keeps the per-step
 scaling coefficients c_t (reciprocals of the raw row sums), so the sequence
 log-likelihood is recovered exactly as -sum(log c_t) and no underflow can
 occur at any sequence length (Rabiner 1989, section V.A). The backward pass
-reuses the same coefficients.
+reuses the same coefficients: beta_{T-1} = 1 and beta_t = c_{t+1} a
+(b(o_{t+1}) beta_{t+1}). The scaled alpha_t carries the factor c_0 ... c_t
+and beta_t the factor c_{t+1} ... c_{T-1}, whose product is 1 / P(obs), so
+the posteriors need no normalizing: gamma_t = alpha_t beta_t and xi_t(i, j)
+= c_t alpha_{t-1}(i) a_ij b_j(o_t) beta_t(j), each summing to 1 up to
+rounding.
 
 Training, scoring and decoding all run on packed blocks, and
 `length_blocks` is the one place that makes them. It checks a Dataset's
@@ -179,12 +184,12 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
     the history: writes the emissions and the normalized alpha of the
     valid steps, in the block's packed order, into work[1] and work[0],
     and returns views of them, each (sum_t B_t, N), and the coefficients
-    c (T, B). Without, as scoring needs it, alpha and the emissions live
-    in two-slot rings and only c comes back, as a (T, W) view of a (W, T)
-    array, where W is B but at least 2; the block then holds no (T, B, N)
-    array at all.
-    Entries of c past a row's length are padding. A row with probability
-    0 gets a non-finite c from the step where it dies.
+    c (sum_t B_t,), packed the same way: row b's c_t at first_t + b.
+    Without, as scoring needs it, alpha and the emissions live in two-slot
+    rings and only c comes back, as a (T, W) view of a (W, T) array, where
+    W is B but at least 2; the block then holds no (T, B, N) array at all,
+    and entries of c past a row's length are padding. A row with
+    probability 0 gets a non-finite c from the step where it dies.
 
     Each step's row sums come from a matmul with an all-ones (N, N)
     matrix, which puts a row's sum in every column with bits that depend
@@ -204,13 +209,13 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
     t_len = len(sizes) - 1
     first = list(itertools.accumulate(sizes, initial=0))  # step t at first[t]
     if work is not None:
-        # A padding row run beside a lone running row writes one row on,
-        # into the next step's first row, which that step then overwrites,
-        # or into the one spare row at the end.
+        # A padding row run beside a lone running row writes one entry on
+        # in alpha, the emissions and c, into the next step's first, which
+        # that step then overwrites, or into the one spare at the end.
         width = sizes[0]
         slot = first
         alpha, et = work[0, : first[-1] + 1], work[1, : first[-1] + 1]
-        c = np.empty((t_len, width))
+        c = np.empty(first[-1] + 1)
     else:
         width = max(sizes[0], 2)
         slot = [t % 2 * width for t in range(t_len)]
@@ -227,9 +232,10 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
             k = max(sizes[t], floor)
             if k != rows:  # views of the running prefix, made again only when it shrinks
                 rows = k
-                ck, sk = c[:, :k, None], sums[:k]
+                sk = sums[:k]
                 sk0 = sk[:, :1]
             at = alpha[slot[t] : slot[t] + k]
+            ct = c[t, :k, None] if work is None else c[slot[t] : slot[t] + k, None]
             # symbols are checked; "clip" lets take write straight into out
             ek = b_t.take(symbols[first[t] : first[t] + k], axis=0,
                           out=et[slot[t] : slot[t] + k], mode="clip")
@@ -239,9 +245,9 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
                 np.matmul(alpha[slot[t - 1] : slot[t - 1] + k], a, out=at)
                 at *= ek
             np.matmul(at, ones, out=sk)
-            np.divide(1.0, sk0, out=ck[t])
-            at *= ck[t]
-    return c if work is None else (et[:-1], alpha[:-1], c)
+            np.divide(1.0, sk0, out=ct)
+            at *= ct
+    return c if work is None else (et[:-1], alpha[:-1], c[:-1])
 
 
 def _length_runs(sizes: list[int]):
@@ -266,28 +272,31 @@ def estep_block(
     is a workspace from `estep_workspace` for a list of blocks that holds
     this one. Adds sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t
     xi_t^b to a_num (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b to
-    b_num_mt[k] (M, N), and returns sum_b w_b log P(obs_b). Each xi_t is
-    normalized by its own sum, but is only ever summed over t and b, so no
-    (B, T, N, N) array is made. The backward pass and the counts work in
-    the block's packed order, valid (t, b) steps only: step t's B_t rows
-    are [off[t], off[t + 1]).
+    b_num_mt[k] (M, N), and returns sum_b w_b log P(obs_b) =
+    -sum_{t, b} w_b log c_t^b. gamma_t = alpha_t beta_t and xi_t =
+    c_t alpha_{t-1} a b(o_t) beta_t come straight from the scaled
+    recursions (see the module docstring), with no normalizing; xi_t is
+    only ever summed over t and b, so no (B, T, N, N) array is made. The
+    backward pass and the counts work in the block's packed order, valid
+    (t, b) steps only: step t's B_t rows are [off[t], off[t + 1]).
+    Raises ImpossibleSequenceError, with `rows`, if any row has
+    probability 0.
     """
     sizes = block.sizes
     bt, alpha, c = _forward_block(model, block, work)
     b_len, t_len = sizes[0], len(sizes) - 1
     n = model.n_states
     a = model.a
-    ones = np.ones(n)
-    ll = np.empty(b_len)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo, hi, t_end in _length_runs(sizes):
-            ll[lo:hi] = -np.log(c[:t_end, lo:hi]).sum(axis=0)
-    dead = ~np.isfinite(ll)
-    if dead.any():
-        raise ImpossibleSequenceError(rows=np.flatnonzero(dead))
-
     off = list(itertools.accumulate(sizes, initial=0))
     p = off[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = -float(wp @ np.log(c))
+    if not np.isfinite(ll):
+        # a row's c_t is non-finite from the step where the row dies on
+        dead = np.flatnonzero(~np.isfinite(c))
+        steps = np.searchsorted(off, dead, side="right") - 1
+        raise ImpossibleSequenceError(rows=np.unique(dead - np.take(off, steps)))
+
     beta = work[2, :p]
     beta[off[t_len - 1] :] = 1.0
     for t in range(t_len - 2, -1, -1):
@@ -295,51 +304,44 @@ def estep_block(
         v_next = bt[nxt]  # made b(o_{t+1}) beta_{t+1} in place: no emission is read again
         v_next *= beta[nxt]
         np.matmul(v_next, a.T, out=beta[off[t] : off[t] + k])
-        beta[off[t] : off[t] + k] *= c[t + 1, :k, None]
+        beta[off[t] : off[t] + k] *= c[nxt, None]
         if k < sizes[t]:  # rows whose last step is t
             beta[off[t] + k : off[t + 1]] = 1.0
     v = bt[b_len:]  # b(o_t) beta_t for t >= 1
-    # c is not read again: its first p entries take the (P,) row sums
-    row_sums = c.reshape(-1)[:p]
 
     # The three workspace buffers are reused in place as each is used up.
     # Rows are scaled one state column at a time: numpy buffers an in-place
     # multiply by a broadcast (P, 1) column, up to 64 KB a call.
     gamma = beta  # alpha * beta, in place: beta is not read again
     gamma *= alpha
-    np.matmul(gamma, ones, out=row_sums)
-    np.divide(wp, row_sums, out=row_sums)
     symbols = block.symbols[:-1]
     for j in range(n):
-        gamma[:, j] *= row_sums  # weighted posteriors
+        gamma[:, j] *= wp  # weighted posteriors
         b_num_mt[:, j] += np.bincount(symbols, weights=gamma[:, j], minlength=model.n_symbols)
     pi_num += gamma[:b_len].sum(axis=0)
 
     if t_len > 1:
-        # xi_t(i, j) = alpha_{t-1}(i) a_ij v_t(j) / norm_t, with alpha_{t-1}
+        # xi_t(i, j) = c_t alpha_{t-1}(i) a_ij v_t(j), with alpha_{t-1}
         # taken at the same b: the entry off[t - 1] + b of each off[t] + b,
         # which in a block of one length is always b_len entries back.
         m = p - b_len
         if sizes[t_len - 1] == b_len:
-            prev, f = alpha[:m], work[2, :m]
+            prev = alpha[:m]
         else:
-            # prev is gathered where gamma was, and f goes where alpha was.
-            # Step t reads alpha rows [off[t - 1], off[t - 1] + B_t), which
-            # run on into step t + 1's until a row ends, so one copy serves
-            # each run of steps.
-            prev, f = work[2, :m], work[0, :m]
+            # prev is gathered where gamma was. Step t reads alpha rows
+            # [off[t - 1], off[t - 1] + B_t), which run on into step
+            # t + 1's until a row ends, so one copy serves each run of steps.
+            prev = work[2, :m]
             starts = [t for t in range(1, t_len) if t == 1 or sizes[t - 1] < sizes[t - 2]]
             for t0, t1 in zip(starts, starts[1:] + [t_len]):
                 run = off[t1] - off[t0]
                 prev[off[t0] - b_len : off[t1] - b_len] = alpha[off[t0 - 1] : off[t0 - 1] + run]
-        np.matmul(prev, a, out=f)
-        f *= v
-        norm = np.matmul(f, ones, out=row_sums[:m])
-        np.divide(wp[b_len:], norm, out=norm)
+        scale = c[b_len:]  # w c_t, in place: c is not read again
+        scale *= wp[b_len:]
         for j in range(n):
-            prev[:, j] *= norm
+            prev[:, j] *= scale
         a_num += a * (prev.T @ v)
-    return float(wp[:b_len] @ ll)
+    return ll
 
 
 def score_block(model: HmmModel, block: Block) -> np.ndarray:

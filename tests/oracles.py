@@ -2,7 +2,10 @@
 
 - `forward_backward` is the per-sequence scaled forward-backward pass,
   returning every posterior; `per_sequence_em` is the accumulation loop
-  over it that the block E-step replaced, with the same M-step.
+  over it that the block E-step replaced, with the same M-step. It keeps
+  the renormalised form as the reference: each gamma_t and xi_t is
+  divided by its own sum, where the block E-step takes them straight
+  from the scaled recursions, whose sums are 1 up to rounding.
 - `run_length_collapse` and `scan_clusters` are the per-sequence collapse
   and the pairwise first-match scan that keyed clustering replaced.
 - `score_block_history` and `viterbi_block_history` are `score_block` and

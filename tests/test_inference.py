@@ -273,27 +273,30 @@ def test_scaling_coefficients_do_not_depend_on_block(n):
     seq = rng.integers(0, 6, size=9)
 
     def forward(rows):
+        """Training's packed c, checked against scoring's (T, W) c, and the
+        packed position of each step's first row."""
         (block,) = length_blocks(Dataset(rows), 6)
         _, _, c = _forward_block(model, block, estep_workspace([block], n))
         c_scoring = _forward_block(model, block)
+        first = np.cumsum([0] + block.sizes[:-2])
         for t, k in enumerate(block.sizes[:-1]):  # the running rows of each step
-            assert np.array_equal(c_scoring[t, :k], c[t, :k]), (len(rows), t)
-        return c
+            assert np.array_equal(c_scoring[t, :k], c[first[t] : first[t] + k]), (len(rows), t)
+        return c, first
 
-    c = forward([seq, seq])
-    expected = c[:, 0].copy()
+    c, first = forward([seq, seq])
+    expected = c[first].copy()
     for b_len in (2, 3, 7, 8, 9, 68):
         for offset in sorted({0, 1, b_len // 2, b_len - 1}):
             obs = rng.integers(0, 6, size=(b_len, 9))
             obs[offset] = seq
-            c = forward(list(obs))
-            assert np.array_equal(c[:, offset], expected), (b_len, offset)
+            c, first = forward(list(obs))
+            assert np.array_equal(c[first + offset], expected), (b_len, offset)
         # the row leads a block of shorter rows, so the prefix shrinks to it
         lengths = np.sort(rng.integers(1, 9, size=b_len))[::-1]
         lengths[0] = 9
         obs = obs[np.argsort(np.arange(b_len) != offset)]
-        c = forward([row[:t_len] for row, t_len in zip(obs, lengths)])
-        assert np.array_equal(c[:, 0], expected), b_len
+        c, first = forward([row[:t_len] for row, t_len in zip(obs, lengths)])
+        assert np.array_equal(c[first], expected), b_len
 
 
 def test_packed_blocks_match_per_sequence_calls():
@@ -464,6 +467,34 @@ def estep_counts(model, blocks, weights, work, fill):
         work.fill(fill)
         lls.append(estep_block(model, block, step_weights(block, weights), *counts, work))
     return [x.tobytes() for x in counts], np.array(lls).tobytes()
+
+
+@pytest.mark.parametrize(
+    "steps, layout",
+    [
+        (None, [([0, 1, 6, 3, 2, 4, 5], [1, 3, 6])]),
+        (6, [([0], None), ([1], [0]), ([6], None), ([3], [0]), ([2, 4], None), ([5], [0])]),
+    ],
+    ids=["one-block", "capped"],
+)
+def test_estep_names_exactly_the_impossible_rows(steps, layout):
+    # symbol 2 is never emitted, so inputs 1, 3 and 5 are impossible; each
+    # block raises with the block rows of exactly its impossible sequences
+    model = make([0.6, 0.4], [[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]])
+    seqs = [[0, 1, 1, 0, 1, 0], [0, 1, 0, 1, 1, 2], [1, 1, 0], [0, 2, 1, 1], [1, 0], [2],
+            [0, 1, 1, 1, 0, 0]]
+    blocks = length_blocks(Dataset([np.array(seq) for seq in seqs]), 3, steps)
+    assert [block.rows.tolist() for block in blocks] == [rows for rows, _ in layout]
+    work = estep_workspace(blocks, 2)
+    for block, (_, dead) in zip(blocks, layout):
+        counts = np.zeros(2), np.zeros((2, 2)), np.zeros((3, 2))
+        wp = step_weights(block, np.ones(len(seqs)))
+        if dead is None:
+            assert np.isfinite(estep_block(model, block, wp, *counts, work))
+        else:
+            with pytest.raises(ImpossibleSequenceError) as raised:
+                estep_block(model, block, wp, *counts, work)
+            assert raised.value.rows.tolist() == dead
 
 
 @pytest.mark.parametrize(

@@ -143,6 +143,33 @@ def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
         assert spy.call_count == 2 * 3 * 5
 
 
+def test_block_kernel_matches_per_sequence_loop_on_long_sequences_near_zero():
+    # the E-step takes gamma and xi straight from the scaled recursions,
+    # while the per-sequence loop renormalises each one: they must still
+    # agree over 2,000 steps, under a model with entries down to 1e-12
+    rng = np.random.default_rng(51)
+
+    def stochastic(tiny):
+        # random stochastic rows, holding 1e-12 where `tiny` is True
+        p = np.where(tiny, 0.0, rng.uniform(0.1, 1.0, size=tiny.shape))
+        p *= (1.0 - 1e-12 * tiny.sum(axis=-1, keepdims=True)) / p.sum(axis=-1, keepdims=True)
+        return np.where(tiny, 1e-12, p)
+
+    pi = stochastic(np.array([False, False, True]))
+    a = stochastic(np.array([[False, False, True], [False, False, False], [True, True, False]]))
+    b = stochastic(np.array([[False, True, False, False, False, True],
+                             [True, False, False, True, False, False],
+                             [False, False, True, False, True, False]]))
+    init = make(pi, a, b)
+    validate_model(init)
+    assert init.a.min() < 1.1e-12 and init.b.min() < 1.1e-12
+    seqs = [rng.integers(0, 6, size=t) for t in (2000, 7, 2000, 300, 2000, 2000)]
+    weights = [1, 3, 2, 5, 1, 4]
+    assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 4)
+    table = ClusterTable(Dataset(seqs), weights)
+    assert_matches_per_sequence(weighted_em_train, init, table, seqs, weights, 4)
+
+
 @st.composite
 def mixed_corpora(draw):
     """Sequences of lengths 1..12 plus a lone longest one of length 13,
