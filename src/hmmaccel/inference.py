@@ -1,15 +1,17 @@
 """Scaled forward-backward recursions and Viterbi decoding.
 
-The forward pass normalizes each alpha row to sum 1 and keeps the per-step
-scaling coefficients c_t (reciprocals of the raw row sums), so the sequence
-log-likelihood is recovered exactly as -sum(log c_t) and no underflow can
-occur at any sequence length (Rabiner 1989, section V.A). The backward pass
-reuses the same coefficients: beta_{T-1} = 1 and beta_t = c_{t+1} a
-(b(o_{t+1}) beta_{t+1}). The scaled alpha_t carries the factor c_0 ... c_t
+The forward pass divides each step's unnormalized row f_t = (alpha_{t-1}
+a) b(o_t) (f_0 = pi b(o_0)) by its sum s_t, so alpha_t = f_t / s_t sums
+to 1, and takes the scaling coefficients c_t = 1 / s_t once per block,
+after the loop. The sequence log-likelihood is recovered exactly as
+-sum(log c_t), and no underflow can occur at any sequence length (Rabiner
+1989, section V.A). The backward pass scales the emissions by the same
+coefficients, once per block: beta_{T-1} = 1 and beta_t = a (c_{t+1}
+b(o_{t+1}) beta_{t+1}). The scaled alpha_t carries the factor c_0 ... c_t
 and beta_t the factor c_{t+1} ... c_{T-1}, whose product is 1 / P(obs), so
 the posteriors need no normalizing: gamma_t = alpha_t beta_t and xi_t(i, j)
-= c_t alpha_{t-1}(i) a_ij b_j(o_t) beta_t(j), each summing to 1 up to
-rounding.
+= alpha_{t-1}(i) a_ij (c_t b_j(o_t) beta_t(j)), each summing to 1 up to
+rounding, and training scales both by the sequence's weight w.
 
 Training, scoring and decoding all run on packed blocks, and
 `length_blocks` is the one place that makes them. It checks a Dataset's
@@ -21,15 +23,20 @@ in the t-major order of PyTorch's `pack_padded_sequence`: step t holds
 the symbols of the B_t sequences still running at t. Since the rows are
 sorted, those are a prefix of the block, and every recursion works on
 that prefix only, reading each step's symbols as one contiguous run.
-`_forward_block` runs the scaled forward pass, two batched matmuls per
-time step (the transition and the row sums). `estep_block` keeps the
-packed alpha and adds the backward pass and the block's weighted expected
-counts, all in packed order, never building a per-sequence xi. It runs
-in a workspace of three packed (P + 1, N) buffers that `estep_workspace`
-makes once per training run, so no block or iteration allocates a packed
-array; training's cap keeps that workspace within ESTEP_BYTES.
+`_forward_block` runs the scaled forward pass, four numpy calls per
+time step in training: the transition matmul, the emission multiply, the
+row-sum matmul and the normalizing divide (scoring adds the step's
+emission gather and keeps its sums). `estep_block` keeps the packed alpha
+and adds the backward pass, two calls per step, and the block's weighted
+expected counts, all in packed order, never building a per-sequence xi.
+It runs in a workspace of three packed (P + 1, N) buffers that
+`estep_workspace` makes once per training run: alpha, the emissions, and
+the row sums that beta then overwrites. No block or iteration allocates a
+packed (P, N) array; training's cap keeps that workspace within
+ESTEP_BYTES.
 `score_block` runs the forward pass with no history, keeping only the
-coefficients, and turns them into one log-likelihood per sequence.
+row sums, and turns their coefficients into one log-likelihood per
+sequence.
 `viterbi_block` runs the max-product recursion with one-byte
 back-pointers. Neither holds a (T, B, N) float array, so their blocks can
 be larger than training's: SCORE_STEPS. `likelihood` and `viterbi` are the
@@ -176,20 +183,24 @@ def step_weights(block: Block, weights: np.ndarray) -> np.ndarray:
 
 
 def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None):
-    """Scaled forward pass over a block. Each step gathers the emission
-    probabilities of its own symbols, so the block holds no padded
-    (T, B, N) emission array.
+    """Scaled forward pass over a block: alpha_t = f_t / s_t, where f_0 =
+    pi b(o_0), f_t = (alpha_{t-1} a) b(o_t) and s_t is the sum of f_t, and
+    the coefficients c_t = 1 / s_t, taken for the whole block in one call
+    after the loop.
 
     Given the workspace of `estep_workspace`, as training needs it, keeps
-    the history: writes the emissions and the normalized alpha of the
-    valid steps, in the block's packed order, into work[1] and work[0],
-    and returns views of them, each (sum_t B_t, N), and the coefficients
-    c (sum_t B_t,), packed the same way: row b's c_t at first_t + b.
-    Without, as scoring needs it, alpha and the emissions live in two-slot
-    rings and only c comes back, as a (T, W) view of a (W, T) array, where
-    W is B but at least 2; the block then holds no (T, B, N) array at all,
-    and entries of c past a row's length are padding. A row with
-    probability 0 gets a non-finite c from the step where it dies.
+    the history: gathers the block's emissions into work[1] in one call
+    before the loop, writes the alpha of the valid steps into work[0] and
+    their row sums into work[2], all in the block's packed order, and
+    returns views of the emissions and alpha, each (sum_t B_t, N), and c
+    as one contiguous (sum_t B_t,) array, packed the same way: row b's c_t
+    at first_t + b. Without, as scoring needs it, alpha lives in two
+    slots, each step gathers its own emissions into a one-step buffer and
+    copies its row sums into a (T, W) view of a (W, T) array, where W is
+    B but at least 2, and only c comes back, as that view; the block then
+    holds no (T, B, N) array at all, and c is 1.0 past a row's length. A
+    row with probability 0 gets a non-finite c from the step where it
+    dies.
 
     Each step's row sums come from a matmul with an all-ones (N, N)
     matrix, which puts a row's sum in every column with bits that depend
@@ -208,46 +219,47 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
     symbols, sizes = block.symbols, block.sizes
     t_len = len(sizes) - 1
     first = list(itertools.accumulate(sizes, initial=0))  # step t at first[t]
+    ones = np.ones_like(a)
     if work is not None:
         # A padding row run beside a lone running row writes one entry on
-        # in alpha, the emissions and c, into the next step's first, which
-        # that step then overwrites, or into the one spare at the end.
-        width = sizes[0]
-        slot = first
-        alpha, et = work[0, : first[-1] + 1], work[1, : first[-1] + 1]
-        c = np.empty(first[-1] + 1)
+        # in alpha and the sums, into the next step's first, which that
+        # step then overwrites, or into the one spare at the end.
+        p, floor, slot = first[-1], min(2, sizes[0]), first
+        alpha, et, sums = work[:, : p + 1]
+        # symbols are checked; "clip" lets take write straight into out
+        b_t.take(symbols, axis=0, out=et, mode="clip")
     else:
-        width = max(sizes[0], 2)
-        slot = [t % 2 * width for t in range(t_len)]
+        width, floor = max(sizes[0], 2), 2
+        slot = [t % 2 * width for t in range(t_len)]  # alpha's two slots
         alpha = np.empty((2 * width, n))
-        et = np.empty_like(alpha)
-        c = np.empty((width, t_len)).T
-    ones = np.ones_like(a)
-    sums = np.empty((width, n))
-    floor = min(2, width)
+        et, sums = np.empty((2, width, n))  # the step's emissions and row sums
+        s = np.ones((width, t_len)).T  # entries past a row's length stay 1
     rows = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        # each step fills its alpha rows in place: f = (alpha_{t-1} @ a) * b(o_t), c_t = 1 / sum f
+        # each step fills its alpha rows in place: f = (alpha_{t-1} @ a) * b(o_t), alpha_t = f / s_t
         for t in range(t_len):
-            k = max(sizes[t], floor)
-            if k != rows:  # views of the running prefix, made again only when it shrinks
-                rows = k
-                sk = sums[:k]
-                sk0 = sk[:, :1]
-            at = alpha[slot[t] : slot[t] + k]
-            ct = c[t, :k, None] if work is None else c[slot[t] : slot[t] + k, None]
-            # symbols are checked; "clip" lets take write straight into out
-            ek = b_t.take(symbols[first[t] : first[t] + k], axis=0,
-                          out=et[slot[t] : slot[t] + k], mode="clip")
+            lo, b = slot[t], sizes[t]
+            if b != rows:  # the running prefix and scoring's views of it, made when it shrinks
+                rows, k = b, max(b, floor)
+                ek, sk, sb = et[:k], sums[:k], sums[:b, 0]
+            at = alpha[lo : lo + k]
+            if work is None:  # scoring gathers each step's emissions
+                b_t.take(symbols[first[t] : first[t] + k], axis=0, out=ek, mode="clip")
+            else:  # training reads the packed emissions and keeps every step's sums
+                ek, sk = et[lo : lo + k], sums[lo : lo + k]
             if t == 0:
                 np.multiply(model.pi, ek, out=at)
             else:
                 np.matmul(alpha[slot[t - 1] : slot[t - 1] + k], a, out=at)
                 at *= ek
             np.matmul(at, ones, out=sk)
-            np.divide(1.0, sk0, out=ct)
-            at *= ct
-    return c if work is None else (et[:-1], alpha[:-1], c[:-1])
+            at /= sk
+            if work is None:
+                s[t, :b] = sb
+        if work is None:
+            return np.divide(1.0, s, out=s)
+        c = np.divide(1.0, sums[:p, 0])  # contiguous, unlike the column it reads
+    return et[:-1], alpha[:-1], c
 
 
 def _length_runs(sizes: list[int]):
@@ -273,14 +285,16 @@ def estep_block(
     this one. Adds sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t
     xi_t^b to a_num (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b to
     b_num_mt[k] (M, N), and returns sum_b w_b log P(obs_b) =
-    -sum_{t, b} w_b log c_t^b. gamma_t = alpha_t beta_t and xi_t =
-    c_t alpha_{t-1} a b(o_t) beta_t come straight from the scaled
-    recursions (see the module docstring), with no normalizing; xi_t is
-    only ever summed over t and b, so no (B, T, N, N) array is made. The
-    backward pass and the counts work in the block's packed order, valid
-    (t, b) steps only: step t's B_t rows are [off[t], off[t + 1]).
-    Raises ImpossibleSequenceError, with `rows`, if any row has
-    probability 0.
+    -sum_{t, b} w_b log c_t^b. The emissions are scaled by c once, so
+    that the backward pass is beta_{T-1} = 1 and beta_t = a (c_{t+1}
+    b(o_{t+1}) beta_{t+1}), and gamma_t = alpha_t beta_t and xi_t =
+    alpha_{t-1} a (c_t b(o_t) beta_t) come straight from the scaled
+    recursions (see the module docstring), with no normalizing, and are
+    scaled by w only; xi_t is only ever summed over t and b, so no
+    (B, T, N, N) array is made. The backward pass and the counts work in
+    the block's packed order, valid (t, b) steps only: step t's B_t rows
+    are [off[t], off[t + 1]). Raises ImpossibleSequenceError, with
+    `rows`, if any row has probability 0.
     """
     sizes = block.sizes
     bt, alpha, c = _forward_block(model, block, work)
@@ -289,29 +303,30 @@ def estep_block(
     a = model.a
     off = list(itertools.accumulate(sizes, initial=0))
     p = off[-1]
+    # The three workspace buffers are reused in place as each is used up.
+    # Rows are scaled one state column at a time: numpy buffers an in-place
+    # multiply by a broadcast (P, 1) column, up to 64 KB a call.
+    v = bt[b_len:]  # c_t b(o_t) for t >= 1, then c_t b(o_t) beta_t
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = -float(wp @ np.log(c))
+        for j in range(n):
+            v[:, j] *= c[b_len:]
+        ll = -float(wp @ np.log(c, out=c))  # log c in place: c itself is not needed again
     if not np.isfinite(ll):
-        # a row's c_t is non-finite from the step where the row dies on
+        # a row's log c_t is non-finite from the step where the row dies on
         dead = np.flatnonzero(~np.isfinite(c))
         steps = np.searchsorted(off, dead, side="right") - 1
         raise ImpossibleSequenceError(rows=np.unique(dead - np.take(off, steps)))
 
-    beta = work[2, :p]
+    beta = work[2, :p]  # where the forward pass kept its row sums
     beta[off[t_len - 1] :] = 1.0
     for t in range(t_len - 2, -1, -1):
         k, nxt = sizes[t + 1], np.s_[off[t + 1] : off[t + 2]]
-        v_next = bt[nxt]  # made b(o_{t+1}) beta_{t+1} in place: no emission is read again
+        v_next = bt[nxt]  # made c b(o_{t+1}) beta_{t+1} in place: no emission is read again
         v_next *= beta[nxt]
         np.matmul(v_next, a.T, out=beta[off[t] : off[t] + k])
-        beta[off[t] : off[t] + k] *= c[nxt, None]
         if k < sizes[t]:  # rows whose last step is t
             beta[off[t] + k : off[t + 1]] = 1.0
-    v = bt[b_len:]  # b(o_t) beta_t for t >= 1
 
-    # The three workspace buffers are reused in place as each is used up.
-    # Rows are scaled one state column at a time: numpy buffers an in-place
-    # multiply by a broadcast (P, 1) column, up to 64 KB a call.
     gamma = beta  # alpha * beta, in place: beta is not read again
     gamma *= alpha
     symbols = block.symbols[:-1]
@@ -321,9 +336,9 @@ def estep_block(
     pi_num += gamma[:b_len].sum(axis=0)
 
     if t_len > 1:
-        # xi_t(i, j) = c_t alpha_{t-1}(i) a_ij v_t(j), with alpha_{t-1}
-        # taken at the same b: the entry off[t - 1] + b of each off[t] + b,
-        # which in a block of one length is always b_len entries back.
+        # xi_t(i, j) = alpha_{t-1}(i) a_ij v_t(j), with alpha_{t-1} taken
+        # at the same b: the entry off[t - 1] + b of each off[t] + b, which
+        # in a block of one length is always b_len entries back.
         m = p - b_len
         if sizes[t_len - 1] == b_len:
             prev = alpha[:m]
@@ -336,10 +351,8 @@ def estep_block(
             for t0, t1 in zip(starts, starts[1:] + [t_len]):
                 run = off[t1] - off[t0]
                 prev[off[t0] - b_len : off[t1] - b_len] = alpha[off[t0 - 1] : off[t0 - 1] + run]
-        scale = c[b_len:]  # w c_t, in place: c is not read again
-        scale *= wp[b_len:]
         for j in range(n):
-            prev[:, j] *= scale
+            prev[:, j] *= wp[b_len:]
         a_num += a * (prev.T @ v)
     return ll
 

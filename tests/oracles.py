@@ -1,7 +1,9 @@
 """The slow code that the library's fast paths replaced, kept as test oracles.
 
 - `forward_backward` is the per-sequence scaled forward-backward pass,
-  returning every posterior; `per_sequence_em` is the accumulation loop
+  returning every posterior. It normalises as the block kernels do,
+  alpha_t = f_t / s_t with c_t = 1 / s_t, so its log-likelihood has the
+  same bits as `likelihood`'s; `per_sequence_em` is the accumulation loop
   over it that the block E-step replaced, with the same M-step. It keeps
   the renormalised form as the reference: each gamma_t and xi_t is
   divided by its own sum, where the block E-step takes them straight
@@ -91,7 +93,7 @@ def forward_backward(model: HmmModel, seq) -> ForwardBackwardResult:
         if s == 0.0:
             raise ImpossibleSequenceError("impossible sequence")
         c[t] = 1.0 / s
-        alpha[t] = f * c[t]
+        alpha[t] = f / s
 
     beta = np.empty((t_len, n))
     beta[t_len - 1] = 1.0
@@ -198,7 +200,8 @@ def scan_clusters(data, distance):
 
 
 def forward_history(model, obs, sizes):
-    """Scaled forward pass: bt, alpha (T, B, N) and c (T, B)."""
+    """Scaled forward pass: bt, alpha (T, B, N) and c (T, B), where
+    alpha_t = f_t / s_t and c_t = 1 / s_t."""
     _check_symbols(model, obs)
     a = model.a
     bt = np.take(np.ascontiguousarray(model.b.T), obs.T, axis=0)
@@ -223,7 +226,7 @@ def forward_history(model, obs, sizes):
                 at *= bk[t]
             np.matmul(at, ones, out=sk)
             np.divide(1.0, sk0, out=ck[t])
-            at *= ck[t]
+            at /= sk
     return bt, alpha, c
 
 

@@ -263,6 +263,23 @@ def test_blocks_mark_impossible_rows():
     assert paths[1].tolist() == [0, 1, 0]
 
 
+@pytest.mark.parametrize(
+    "lengths", [[9, 7, 7, 4, 2, 1], [6, 1], [3]], ids=["ragged", "lone", "one-row"]
+)
+def test_scoring_coefficients_are_one_past_each_row(lengths):
+    # scoring takes c = 1 / s over its whole (T, W) array, so every entry
+    # past a row's length, the padding row's too, must hold a sum first
+    rng = np.random.default_rng(59)
+    model = random_model(rng, 3, 4)
+    (block,) = length_blocks(Dataset([rng.integers(0, 4, size=t) for t in lengths]), 4)
+    c = _forward_block(model, block)
+    assert c.shape == (lengths[0], max(len(lengths), 2))
+    running = np.arange(lengths[0])[:, None] < block.lengths
+    assert np.isfinite(c[:, : len(lengths)][running]).all()
+    assert (c[:, : len(lengths)][~running] == 1.0).all()
+    assert (c[:, len(lengths) :] == 1.0).all()
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_scaling_coefficients_do_not_depend_on_block(n):
     # a row's c_t must not depend on the block's row count, the row's
