@@ -11,7 +11,8 @@ b(o_{t+1}) beta_{t+1}). The scaled alpha_t carries the factor c_0 ... c_t
 and beta_t the factor c_{t+1} ... c_{T-1}, whose product is 1 / P(obs), so
 the posteriors need no normalizing: gamma_t = alpha_t beta_t and xi_t(i, j)
 = alpha_{t-1}(i) a_ij (c_t b_j(o_t) beta_t(j)), each summing to 1 up to
-rounding, and training scales both by the sequence's weight w.
+rounding. Training weights both through alpha: w gamma_t = (w alpha_t)
+beta_t and w xi_t(i, j) = (w alpha_{t-1}(i)) a_ij (c_t b_j(o_t) beta_t(j)).
 
 Training, scoring and decoding all run on packed blocks, and
 `length_blocks` is the one place that makes them. It checks a Dataset's
@@ -28,7 +29,11 @@ time step in training: the transition matmul, the emission multiply, the
 row-sum matmul and the normalizing divide (scoring adds the step's
 emission gather and keeps its sums). `estep_block` keeps the packed alpha
 and adds the backward pass, two calls per step, and the block's weighted
-expected counts, all in packed order, never building a per-sequence xi.
+expected counts, all in packed order: it scales alpha by the weights
+once, and sums xi with one matmul per run of steps whose alpha_{t-1} rows
+lie end to end, never building a per-sequence xi. A block that holds a
+sequence of probability 0 returns a non-finite log-likelihood before the
+backward pass and adds no counts; `score_block` names its rows.
 It runs in a workspace of three packed (P + 1, N) buffers that
 `estep_workspace` makes once per training run: alpha, the emissions, and
 the row sums that beta then overwrites. No block or iteration allocates a
@@ -46,7 +51,7 @@ packed kernels against them.
 
 A sequence gets the same score and path, bit for bit, whatever block it
 sits in, at whatever row and beside whatever lengths: see `score_block`
-and `viterbi_block`.
+and `viterbi_block`. Its c_t in training are the same bits as in scoring.
 
 Model validity is the caller's precondition (see model.validate_model);
 symbol range is an indexing hazard, so `length_blocks` checks it, and the
@@ -85,15 +90,7 @@ SCORE_STEPS = 8 * BLOCK_STEPS
 
 
 class ImpossibleSequenceError(ValueError):
-    """The sequence has probability exactly 0 under the model.
-
-    When raised by `estep_block`, `rows` holds the block rows of every
-    impossible sequence; otherwise it is None.
-    """
-
-    def __init__(self, message: str = "impossible sequence", rows=None):
-        super().__init__(message)
-        self.rows = rows
+    """The sequence has probability exactly 0 under the model."""
 
 
 class Block(NamedTuple):
@@ -207,11 +204,11 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
     on that row alone, as the transition matmul's do; a BLAS gemv
     (x @ ones(N)) rounds a row by the row count and the row's offset.
     numpy sends a one-row matmul down another BLAS path than a multi-row
-    one, so in a block of two or more rows, and in every scoring block, a
-    step runs on at least two. The second is padding once its own
-    sequence has ended, and reads the symbol after the step's last: the
-    next step's first, or the block's spare. Both modes do the same
-    arithmetic, so they give the same c bits.
+    one, so every step runs on at least two rows. The second is padding
+    once its own sequence has ended, and reads the symbol after the
+    step's last: the next step's first, or the block's spare. Both modes
+    do the same arithmetic, so a row gets the same c bits in either, in
+    every block.
     """
     a = model.a
     b_t = np.ascontiguousarray(model.b.T)
@@ -224,12 +221,12 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
         # A padding row run beside a lone running row writes one entry on
         # in alpha and the sums, into the next step's first, which that
         # step then overwrites, or into the one spare at the end.
-        p, floor, slot = first[-1], min(2, sizes[0]), first
+        p, slot = first[-1], first
         alpha, et, sums = work[:, : p + 1]
         # symbols are checked; "clip" lets take write straight into out
         b_t.take(symbols, axis=0, out=et, mode="clip")
     else:
-        width, floor = max(sizes[0], 2), 2
+        width = max(sizes[0], 2)
         slot = [t % 2 * width for t in range(t_len)]  # alpha's two slots
         alpha = np.empty((2 * width, n))
         et, sums = np.empty((2, width, n))  # the step's emissions and row sums
@@ -240,7 +237,7 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
         for t in range(t_len):
             lo, b = slot[t], sizes[t]
             if b != rows:  # the running prefix and scoring's views of it, made when it shrinks
-                rows, k = b, max(b, floor)
+                rows, k = b, max(b, 2)
                 ek, sk, sb = et[:k], sums[:k], sums[:b, 0]
             at = alpha[lo : lo + k]
             if work is None:  # scoring gathers each step's emissions
@@ -275,26 +272,32 @@ def estep_block(
     wp: np.ndarray,
     pi_num: np.ndarray,
     a_num: np.ndarray,
-    b_num_mt: np.ndarray,
+    b_num: np.ndarray,
     work: np.ndarray,
 ) -> float:
-    """Add the weighted expected counts of a block of sequences in place.
+    """Add the weighted expected counts of a block of sequences in place,
+    and return sum_b w_b log P(obs_b) = -sum_{t, b} w_b log c_t^b.
 
     wp holds the block's per-step weights, from `step_weights`, and work
     is a workspace from `estep_workspace` for a list of blocks that holds
     this one. Adds sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t
-    xi_t^b to a_num (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b to
-    b_num_mt[k] (M, N), and returns sum_b w_b log P(obs_b) =
-    -sum_{t, b} w_b log c_t^b. The emissions are scaled by c once, so
-    that the backward pass is beta_{T-1} = 1 and beta_t = a (c_{t+1}
-    b(o_{t+1}) beta_{t+1}), and gamma_t = alpha_t beta_t and xi_t =
-    alpha_{t-1} a (c_t b(o_t) beta_t) come straight from the scaled
-    recursions (see the module docstring), with no normalizing, and are
-    scaled by w only; xi_t is only ever summed over t and b, so no
-    (B, T, N, N) array is made. The backward pass and the counts work in
-    the block's packed order, valid (t, b) steps only: step t's B_t rows
-    are [off[t], off[t + 1]). Raises ImpossibleSequenceError, with
-    `rows`, if any row has probability 0.
+    xi_t^b to a_num (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b(j) to
+    b_num[j, k] (N, M), laid out as the model's B. With the emissions
+    scaled by c, v_t = c_t b(o_t), the backward pass is beta_{T-1} = 1
+    and beta_t = a (v_{t+1} beta_{t+1}). alpha is scaled by w once, since
+    both posteriors read it: w gamma_t = (w alpha_t) beta_t and
+    w xi_t(i, j) = (w alpha_{t-1}(i)) a_ij v_t(j) beta_t(j), straight from
+    the scaled recursions (see the module docstring), with no
+    normalizing. xi_t is only ever summed over t and b, so no
+    (B, T, N, N) array is made: a_num gains a_ij times the sum of
+    (w alpha_{t-1})^T (v_t beta_t), one matmul per run of steps whose
+    alpha_{t-1} rows lie end to end. The backward pass and the counts
+    work in the block's packed order, valid (t, b) steps only: step t's
+    B_t rows are [off[t], off[t + 1]).
+
+    If a row has probability 0, the sum is not finite; it is returned as
+    soon as the forward pass gives it, and nothing is added to the counts.
+    `score_block` names the rows, with the same c bits.
     """
     sizes = block.sizes
     bt, alpha, c = _forward_block(model, block, work)
@@ -312,10 +315,7 @@ def estep_block(
             v[:, j] *= c[b_len:]
         ll = -float(wp @ np.log(c, out=c))  # log c in place: c itself is not needed again
     if not np.isfinite(ll):
-        # a row's log c_t is non-finite from the step where the row dies on
-        dead = np.flatnonzero(~np.isfinite(c))
-        steps = np.searchsorted(off, dead, side="right") - 1
-        raise ImpossibleSequenceError(rows=np.unique(dead - np.take(off, steps)))
+        return ll
 
     beta = work[2, :p]  # where the forward pass kept its row sums
     beta[off[t_len - 1] :] = 1.0
@@ -327,33 +327,24 @@ def estep_block(
         if k < sizes[t]:  # rows whose last step is t
             beta[off[t] + k : off[t + 1]] = 1.0
 
-    gamma = beta  # alpha * beta, in place: beta is not read again
+    for j in range(n):
+        alpha[:, j] *= wp
+    gamma = beta  # w alpha * beta, in place: beta is not read again
     gamma *= alpha
     symbols = block.symbols[:-1]
     for j in range(n):
-        gamma[:, j] *= wp  # weighted posteriors
-        b_num_mt[:, j] += np.bincount(symbols, weights=gamma[:, j], minlength=model.n_symbols)
+        b_num[j] += np.bincount(symbols, weights=gamma[:, j], minlength=model.n_symbols)
     pi_num += gamma[:b_len].sum(axis=0)
 
-    if t_len > 1:
-        # xi_t(i, j) = alpha_{t-1}(i) a_ij v_t(j), with alpha_{t-1} taken
-        # at the same b: the entry off[t - 1] + b of each off[t] + b, which
-        # in a block of one length is always b_len entries back.
-        m = p - b_len
-        if sizes[t_len - 1] == b_len:
-            prev = alpha[:m]
-        else:
-            # prev is gathered where gamma was. Step t reads alpha rows
-            # [off[t - 1], off[t - 1] + B_t), which run on into step
-            # t + 1's until a row ends, so one copy serves each run of steps.
-            prev = work[2, :m]
-            starts = [t for t in range(1, t_len) if t == 1 or sizes[t - 1] < sizes[t - 2]]
-            for t0, t1 in zip(starts, starts[1:] + [t_len]):
-                run = off[t1] - off[t0]
-                prev[off[t0] - b_len : off[t1] - b_len] = alpha[off[t0 - 1] : off[t0 - 1] + run]
-        for j in range(n):
-            prev[:, j] *= wp[b_len:]
-        a_num += a * (prev.T @ v)
+    # Step t pairs its rows with alpha rows [off[t - 1], off[t - 1] + B_t),
+    # the same b one step back, which run on into step t + 1's until a row
+    # ends: one matmul serves each run of steps.
+    starts = [t for t in range(1, t_len) if t == 1 or sizes[t - 1] < sizes[t - 2]]
+    xi = np.zeros((n, n))
+    for t0, t1 in zip(starts, starts[1:] + [t_len]):
+        src = off[t0 - 1]
+        xi += alpha[src : src + off[t1] - off[t0]].T @ v[off[t0] - b_len : off[t1] - b_len]
+    a_num += a * xi
     return ll
 
 

@@ -16,12 +16,16 @@ padded sequence-steps, so a corpus of many lengths runs in as few blocks
 as one of a single length; `inference.estep_workspace` makes the one
 workspace every block runs in, and `inference.step_weights` lays each
 block's weights out as its steps are. Every iteration then calls
-`inference.estep_block` once per block. Only the inference module knows
-the packed layout: this one reads a block's `rows` alone, to name an
-impossible sequence. Both trainers build their blocks the same way, so
-the summation order, and with it the weight-1 bit-identity, does not
-depend on the trainer. The tests keep a per-sequence forward-backward and
-its accumulation loop as the reference the blocks must match.
+`inference.estep_block` once per block. A block that holds a sequence of
+probability 0 adds no counts and returns a non-finite log-likelihood;
+after every block has run, `inference.score_block` marks the impossible
+rows of every block -inf, and the error names the lowest input position
+among them. Only the inference module knows the packed layout: this one
+reads a block's `rows` alone, for that name. Both trainers build their
+blocks the same way, so the summation order, and with it the weight-1
+bit-identity, does not depend on the trainer. The tests keep a
+per-sequence forward-backward and its accumulation loop as the reference
+the blocks must match.
 
 Re-estimation per iteration, with w_m the weight of sequence m:
 
@@ -48,6 +52,7 @@ from .inference import (
     estep_steps,
     estep_workspace,
     length_blocks,
+    score_block,
     step_weights,
 )
 from .model import Dataset, HmmModel, require_valid
@@ -130,29 +135,26 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
     for it in range(1, config.iterations + 1):
         pi_num = np.zeros(n)
         a_num = np.zeros((n, n))
-        b_num_mt = np.zeros((m, n))  # indexed [symbol, state]
+        b_num = np.zeros((n, m))
         total_ll = 0.0
-
-        dead = []  # input positions of impossible sequences
         for block, wp in blocks:
-            try:
-                total_ll += estep_block(model, block, wp, pi_num, a_num, b_num_mt, work)
-            except ImpossibleSequenceError as exc:
-                dead.append(block.rows[exc.rows].min())
-        if dead:
+            total_ll += estep_block(model, block, wp, pi_num, a_num, b_num, work)
+        if not np.isfinite(total_ll):
+            dead = np.concatenate([block.rows[score_block(model, block) == -np.inf]
+                                   for block, _ in blocks])
             raise ImpossibleSequenceError(
-                f"sequence {min(dead) + 1} is impossible under the model at iteration {it}"
+                f"sequence {dead.min() + 1} is impossible under the model at iteration {it}"
             )
 
         # denominators are the numerators' own marginals, so each quotient
         # stays inside [0, 1] even after rounding; a row whose denominator
         # is not positive keeps the previous model's row
         a_den = a_num.sum(axis=1)
-        b_den = b_num_mt.sum(axis=0)
+        b_den = b_num.sum(axis=1)
         a_ok, b_ok = a_den > 0.0, b_den > 0.0
         new_pi = pi_num / w_total
         new_a = np.divide(a_num, a_den[:, None], out=model.a.copy(), where=a_ok[:, None])
-        new_b = np.divide(b_num_mt.T, b_den[:, None], out=model.b.copy(), where=b_ok[:, None])
+        new_b = np.divide(b_num, b_den[:, None], out=model.b.copy(), where=b_ok[:, None])
         for i in np.flatnonzero(~(a_ok & b_ok)).tolist():
             if not a_ok[i]:
                 notes.append(

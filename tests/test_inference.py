@@ -302,6 +302,8 @@ def test_scaling_coefficients_do_not_depend_on_block(n):
 
     c, first = forward([seq, seq])
     expected = c[first].copy()
+    c, _ = forward([seq])  # a block of one row
+    assert np.array_equal(c, expected)
     for b_len in (2, 3, 7, 8, 9, 68):
         for offset in sorted({0, 1, b_len // 2, b_len - 1}):
             obs = rng.integers(0, 6, size=(b_len, 9))
@@ -478,7 +480,7 @@ def estep_counts(model, blocks, weights, work, fill):
     """One E-step over `blocks` in `work`, filled with `fill` before each
     block: the counts and each block's log-likelihood, as bytes."""
     n, m = model.n_states, model.n_symbols
-    counts = np.zeros(n), np.zeros((n, n)), np.zeros((m, n))
+    counts = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
     lls = []
     for block in blocks:
         work.fill(fill)
@@ -495,8 +497,10 @@ def estep_counts(model, blocks, weights, work, fill):
     ids=["one-block", "capped"],
 )
 def test_estep_names_exactly_the_impossible_rows(steps, layout):
-    # symbol 2 is never emitted, so inputs 1, 3 and 5 are impossible; each
-    # block raises with the block rows of exactly its impossible sequences
+    # symbol 2 is never emitted, so inputs 1, 3 and 5 are impossible; a
+    # block that holds one returns a non-finite log-likelihood and adds
+    # nothing to the counts, and score_block marks exactly its impossible
+    # rows -inf
     model = make([0.6, 0.4], [[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]])
     seqs = [[0, 1, 1, 0, 1, 0], [0, 1, 0, 1, 1, 2], [1, 1, 0], [0, 2, 1, 1], [1, 0], [2],
             [0, 1, 1, 1, 0, 0]]
@@ -504,27 +508,26 @@ def test_estep_names_exactly_the_impossible_rows(steps, layout):
     assert [block.rows.tolist() for block in blocks] == [rows for rows, _ in layout]
     work = estep_workspace(blocks, 2)
     for block, (_, dead) in zip(blocks, layout):
-        counts = np.zeros(2), np.zeros((2, 2)), np.zeros((3, 2))
+        counts = np.zeros(2), np.zeros((2, 2)), np.zeros((2, 3))
         wp = step_weights(block, np.ones(len(seqs)))
-        if dead is None:
-            assert np.isfinite(estep_block(model, block, wp, *counts, work))
-        else:
-            with pytest.raises(ImpossibleSequenceError) as raised:
-                estep_block(model, block, wp, *counts, work)
-            assert raised.value.rows.tolist() == dead
+        ll = estep_block(model, block, wp, *counts, work)
+        assert np.isfinite(ll) == (dead is None), block.rows
+        assert [x.any() for x in counts] == [dead is None] * 3, block.rows
+        assert np.flatnonzero(score_block(model, block) == -np.inf).tolist() == (dead or [])
 
 
 @pytest.mark.parametrize(
-    "n, lengths, steps",
+    "n, lengths, steps, packed",
     [
-        (3, [6] * 40, None),  # one length: prev is a view of alpha
-        (3, [9, 7, 7, 4, 2, 1] * 6, None),  # mixed lengths: prev is gathered
-        (2, [30] * 4 + [3] * 30, 120),  # a short block after a long one
-        (1, [5, 3, 3, 1] * 5, None),
+        (3, [6] * 40, None, [240]),  # one length: xi is one run
+        (3, [9, 7, 7, 4, 2, 1] * 6, None, [180]),  # mixed lengths: xi is one run per row count
+        (2, [30] * 4 + [3] * 30, 120, [120, 90]),  # a short block after a long one
+        (1, [5, 3, 3, 1] * 5, None, [60]),
+        (3, [8, 5, 2], 4, [8, 5, 2]),  # blocks of one row, each beside a padding row
     ],
-    ids=["one-length", "mixed", "short-after-long", "one-state"],
+    ids=["one-length", "mixed", "short-after-long", "one-state", "one-row"],
 )
-def test_estep_reads_nothing_it_did_not_write_to_its_workspace(n, lengths, steps):
+def test_estep_reads_nothing_it_did_not_write_to_its_workspace(n, lengths, steps, packed):
     # a NaN left in the workspace would reach the counts if any of it were
     # read before it is written
     rng = np.random.default_rng(80 + n)
@@ -532,8 +535,7 @@ def test_estep_reads_nothing_it_did_not_write_to_its_workspace(n, lengths, steps
     data = Dataset([rng.integers(0, 4, size=t) for t in lengths])
     weights = rng.integers(1, 6, size=len(data)).astype(float)
     blocks = length_blocks(data, 4, steps)
-    if steps:
-        assert [len(block.symbols) - 1 for block in blocks] == [120, 90]
+    assert [len(block.symbols) - 1 for block in blocks] == packed
     work = estep_workspace(blocks, n)
     assert estep_counts(model, blocks, weights, work, np.nan) == estep_counts(
         model, blocks, weights, np.zeros_like(work), 0.0
@@ -551,7 +553,7 @@ def test_estep_allocates_less_than_one_packed_array(lengths):
     assert p >= 1000
     work = estep_workspace([block], 3)
     wp = step_weights(block, np.ones(len(lengths)))
-    counts = np.zeros(3), np.zeros((3, 3)), np.zeros((4, 3))
+    counts = np.zeros(3), np.zeros((3, 3)), np.zeros((3, 4))
     estep_block(model, block, wp, *counts, work)  # first-call set-up is not counted
     tracemalloc.start()
     try:
