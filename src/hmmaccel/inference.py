@@ -11,8 +11,11 @@ b(o_{t+1}) beta_{t+1}). The scaled alpha_t carries the factor c_0 ... c_t
 and beta_t the factor c_{t+1} ... c_{T-1}, whose product is 1 / P(obs), so
 the posteriors need no normalizing: gamma_t = alpha_t beta_t and xi_t(i, j)
 = alpha_{t-1}(i) a_ij (c_t b_j(o_t) beta_t(j)), each summing to 1 up to
-rounding. Training weights both through alpha: w gamma_t = (w alpha_t)
-beta_t and w xi_t(i, j) = (w alpha_{t-1}(i)) a_ij (c_t b_j(o_t) beta_t(j)).
+rounding. Training weights both through beta's start: the backward pass
+of a sequence of weight w starts at beta_{T-1} = w, and since it is
+linear, every beta_t, and with it w gamma_t = alpha_t (w beta_t) and
+w xi_t(i, j) = alpha_{t-1}(i) a_ij (c_t b_j(o_t) w beta_t(j)), carries the
+weight.
 
 Training, scoring and decoding all run on packed blocks, and
 `length_blocks` is the one place that makes them. It checks a Dataset's
@@ -29,11 +32,12 @@ time step in training: the transition matmul, the emission multiply, the
 row-sum matmul and the normalizing divide (scoring adds the step's
 emission gather and keeps its sums). `estep_block` keeps the packed alpha
 and adds the backward pass, two calls per step, and the block's weighted
-expected counts, all in packed order: it scales alpha by the weights
-once, and sums xi with one matmul per run of steps whose alpha_{t-1} rows
-lie end to end, never building a per-sequence xi. A block that holds a
-sequence of probability 0 returns a non-finite log-likelihood before the
-backward pass and adds no counts; `score_block` names its rows.
+expected counts, all in packed order: each row's weight enters once, at
+its beta's start, and xi is summed with one matmul per run of steps
+whose alpha_{t-1} rows lie end to end, never building a per-sequence xi.
+A block that holds a sequence of probability 0 returns a non-finite
+log-likelihood before the backward pass and adds no counts;
+`score_block` names its rows.
 It runs in a workspace of three packed (P + 1, N) buffers that
 `estep_workspace` makes once per training run: alpha, the emissions, and
 the row sums that beta then overwrites. No block or iteration allocates a
@@ -174,9 +178,10 @@ def estep_workspace(blocks: list[Block], n_states: int) -> np.ndarray:
 def step_weights(block: Block, weights: np.ndarray) -> np.ndarray:
     """Each valid step's weight, packed as the block's symbols are: the
     weight of sequence rows[b] at each of its steps. `weights` is indexed
-    by input position."""
-    running = np.arange(len(block.sizes) - 1)[:, None] < block.lengths
-    return np.broadcast_to(weights[block.rows], running.shape)[running]
+    by input position. Step t holds the block's first B_t rows, so its
+    weights are a prefix of the rows' weights."""
+    w = weights[block.rows]
+    return np.concatenate([w[:k] for k in block.sizes[:-1]])
 
 
 def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None):
@@ -197,7 +202,8 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
     B but at least 2, and only c comes back, as that view; the block then
     holds no (T, B, N) array at all, and c is 1.0 past a row's length. A
     row with probability 0 gets a non-finite c from the step where it
-    dies.
+    dies, after a 0 / 0 that callers run under np.errstate. The emissions
+    come from the model's `b_by_symbol`, made once per model.
 
     Each step's row sums come from a matmul with an all-ones (N, N)
     matrix, which puts a row's sum in every column with bits that depend
@@ -211,7 +217,7 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
     every block.
     """
     a = model.a
-    b_t = np.ascontiguousarray(model.b.T)
+    b_t = model.b_by_symbol
     n = a.shape[0]
     symbols, sizes = block.symbols, block.sizes
     t_len = len(sizes) - 1
@@ -232,30 +238,29 @@ def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None
         et, sums = np.empty((2, width, n))  # the step's emissions and row sums
         s = np.ones((width, t_len)).T  # entries past a row's length stay 1
     rows = None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # each step fills its alpha rows in place: f = (alpha_{t-1} @ a) * b(o_t), alpha_t = f / s_t
-        for t in range(t_len):
-            lo, b = slot[t], sizes[t]
-            if b != rows:  # the running prefix and scoring's views of it, made when it shrinks
-                rows, k = b, max(b, 2)
-                ek, sk, sb = et[:k], sums[:k], sums[:b, 0]
-            at = alpha[lo : lo + k]
-            if work is None:  # scoring gathers each step's emissions
-                b_t.take(symbols[first[t] : first[t] + k], axis=0, out=ek, mode="clip")
-            else:  # training reads the packed emissions and keeps every step's sums
-                ek, sk = et[lo : lo + k], sums[lo : lo + k]
-            if t == 0:
-                np.multiply(model.pi, ek, out=at)
-            else:
-                np.matmul(alpha[slot[t - 1] : slot[t - 1] + k], a, out=at)
-                at *= ek
-            np.matmul(at, ones, out=sk)
-            at /= sk
-            if work is None:
-                s[t, :b] = sb
+    # each step fills its alpha rows in place: f = (alpha_{t-1} @ a) * b(o_t), alpha_t = f / s_t
+    for t in range(t_len):
+        lo, b = slot[t], sizes[t]
+        if b != rows:  # the running prefix and scoring's views of it, made when it shrinks
+            rows, k = b, max(b, 2)
+            ek, sk, sb = et[:k], sums[:k], sums[:b, 0]
+        at = alpha[lo : lo + k]
+        if work is None:  # scoring gathers each step's emissions
+            b_t.take(symbols[first[t] : first[t] + k], axis=0, out=ek, mode="clip")
+        else:  # training reads the packed emissions and keeps every step's sums
+            ek, sk = et[lo : lo + k], sums[lo : lo + k]
+        if t == 0:
+            np.multiply(model.pi, ek, out=at)
+        else:
+            np.matmul(alpha[slot[t - 1] : slot[t - 1] + k], a, out=at)
+            at *= ek
+        np.matmul(at, ones, out=sk)
+        at /= sk
         if work is None:
-            return np.divide(1.0, s, out=s)
-        c = np.divide(1.0, sums[:p, 0])  # contiguous, unlike the column it reads
+            s[t, :b] = sb
+    if work is None:
+        return np.divide(1.0, s, out=s)
+    c = np.divide(1.0, sums[:p, 0])  # contiguous, unlike the column it reads
     return et[:-1], alpha[:-1], c
 
 
@@ -283,58 +288,56 @@ def estep_block(
     this one. Adds sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t
     xi_t^b to a_num (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b(j) to
     b_num[j, k] (N, M), laid out as the model's B. With the emissions
-    scaled by c, v_t = c_t b(o_t), the backward pass is beta_{T-1} = 1
-    and beta_t = a (v_{t+1} beta_{t+1}). alpha is scaled by w once, since
-    both posteriors read it: w gamma_t = (w alpha_t) beta_t and
-    w xi_t(i, j) = (w alpha_{t-1}(i)) a_ij v_t(j) beta_t(j), straight from
-    the scaled recursions (see the module docstring), with no
-    normalizing. xi_t is only ever summed over t and b, so no
-    (B, T, N, N) array is made: a_num gains a_ij times the sum of
-    (w alpha_{t-1})^T (v_t beta_t), one matmul per run of steps whose
-    alpha_{t-1} rows lie end to end. The backward pass and the counts
-    work in the block's packed order, valid (t, b) steps only: step t's
-    B_t rows are [off[t], off[t + 1]).
+    scaled by c, v_t = c_t b(o_t), the backward pass starts each row at its
+    weight, beta_{T-1} = w, and runs beta_t = a (v_{t+1} beta_{t+1}). The
+    recursion is linear, so every beta_t carries w, and both posteriors
+    carry it straight from the scaled recursions (see the module
+    docstring), with no normalizing: w gamma_t = alpha_t (w beta_t) and
+    w xi_t(i, j) = alpha_{t-1}(i) a_ij v_t(j) (w beta_t(j)). xi_t is only
+    ever summed over t and b, so no (B, T, N, N) array is made: a_num gains
+    a_ij times the sum of alpha_{t-1}^T (v_t w beta_t), one matmul per run
+    of steps whose alpha_{t-1} rows lie end to end. The backward pass and
+    the counts work in the block's packed order, valid (t, b) steps only:
+    step t's B_t rows are [off[t], off[t + 1]).
 
     If a row has probability 0, the sum is not finite; it is returned as
     soon as the forward pass gives it, and nothing is added to the counts.
     `score_block` names the rows, with the same c bits.
     """
     sizes = block.sizes
-    bt, alpha, c = _forward_block(model, block, work)
     b_len, t_len = sizes[0], len(sizes) - 1
     n = model.n_states
     a = model.a
     off = list(itertools.accumulate(sizes, initial=0))
     p = off[-1]
-    # The three workspace buffers are reused in place as each is used up.
-    # Rows are scaled one state column at a time: numpy buffers an in-place
-    # multiply by a broadcast (P, 1) column, up to 64 KB a call.
-    v = bt[b_len:]  # c_t b(o_t) for t >= 1, then c_t b(o_t) beta_t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(n):
-            v[:, j] *= c[b_len:]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a row of probability 0 divides 0 by 0
+        bt, alpha, c = _forward_block(model, block, work)
         ll = -float(wp @ np.log(c, out=c))  # log c in place: c itself is not needed again
     if not np.isfinite(ll):
         return ll
 
+    # The three workspace buffers are reused in place as each is used up.
+    # Every column of the row sums holds s_t = 1 / c_t, so one contiguous
+    # divide scales the emissions.
+    v = bt[b_len:]  # c_t b(o_t) for t >= 1, then c_t b(o_t) beta_t
     beta = work[2, :p]  # where the forward pass kept its row sums
-    beta[off[t_len - 1] :] = 1.0
+    np.divide(v, beta[b_len:], out=v)
+    last = off[t_len - 1]
+    beta[last:] = wp[last:, None]
     for t in range(t_len - 2, -1, -1):
         k, nxt = sizes[t + 1], np.s_[off[t + 1] : off[t + 2]]
         v_next = bt[nxt]  # made c b(o_{t+1}) beta_{t+1} in place: no emission is read again
         v_next *= beta[nxt]
         np.matmul(v_next, a.T, out=beta[off[t] : off[t] + k])
         if k < sizes[t]:  # rows whose last step is t
-            beta[off[t] + k : off[t + 1]] = 1.0
+            beta[off[t] + k : off[t + 1]] = wp[off[t] + k : off[t + 1], None]
 
-    for j in range(n):
-        alpha[:, j] *= wp
-    gamma = beta  # w alpha * beta, in place: beta is not read again
+    gamma = beta  # alpha * beta, in place: beta is not read again
     gamma *= alpha
     symbols = block.symbols[:-1]
     for j in range(n):
         b_num[j] += np.bincount(symbols, weights=gamma[:, j], minlength=model.n_symbols)
-    pi_num += gamma[:b_len].sum(axis=0)
+    pi_num += np.ones(b_len) @ gamma[:b_len]
 
     # Step t pairs its rows with alpha rows [off[t - 1], off[t - 1] + B_t),
     # the same b one step back, which run on into step t + 1's until a row
@@ -360,9 +363,9 @@ def score_block(model: HmmModel, block: Block) -> np.ndarray:
     steps, the order numpy uses for a 1-D array, where summing the (T, B)
     columns would use another order for one row than for several.
     """
-    ct = _forward_block(model, block).T  # (W, T), contiguous
     ll = np.empty(len(block.rows))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # a row of probability 0 divides 0 by 0
+        ct = _forward_block(model, block).T  # (W, T), contiguous
         np.log(ct, out=ct)
         for lo, hi, t_end in _length_runs(block.sizes):
             ll[lo:hi] = -ct[lo:hi, :t_end].sum(axis=1) + 0.0  # + 0.0: no -0.0

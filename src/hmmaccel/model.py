@@ -8,17 +8,20 @@ clustering keys from it with a few numpy calls rather than one Python
 step per sequence. All randomness goes through numpy's default_rng
 (PCG64), so sampling is reproducible given a seed.
 
-The sequence-file parser does work per distinct line rather than per
-line: a repeated line costs one dictionary lookup. The distinct lines are
-then parsed in one of two ways. Text of ASCII digits and ASCII whitespace
-alone, with no token longer than 18 digits, as `save_sequences` writes
-it, goes through one np.fromstring call. Any other text, and any file
-with a fault, goes through int() per token of each distinct line, which
-accepts whatever int() accepts and names the first faulty line.
-`load_distinct_sequences` returns that work as it is, the distinct lines
-with an index from each sequence to its line, so that clustering, scoring
-and decoding can handle each distinct line once; `load_sequences` gathers
-the distinct lines back into file order.
+`_parse_plain` is the one tokenizer for plain text: ASCII digits and
+ASCII whitespace alone, with no carriage return and no token longer than
+18 digits, as `save_sequences` writes it. It builds the symbols and the
+line offsets by digit arithmetic over the bytes. `load_sequences` reads a
+file once, in binary, and runs it over the whole file when the file is
+plain, with no line memo. Any other file, and any symbol out of the
+model's range, takes the path of `load_distinct_sequences`, which does
+its work per distinct line rather than per line: a repeated line costs
+one dictionary lookup. Its distinct lines go through `_parse_plain` when
+they are plain, and through int() per token of each distinct line
+otherwise, which accepts whatever int() accepts and names the first
+faulty line. `load_distinct_sequences` returns its work as it is, the
+distinct lines with an index from each sequence to its line, so that
+clustering, scoring and decoding can handle each distinct line once.
 """
 
 from __future__ import annotations
@@ -56,6 +59,15 @@ class HmmModel:
             arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def b_by_symbol(self) -> np.ndarray:
+        """B transposed, contiguous and read-only: row k holds b(k), the
+        emission probability of symbol k in each state. Made once per
+        model, however many blocks read it."""
+        b_t = np.ascontiguousarray(self.b.T)
+        b_t.setflags(write=False)
+        return b_t
 
     @classmethod
     def from_arrays(cls, pi, a, b) -> "HmmModel":
@@ -362,10 +374,10 @@ def load_distinct_sequences(
 
     Lines are distinct as text: "1 2" and " 1 2" are two rows with equal
     symbols. A repeated line costs one dictionary lookup. The distinct
-    lines go through `_parse_plain`, one np.fromstring call, when they hold
-    only ASCII digits and ASCII whitespace, no token longer than 18 digits
-    and no symbol out of range; anything else (`+3`, `1_0`, `٣`, a NEL
-    separator, a fault) goes through `_parse_lines`, int() per distinct token.
+    lines go through `_parse_plain` when they are plain and no symbol is
+    out of range; anything else (`+3`, `1_0`, `٣`, a NEL separator, a
+    19-digit token, a fault) goes through `_parse_lines`, int() per
+    distinct token.
     """
     index: dict[str, int] = {}  # distinct line -> its number, in order of first appearance
     with open(path, "r", encoding="utf-8") as fh:
@@ -380,7 +392,9 @@ def load_distinct_sequences(
         raise ValueError(f"{path}: no sequences found")
 
     lines = list(itertools.compress(index, keep))  # in order of first appearance
-    parsed = _parse_plain(lines, n_symbols)
+    # text mode has turned every line end into one newline, and no kept
+    # line is blank, so a plain parse gives one row per line
+    parsed = _parse_plain("".join(lines).encode(), n_symbols)
     if parsed is None:  # name a bad line by its first line number
         first_line = (np.unique(ids, return_index=True)[1][keep] + 1).tolist()
         parsed = _parse_lines(path, lines, first_line, n_symbols)
@@ -392,41 +406,64 @@ def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> 
     separated by whitespace; lines that are blank or start with '#' after
     stripping are ignored.
 
-    The distinct lines of `load_distinct_sequences`, gathered back into
-    file order. With n_symbols given, a symbol >= n_symbols is bad input
-    too. Raises ValueError naming the file, and the 1-based line number of
-    the first bad line where there is one, on bad input.
+    A plain file goes whole through `_parse_plain`; any other, or one with
+    a symbol >= n_symbols, gives the distinct lines of
+    `load_distinct_sequences`, gathered back into file order. With
+    n_symbols given, a symbol >= n_symbols is bad input too. Raises
+    ValueError naming the file, and the 1-based line number of the first
+    bad line where there is one, on bad input.
     """
+    with open(path, "rb") as fh:
+        parsed = _parse_plain(fh.read(), n_symbols)
+    if parsed is not None:
+        return Dataset.from_flat(*parsed, category_id)
     distinct, inverse = load_distinct_sequences(path, category_id, n_symbols)
     return distinct if len(inverse) == len(distinct) else distinct.take(inverse)
 
 
-_PLAIN = b"0123456789 \t\n\r\x0b\x0c"  # ASCII digits and ASCII whitespace
+# ASCII digits and the ASCII whitespace that text mode leaves as it is
+_PLAIN = b"0123456789 \t\n\x0b\x0c"
 
 
-def _parse_plain(lines, n_symbols):
-    """(values, offsets) of the distinct lines in one np.fromstring call, or
-    None unless every byte is in _PLAIN, no token has more than 18 digits
-    (so every one is below 2**63) and every symbol is below n_symbols. Each
-    line ends in one newline, except perhaps the last; none is blank."""
-    # a space before and a newline after give every token both its edges
-    raw = "".join([" ", *lines, "\n"]).encode()
+def _parse_plain(raw: bytes, n_symbols):
+    """(values, offsets) of the lines of `raw` that hold a token, lines
+    ending at newlines, or None unless some line holds one, every byte is
+    in _PLAIN, no token has more than 18 digits (so every one is below
+    2**63) and every symbol is below n_symbols.
+
+    Each token's last digit is gathered at its end, and each earlier
+    digit, times its power of ten, is added in one pass per place, masked
+    to 0 for the tokens too short to have it.
+    """
     if raw.translate(None, _PLAIN):
         return None
-    byte = np.frombuffer(raw, dtype=np.uint8)
+    # a newline before and after give every token both its edges and
+    # every line an end
+    byte = np.frombuffer(b"\n".join((b"", raw, b"")), dtype=np.uint8)
     digit = byte > 32  # every byte in _PLAIN above the space is a digit
-    edges = np.flatnonzero(digit[1:] != digit[:-1])  # token starts and ends, in turn
-    starts = edges[::2]
-    edges[1::2] -= starts  # ends become token lengths
-    if edges[1::2].max() > 18:
+    edges = np.flatnonzero(digit[1:] != digit[:-1])  # before each token, then at its last digit
+    del digit
+    if not edges.size:
         return None
-    offsets = np.zeros(len(lines) + 1, dtype=np.int64)
-    # tokens before each line's newline; the added one is spare if the last
-    # line had its own
-    offsets[1:] = np.searchsorted(starts, np.flatnonzero(byte == 10)[: len(lines)])
-    del byte, digit, edges, starts
-    values = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if values.size != offsets[-1] or (n_symbols is not None and values.max() >= n_symbols):
+    before, last = edges[::2], edges[1::2]
+    cut = np.searchsorted(before, np.flatnonzero(byte == 10))  # tokens before each newline
+    # a line with no token adds no row; the added first line gives offsets[0] = 0
+    offsets = cut[np.append(True, cut[1:] > cut[:-1])]
+    del cut
+    before -= last  # minus each token's length
+    width = -int(before.min())
+    if width > 18:
+        return None
+    values = np.subtract(byte[last], ord("0"), dtype=np.int64)
+    for place in range(1, width):
+        last -= 1
+        # "clip": a short token near the start may reach before the first
+        # byte; a token with no digit at this place gets 0 from the mask
+        more = np.subtract(byte.take(last, mode="clip"), ord("0"), dtype=np.int64)
+        more *= before < -place
+        more *= 10**place
+        values += more
+    if n_symbols is not None and values.max() >= n_symbols:
         return None
     return values, offsets
 

@@ -130,12 +130,12 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
     lls: list[float] = []
     cum_seconds: list[float] = []
     notes: list[str] = []
+    pi_num, a_num, b_num = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
     start = time.perf_counter()
 
     for it in range(1, config.iterations + 1):
-        pi_num = np.zeros(n)
-        a_num = np.zeros((n, n))
-        b_num = np.zeros((n, m))
+        for num in (pi_num, a_num, b_num):  # the M-step below copies out of them
+            num.fill(0.0)
         total_ll = 0.0
         for block, wp in blocks:
             total_ll += estep_block(model, block, wp, pi_num, a_num, b_num, work)

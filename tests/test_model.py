@@ -504,12 +504,28 @@ def distinct_outcome(path, n_symbols):
     return distinct.values.tolist(), distinct.offsets.tolist(), inverse.tolist()
 
 
+def whole_outcome(path, n_symbols):
+    """values and offsets of `load_sequences` as lists, or the ValueError
+    message, and whether it took the line path of
+    `load_distinct_sequences`."""
+    with mock.patch.object(model_module, "load_distinct_sequences",
+                           wraps=load_distinct_sequences) as lines:
+        try:
+            data = load_sequences(path, n_symbols=n_symbols)
+        except ValueError as exc:
+            return str(exc), lines.called
+    return (data.values.tolist(), data.offsets.tolist()), lines.called
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(plain_files())
-@example(("123456789012345678 0\n", None))  # 18 digits: the one-call parse
+@example(("123456789012345678 0\n", None))  # 18 digits: the plain parse
 @example(("9223372036854775807\n", None))  # 19 digits: int() per token
 @example(("1 9223372036854775808\n", None))  # the 64-bit fault
 @example(("1\x1c2\n", None))  # a separator str.split accepts and the guard does not
+@example(("\v\n7 00\t12\f\n\n 3", None))  # the whole file: blank lines, no last newline
+@example(("5 123456789012345678\n", None))  # a short token's high places reach before the file
+@example(("1 2\n3 7\n", 5))  # out of range: the line path names the line
 def test_plain_files_parse_alike_on_both_paths(tmp_path_factory, case):
     text, n_symbols = case
     path = tmp_path_factory.mktemp("plain") / "seqs.txt"
@@ -524,11 +540,53 @@ def test_plain_files_parse_alike_on_both_paths(tmp_path_factory, case):
         fast = distinct_outcome(path, n_symbols)
     tokens = [t for line in text.split("\n") if not line.lstrip().startswith("#")
               for t in line.split()]
+    plain = (bool(tokens) and "\x1c" not in text and max(map(len, tokens)) <= 18
+             and isinstance(outcome, list))
     if tokens:  # else no sequences, and neither path runs
-        plain = "\x1c" not in text and max(map(len, tokens)) <= 18 and isinstance(outcome, list)
         assert slow.called != plain
     with mock.patch.object(model_module, "_parse_plain", return_value=None):
         assert distinct_outcome(path, n_symbols) == fast
+
+    # load_sequences parses a plain file with no \r and no comment whole;
+    # any other goes through the distinct lines, gathered back into file
+    # order, with the same values and offsets and the same faults
+    whole, took_lines = whole_outcome(path, n_symbols)
+    assert took_lines == (not plain or "\r" in text or "#" in text)
+    if isinstance(whole, str):
+        assert whole == outcome
+    else:
+        assert [whole[0][lo:hi] for lo, hi in zip(whole[1], whole[1][1:])] == outcome
+    with mock.patch.object(model_module, "_parse_plain", return_value=None):
+        assert whole_outcome(path, n_symbols) == (whole, True)
+
+
+@pytest.mark.parametrize(
+    "content, n_symbols, expected",
+    [
+        (b"1 2\r\n3\r\n", None, [[1, 2], [3]]),
+        (b"1\r2 x\n", None, "line 2: symbols must be base-10 integers"),  # a lone \r ends a line
+        (b"# c\n1 2\n", None, [[1, 2]]),
+        (b"1 2\n# c\n3 -4\n", None, "line 3: negative symbol"),
+        (b"1 +3\n", None, [[1, 3]]),
+        (b"1\n09223372036854775807\n", None, [[1], [2**63 - 1]]),
+        (b"1\n2 19223372036854775807\n", None,
+         "line 2: symbol 19223372036854775807 does not fit in 64 bits"),
+        ("1 \u0663\n".encode(), None, [[1, 3]]),
+        (b"1 2\n\xff 3\n", None, "not UTF-8 text"),
+        (b"1 2\n\n3 7\n", 5, "line 3: symbol 7 is out of range for a model with 5 symbols"),
+    ],
+    ids=["crlf", "lone-cr", "comment", "comment-fault", "plus", "19-digits", "64-bit-fault",
+         "non-ascii", "not-utf8", "out-of-range"],
+)
+def test_other_files_take_the_line_path(tmp_path, content, n_symbols, expected):
+    path = tmp_path / "seqs.txt"
+    path.write_bytes(content)
+    outcome, took_lines = whole_outcome(path, n_symbols)
+    assert took_lines
+    if isinstance(expected, str):
+        assert outcome.startswith(f"{path}: {expected}")
+    else:
+        assert [outcome[0][lo:hi] for lo, hi in zip(outcome[1], outcome[1][1:])] == expected
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
