@@ -6,7 +6,6 @@ multiply the expected counts during EM re-estimation, cutting training
 time without changing the fitted parameters.
 """
 
-from .bench import BenchReport, bench_row, run_bench
 from .clustering import (
     ClusterTable,
     build_clusters,
@@ -14,7 +13,7 @@ from .clustering import (
     load_cluster_table,
     save_cluster_table,
 )
-from .dtw import DtwResult, dtw_distance, euclidean_distance
+from .dtw import dtw_distance, euclidean_distance
 from .inference import (
     ImpossibleSequenceError,
     length_blocks,
@@ -46,15 +45,12 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport",
     "ClusterTable",
     "Dataset",
-    "DtwResult",
     "HmmModel",
     "ImpossibleSequenceError",
     "TrainingConfig",
     "TrainingTrace",
-    "bench_row",
     "build_clusters",
     "dtw_distance",
     "em_train",
@@ -67,7 +63,6 @@ __all__ = [
     "load_distinct_sequences",
     "load_model",
     "load_sequences",
-    "run_bench",
     "sample_sequences",
     "save_cluster_table",
     "save_model",

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .clustering import (
+    DISTANCES,
     build_clusters,
     filter_low_weight,
     load_cluster_table,
@@ -238,7 +239,7 @@ def _gen_args(p) -> None:
 def _cluster_args(p) -> None:
     p.add_argument("input", help="sequence file")
     p.add_argument("out", help="output cluster table JSON")
-    p.add_argument("--distance", choices=("dtw", "euclidean"), default="dtw")
+    p.add_argument("--distance", choices=DISTANCES, default="dtw")
     p.add_argument("--min-weight", type=int, default=None, help="drop clusters below this weight")
     p.add_argument("--category-id", type=int, default=0)
 
@@ -265,7 +266,7 @@ def _score_args(p) -> None:
 def _dist_args(p) -> None:
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--distance", choices=("dtw", "euclidean"), default="dtw")
+    p.add_argument("--distance", choices=DISTANCES, default="dtw")
 
 
 def _bench_args(p) -> None:
@@ -275,7 +276,7 @@ def _bench_args(p) -> None:
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--distance", choices=("dtw", "euclidean"), default="euclidean")
+    p.add_argument("--distance", choices=DISTANCES, default="euclidean")
     p.add_argument("--csv", default=None, help="also write the report as CSV here")
 
 

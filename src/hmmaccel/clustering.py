@@ -15,14 +15,17 @@ the key is that collapsed form.
 
 Both keys come from the Dataset's flat buffer: the collapsed forms from
 one `x[1:] != x[:-1]` mask over the whole buffer, and the grouping from one
-uint64 hash per row, computed for all rows at once: the row's length plus
-the sum of (symbol + 1) * C**k, where k counts the places after the
-symbol in its row, C is a fixed odd constant, and the arithmetic wraps
-mod 2**64. One `np.unique` over the hashes groups the rows, and every row
-is then checked against its group's first. Two different rows that share
-a hash fail that check; the rows are then grouped by their bytes instead,
-so the hash only speeds the grouping up and never merges unequal rows.
-Clusters are then put in order of first appearance.
+exact int64 key per row, computed for all rows at once. A row is read as
+mixed-radix digits, symbol - min + 1 in base max - min + 2, the first
+symbol lowest. Digit 0 means "no symbol", so a row's length is part of its
+key, and two rows share a key only if they are equal. Where base**L
+reaches 2**63 for the longest row, rows are cut into chunks of the k
+digits that one key holds, and the chunks' keys, k times fewer per row,
+are keyed the same way, until each row is one key. Symbols or chunk keys
+that span too much for two digits per key are replaced by their ranks
+first. No key wraps, so no row needs checking and no two rows collide.
+One `np.unique` over the keys groups the rows, and clusters are then put
+in order of first appearance.
 
 A ClusterTable is itself flat: its representatives are one Dataset,
 gathered from the input with `Dataset.take`, beside one int64 array of
@@ -47,7 +50,6 @@ import numpy as np
 from .model import Dataset, _exact_int, _offsets
 
 DISTANCES = ("dtw", "euclidean")
-_KEY_BASE = 0x9E3779B97F4A7C15  # odd: no power of it wraps to 0, so every symbol counts
 
 
 @dataclass(frozen=True)
@@ -100,23 +102,34 @@ def _collapse(data: Dataset) -> Dataset:
 def _group_equal_rows(data: Dataset):
     """Group identical sequences: (first, cluster), where first holds the
     position of each group's first member in order of first appearance and
-    cluster[i] is the group of sequence i. Rows are grouped by their keys,
-    then every row is checked against its group's first; if two different
-    rows share a key, they are grouped by their bytes instead."""
-    values, offsets, lengths = data.values, data.offsets, data.lengths
-    empty = np.flatnonzero(lengths == 0)
+    cluster[i] is the group of sequence i.
+
+    Each row gets one int64 key, equal exactly when the rows are equal (see
+    the module docstring). Each round reads the keys of the last round,
+    the symbols at first, as digits: shifted by their minimum, or replaced
+    by their ranks when they span too much for two digits per key. Rows are
+    cut into chunks of the k digits that one key holds, the first digit
+    lowest, and each chunk's key is the sum of its digits times their
+    powers; rows that were one chunk end the loop."""
+    empty = np.flatnonzero(data.lengths == 0)
     if empty.size:
         raise ValueError(f"sequence {empty[0] + 1} is empty")
-    powers = np.ones(lengths.max(), dtype=np.uint64)  # _KEY_BASE**k, wrapping
-    np.cumprod(np.full(powers.shape[0] - 1, _KEY_BASE, dtype=np.uint64), out=powers[1:])
-    places = np.repeat(offsets[1:] - 1, lengths) - np.arange(values.shape[0])  # symbols after
-    keys = np.add.reduceat((values.view(np.uint64) + 1) * powers[places], offsets[:-1])
-    keys += lengths.astype(np.uint64)
+    keys, offsets = data.values, data.offsets
+    while keys.shape[0] > len(data):  # until each row is one key
+        lo, hi = int(keys.min()), int(keys.max())
+        if (hi - lo + 2) ** 2 >= 2**63:
+            ranks, keys = np.unique(keys, return_inverse=True)
+            lo, hi = 0, ranks.shape[0] - 1
+        digits, base = keys - lo + 1, hi - lo + 2
+        lengths = np.diff(offsets)
+        k = next(j for j in range(1, 64) if base ** (j + 1) >= 2**63)  # digits one key holds
+        pos = np.arange(keys.shape[0]) - np.repeat(offsets[:-1], lengths)  # place in its row
+        digits *= (base ** (np.arange(lengths.max()) % k))[pos]  # a chunk's first digit lowest
+        # the first digit of each chunk is the only one left below base
+        starts = offsets[:-1] if lengths.max() <= k else np.flatnonzero(digits < base)
+        keys = np.add.reduceat(digits, starts)
+        offsets = _offsets(-(-lengths // k))
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    heads = data.take(first[inverse])  # each row's group's first row
-    if not (np.array_equal(heads.offsets, offsets) and np.array_equal(heads.values, values)):
-        rows = np.array([row.tobytes() for row in data.sequences], dtype=object)
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0])

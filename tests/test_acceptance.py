@@ -249,21 +249,23 @@ def test_criterion_7_training_speedup():
         init = initialize_model(model.n_states, model.n_symbols, 8)
         config = TrainingConfig(iterations=50)
 
-        t_em = t_cluster = t_wem = 0.0
-        for _ in range(3):
+        # the phases take turns, and each is judged by its median, so a
+        # slow spell of the host in one repeat moves neither side
+        t_em, t_cluster, t_wem = [], [], []
+        for _ in range(5):
             t0 = time.perf_counter()
             em_train(init, data, config)
-            t_em += time.perf_counter() - t0
+            t_em.append(time.perf_counter() - t0)
 
             t0 = time.perf_counter()
             table = build_clusters(data, distance="euclidean")
-            t_cluster += time.perf_counter() - t0
+            t_cluster.append(time.perf_counter() - t0)
 
             t0 = time.perf_counter()
             weighted_em_train(init, table, config)
-            t_wem += time.perf_counter() - t0
+            t_wem.append(time.perf_counter() - t0)
 
-        speedup = (t_em / 3) / ((t_cluster + t_wem) / 3)
+        speedup = np.median(t_em) / (np.median(t_cluster) + np.median(t_wem))
         assert speedup >= 10.0, f"speedup {speedup:.2f} below floor 10"
 
 

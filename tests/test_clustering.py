@@ -16,7 +16,6 @@ from hmmaccel import (
     load_cluster_table,
     save_cluster_table,
 )
-from hmmaccel import clustering
 from hmmaccel.model import Dataset
 
 FOUR = [
@@ -212,18 +211,86 @@ def test_largest_counts_accepted():
     assert table.weights.tolist() == [2**63 - 1, 1]
 
 
-@pytest.mark.parametrize("oracle_test", [
-    test_keyed_clustering_matches_scan,
-    test_keyed_clustering_matches_scan_property,
-    test_counted_rows_match_their_expanded_corpus,
-])
-def test_scan_oracles_hold_when_keys_collide(monkeypatch, oracle_test):
-    # with base 0 a row's key is its last symbol plus its length, so most
-    # rows share a key with a different row, and grouping falls back to bytes
-    monkeypatch.setattr(clustering, "_KEY_BASE", 0)
-    table = build_clusters(dataset([[1, 2], [2, 2], [1, 2]]), distance="euclidean")
-    assert table.weights.tolist() == [2, 1]
-    oracle_test()
+# (lowest symbol, highest symbol, longest row one key holds): a corpus that
+# spans [lo, hi] keys rows in base hi - lo + 2, and a row one symbol longer
+# than the last figure needs a second round of keys. None: the symbols span
+# too much for two digits per key, so they are ranked first.
+KEY_EDGES = [
+    (0, 9, 18),  # 11**18 < 2**63 < 11**19
+    (0, 39, 11),  # 41**11 < 2**63 < 41**12
+    (0, 1, 39),  # 3**39 < 2**63 < 3**40
+    (-4, 5, 18),
+    (2**62, 2**62 + 9, 18),
+    (3, 3, 62),  # base 2
+    (2**62 - 2, 2**63 - 1, None),
+    (-2**63, 2**63 - 1, None),
+]
+
+
+def no_repeats(row, lo, hi):
+    """The row with each symbol that equals the one before it changed, so
+    that dtw's collapse keeps the row's length (unless lo == hi)."""
+    out = row[:1]
+    for s in row[1:]:
+        out.append(s if s != out[-1] else lo if out[-1] != lo else hi)
+    return out
+
+
+@st.composite
+def key_edge_corpora(draw):
+    """A distance and a corpus at the edges of the exact row key: rows of
+    one symbol, rows at the one-key limit and one past it, and long rows,
+    over symbols near 0, near 2**62, at -2**63 or at 2**63 - 1. Rows are a
+    few patterns with one symbol changed; for dtw they may also lose their
+    head or their tail, so that rows share leading or trailing chunks, and
+    have one symbol repeated."""
+    distance = draw(st.sampled_from(["dtw", "euclidean"]))
+    lo, hi, fit = draw(st.sampled_from(KEY_EDGES))
+    t_len = draw(st.sampled_from([1, 150] + ([fit, fit + 1] if fit else [40])))
+    symbol = st.integers(lo, hi)
+    patterns = draw(st.lists(st.lists(symbol, min_size=t_len, max_size=t_len), min_size=1,
+                             max_size=3))
+    patterns[0][:2] = [lo, hi][:t_len]  # the corpus spans [lo, hi], which sets the key's base
+    patterns = [no_repeats(p, lo, hi) for p in patterns]
+    rows = [patterns[0]]
+    edits = st.tuples(st.integers(0, len(patterns) - 1), st.integers(0, t_len - 1),
+                      st.one_of(st.none(), symbol), st.integers(1, t_len), st.booleans())
+    for index, where, new, keep, tail in draw(st.lists(edits, max_size=12)):
+        row = list(patterns[index])
+        if new is not None:
+            row[where] = new
+        if distance == "dtw":
+            row = row[-keep:] if tail else row[:keep]
+            row.insert(where % keep, row[where % keep])
+        rows.append(row)
+    return distance, Dataset([np.array(r, dtype=np.int64) for r in rows])
+
+
+# Two rows one symbol past the one-key limit, in base 11 and in base 41, whose
+# digits read as one number differ by exactly 2**64: int64 keys of whole rows
+# would wrap to the same value.
+WRAP_11 = [[3, 6, 9, 5, 3, 4, 9, 6, 0, 2, 1, 9, 7, 6, 4, 2, 9, 4, 7],
+           [9, 8, 6, 4, 7, 3, 0, 4, 7, 2, 5, 7, 2, 6, 4, 8, 3, 1, 4]]
+WRAP_41 = [[35, 31, 39, 22, 24, 7, 0, 27, 22, 12, 7, 34],
+           [19, 12, 35, 23, 19, 39, 0, 18, 12, 0, 27, 0]]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(key_edge_corpora())
+@example(("euclidean", dataset(WRAP_11 + WRAP_11[:1])))
+@example(("dtw", dataset(WRAP_41 + [WRAP_41[1][:5]])))
+# a row and its first chunk: equal but for the row's last symbol, whose chunk
+# key is the smallest
+@example(("dtw", dataset(WRAP_11 + [WRAP_11[1][:18]])))
+# a row and the row with its symbols 18 places apart swapped: the same digits
+# at the same places within their chunks
+@example(("euclidean", dataset([WRAP_11[0], [7] + WRAP_11[0][1:18] + [3]])))
+def test_keyed_clustering_exact_at_key_edges(case):
+    distance, data = case
+    table = build_clusters(data, distance=distance)
+    reps, weights = scan_clusters(data, distance)
+    assert table.weights.tolist() == weights
+    assert [r.tolist() for r in table.reps.sequences] == [r.tolist() for r in reps]
 
 
 def test_empty_sequence_rejected():
