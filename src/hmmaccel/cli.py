@@ -185,13 +185,12 @@ def _cmd_dist(args) -> int:
                     f"{path}: sequence {pos + 1} has length {data.lengths[pos]} but sequence 1 "
                     f"of {args.file_a} has length {t_len}; euclidean distance requires one length"
                 )
+    dist = dtw_distance if args.distance == "dtw" else euclidean_distance
+    rows_b = [y.tolist() for y in data_b.sequences]
     for i, x in enumerate(data_a.sequences, start=1):
-        for j, y in enumerate(data_b.sequences, start=1):
-            if args.distance == "dtw":
-                d = dtw_distance(x, y).distance
-            else:
-                d = euclidean_distance(x, y)
-            print(f"{i} {j} {d!r}")
+        x = x.tolist()
+        for j, y in enumerate(rows_b, start=1):
+            print(f"{i} {j} {dist(x, y)!r}")
     return 0
 
 

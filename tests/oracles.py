@@ -23,13 +23,16 @@
   cluster with `json.dumps`; `save_cluster_table` must write its bytes.
 - `save_sequences_join` is the sequence-file writer that joined str()
   names line by line; `save_sequences` must write its bytes.
+- `dtw_path` is the DTW that filled the whole n x m table and backtracked
+  a warping path; the two-row `dtw_distance` must return its distance.
+  `enum_min_cost` walks every monotone path, with no memoisation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from hmmaccel import HmmModel, ImpossibleSequenceError, dtw_distance, euclidean_distance
+from hmmaccel import HmmModel, ImpossibleSequenceError, euclidean_distance
 from hmmaccel.inference import _length_runs
 from hmmaccel.model import _write_json
 
@@ -164,6 +167,85 @@ def run_length_collapse(seq) -> tuple[int, ...]:
     return tuple(out)
 
 
+def dtw_path(x, y):
+    """DTW distance between two sequences and one warping path attaining it.
+
+    The path is a list of 0-based index pairs (i, j) into the two input
+    sequences, from (0, 0) to (len(x)-1, len(y)-1), each step advancing by
+    (1,0), (0,1), or (1,1). Ties between predecessors are broken diagonal
+    first, then vertical (advance in x), then horizontal (advance in y).
+    The table is the full O(len(x) * len(y)) dynamic program: each cell
+    accumulates its local cost plus the cheapest of the diagonal,
+    vertical, and horizontal predecessors. The arithmetic is exact
+    (integer costs).
+    """
+    xs = [int(v) for v in x]
+    ys = [int(v) for v in y]
+    if not xs or not ys:
+        raise ValueError("empty sequence")
+    n, m = len(xs), len(ys)
+
+    d = [[0] * m for _ in range(n)]
+    d[0][0] = abs(xs[0] - ys[0])
+    for j in range(1, m):
+        d[0][j] = d[0][j - 1] + abs(xs[0] - ys[j])
+    for i in range(1, n):
+        row = d[i]
+        prev = d[i - 1]
+        row[0] = prev[0] + abs(xs[i] - ys[0])
+        xi = xs[i]
+        for j in range(1, m):
+            best = prev[j - 1]
+            if prev[j] < best:
+                best = prev[j]
+            if row[j - 1] < best:
+                best = row[j - 1]
+            row[j] = best + abs(xi - ys[j])
+
+    # Backtrack; costs are exact ints, so re-deriving the argmin is safe.
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            best = min(d[i - 1][j - 1], d[i - 1][j], d[i][j - 1])
+            if d[i - 1][j - 1] == best:
+                i, j = i - 1, j - 1
+            elif d[i - 1][j] == best:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i, j))
+    path.reverse()
+    return float(d[n - 1][m - 1]), path
+
+
+def enum_min_cost(xs, ys):
+    """The least cost over every monotone warping path, as an exact int."""
+    # exhaustive walk over every monotone path, no memoization
+    best = [None]
+    n, m = len(xs), len(ys)
+
+    def walk(i, j, acc):
+        acc += abs(xs[i] - ys[j])
+        if i == n - 1 and j == m - 1:
+            if best[0] is None or acc < best[0]:
+                best[0] = acc
+            return
+        if i + 1 < n and j + 1 < m:
+            walk(i + 1, j + 1, acc)
+        if i + 1 < n:
+            walk(i + 1, j, acc)
+        if j + 1 < m:
+            walk(i, j + 1, acc)
+
+    walk(0, 0, 0)
+    return best[0]
+
+
 def save_cluster_table_json(table, path):
     """Write a cluster table through `_write_json`, one json.dumps per cluster."""
     values, offsets = table.reps.values.tolist(), table.reps.offsets.tolist()
@@ -186,7 +268,7 @@ def scan_clusters(data, distance):
     if distance == "euclidean":
         dist = euclidean_distance
     else:
-        dist = lambda x, y: dtw_distance(x, y).distance  # noqa: E731
+        dist = lambda x, y: dtw_path(x, y)[0]  # noqa: E731
     reps, weights = [], []
     for seq in data.sequences:
         for idx, rep in enumerate(reps):

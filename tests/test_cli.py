@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dtw_path
 
 import hmmaccel
 from hmmaccel import (
@@ -26,6 +27,7 @@ from hmmaccel import (
     ImpossibleSequenceError,
     build_clusters,
     cli,
+    euclidean_distance,
     likelihood,
     load_model,
     load_sequences,
@@ -575,6 +577,34 @@ def test_dist(tmp_path, capsys):
     assert code == 0
     lines = stdout.splitlines()
     assert lines[1] == f"2 1 {math.sqrt(3)!r}"
+
+
+def test_dist_lines_match_oracles(tmp_path, capsys):
+    # ragged files for dtw, against the path-returning oracle; files of one
+    # length for euclidean
+    rng = np.random.default_rng(16)
+
+    def draw(count, lengths):
+        return [rng.integers(0, 6, size=int(rng.choice(lengths))).tolist() for _ in range(count)]
+
+    rows = {"a": draw(7, range(1, 9)), "b": draw(5, range(1, 9)),
+            "a_eq": draw(6, [8]), "b_eq": draw(4, [8])}
+    assert len({len(r) for r in rows["a"] + rows["b"]}) > 1
+    paths = {}
+    for name, seqs in rows.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text("".join(" ".join(map(str, s)) + "\n" for s in seqs))
+    for (a, b), distance, dist in (
+        (("a", "b"), "dtw", lambda x, y: dtw_path(x, y)[0]),
+        (("a_eq", "b_eq"), "euclidean", euclidean_distance),
+    ):
+        code, stdout, err = run(capsys, "dist", str(paths[a]), str(paths[b]), "--distance", distance)
+        assert (code, err) == (0, "")
+        assert stdout.splitlines() == [
+            f"{i} {j} {dist(x, y)!r}"
+            for i, x in enumerate(rows[a], start=1)
+            for j, y in enumerate(rows[b], start=1)
+        ]
 
 
 def test_dist_euclidean_length_mismatch_prints_nothing(tmp_path, capsys):
