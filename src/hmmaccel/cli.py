@@ -154,13 +154,17 @@ def _eval_lines(model, block) -> list[str]:
 
 def _decode_lines(model, block) -> list[str]:
     paths, log_probs = viterbi_block(model, block)
-    names = [str(i) for i in range(model.n_states)]
-    # one row at a time to a list, so that the block's paths are never all
-    # Python ints at once
+    n, lengths = model.n_states, block.lengths
+    # each state's name ends in its separator: names[s] is "s " and
+    # names[N + s] is "s\t", which ends a row's path
+    names = np.array([f"{s}{sep}".encode() for sep in " \t" for s in range(n)])
+    paths[np.arange(len(lengths)), lengths - 1] += n
+    steps = paths[np.arange(paths.shape[1]) < lengths[:, None]]  # valid steps, row by row
+    # numpy pads the shorter names with NULs
+    text = names.take(steps).tobytes().replace(b"\0", b"").decode().split("\t")
     return [
-        "-inf\n" if lp == -math.inf
-        else " ".join([names[s] for s in path[:t].tolist()]) + f"\t{lp!r}\n"
-        for path, t, lp in zip(paths, block.lengths.tolist(), log_probs.tolist())
+        "-inf\n" if lp == -math.inf else f"{path}\t{lp!r}\n"
+        for path, lp in zip(text, log_probs.tolist())
     ]
 
 

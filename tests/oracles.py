@@ -23,6 +23,9 @@
   cluster with `json.dumps`; `save_cluster_table` must write its bytes.
 - `save_sequences_join` is the sequence-file writer that joined str()
   names line by line; `save_sequences` must write its bytes.
+- `decode_lines_join` is the `decode` formatter that joined each row's
+  state names with `str.join`, one row at a time; `cli._decode_lines`
+  must give its lines.
 - `dtw_path` is the DTW that filled the whole n x m table and backtracked
   a warping path; the two-row `dtw_distance` must return its distance.
   `enum_min_cost` walks every monotone path, with no memoisation.
@@ -385,3 +388,16 @@ def save_sequences_join(dataset, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(" ".join(map(names.__getitem__, values[lo:hi])) + "\n"
                          for lo, hi in zip(offsets, offsets[1:])))
+
+
+def decode_lines_join(model, block, paths, log_probs):
+    """The `decode` lines of a block from `viterbi_block`'s paths and
+    log-probabilities: one " ".join of str() names per row, and "-inf" for a
+    row of probability 0. Reads a copy of `paths`, which `cli._decode_lines`
+    may write into."""
+    names = [str(i) for i in range(model.n_states)]
+    return [
+        "-inf\n" if lp == -np.inf
+        else " ".join([names[s] for s in path[:t].tolist()]) + f"\t{lp!r}\n"
+        for path, t, lp in zip(paths.copy(), block.lengths.tolist(), log_probs.tolist())
+    ]

@@ -19,23 +19,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dtw_path
+from oracles import decode_lines_join, dtw_path
 
 import hmmaccel
 from hmmaccel import (
+    Dataset,
     HmmModel,
     ImpossibleSequenceError,
     build_clusters,
     cli,
     euclidean_distance,
+    length_blocks,
     likelihood,
     load_model,
     load_sequences,
     save_cluster_table,
     save_model,
     viterbi,
+    viterbi_block,
 )
 from hmmaccel.cli import main
+from hmmaccel.inference import SCORE_STEPS
 
 CHAIN_MODEL = {
     "n_states": 2,
@@ -487,6 +491,33 @@ def test_eval_and_decode_match_per_sequence_calls(case):
     assert outputs == [expected_eval, expected_decode]
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 9, 10, 11, 101, 300]),
+    lengths=st.lists(st.integers(1, 9), min_size=1, max_size=30),
+    dead=st.lists(st.booleans(), max_size=30),
+    steps=st.sampled_from([1, 4, 16, SCORE_STEPS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decode_lines_match_join_oracle(n, lengths, dead, steps, seed):
+    # names of one, two and three digits share one table, so the shorter ones
+    # are NUL-padded; a row that uses the last symbol has probability 0
+    rng = np.random.default_rng(seed)
+    m = 4
+    b = rng.uniform(0.1, 1.0, (n, m))
+    b[:, -1] = 0.0
+    model = HmmModel.from_arrays(
+        np.full(n, 1.0 / n), rng.dirichlet(np.full(n, 0.3), size=n), b / b.sum(axis=1, keepdims=True)
+    )
+    seqs = [rng.integers(0, m - 1, size=t) for t in lengths]
+    for seq, is_dead in zip(seqs, dead):
+        if is_dead:
+            seq[-1] = m - 1
+    for block in length_blocks(Dataset(seqs), m, steps):
+        expected = decode_lines_join(model, block, *viterbi_block(model, block))
+        assert cli._decode_lines(model, block) == expected
+
+
 @st.composite
 def cluster_files(draw):
     """A distance and the text of a sequence file for it: a few sequences
@@ -540,7 +571,7 @@ def per_sequence_lines(model, seqs):
     return evals, decodes
 
 
-@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("n", [4, 8, 12])
 def test_eval_and_decode_match_per_sequence_calls_in_large_blocks(tmp_path, capsys, n):
     # 60 rows of one length and 45 of mixed lengths, each in one block under
     # the default cap: every row must print the bits of its lone-row call
