@@ -47,14 +47,11 @@ ESTEP_BYTES.
 row sums, and turns their coefficients into one log-likelihood per
 sequence.
 `viterbi_block` runs the max-product recursion with one-byte
-back-pointers. In a block of up to 2,730 rows it adds each step's delta
-to a contiguous (N, N, B) copy of log A, made once per block, since numpy
-adds log A broadcast along so few rows up to twice as slowly. Neither
-holds a (T, B, N) float array, so their blocks can be larger than
-training's: SCORE_STEPS. `likelihood` and `viterbi` are the one-sequence
-case of `score_block` and `viterbi_block`. The tests keep a per-sequence
-forward-backward and padded block scorers, and check the packed kernels
-against them.
+back-pointers. Neither holds a (T, B, N) float array, so their blocks can
+be larger than training's: SCORE_STEPS. `likelihood` and `viterbi` are the
+one-sequence case of `score_block` and `viterbi_block`. The tests keep a
+per-sequence forward-backward and padded block scorers, and check the
+packed kernels against them.
 
 A sequence gets the same score and path, bit for bit, whatever block it
 sits in, at whatever row and beside whatever lengths: see `score_block`
@@ -75,13 +72,8 @@ import numpy as np
 from .model import Dataset, HmmModel
 
 # Cap on the rows of any block, which bounds the per-row state of scoring
-# and decoding at short lengths, and the padded size B * T of a block when
-# no cap is given. Scoring keeps a few (N,) float64 arrays per row. Viterbi
-# keeps its (N, N) float64 step scores and one (N, N) array of back-pointer
-# type per row, 9 N^2 bytes below 257 states: 2.25 MiB for 4,096 rows at 8
-# states. Blocks of fewer than a third of numpy's buffer size in rows
-# (2,731 by default) also hold a float64 copy of log A per row, 17 N^2
-# bytes in all.
+# and decoding (a few (N,) or (N, N) arrays per row) at short lengths, and
+# the padded size B * T of a block when no cap is given.
 BLOCK_STEPS = 4096
 # Byte budget of training's E-step workspace, the three (P + 1, N) float64
 # buffers of `estep_workspace`. `estep_steps` turns it into training's cap
@@ -393,18 +385,9 @@ def viterbi_block(model: HmmModel, block: Block):
 
     The block is laid out state-major, with the rows along the last,
     contiguous axis, so that each step is a few numpy calls over the whole
-    (N, N, B_t) prefix. Each step adds delta to log A. With fewer rows
-    than a third of numpy's buffer size (8,192 elements by default), numpy
-    runs that add through its buffered loop, which reads log A broadcast
-    along the rows, a zero stride on the innermost axis, up to twice as
-    slowly as a contiguous operand. Such a block adds delta to a contiguous
-    (N, N, B) copy of log A instead, made once per block and sliced to the
-    running prefix as the scores are; it costs 8 N^2 B bytes, freed with
-    the scores before the paths are made. A larger block adds log A
-    broadcast, which is then the faster. The sums are the same either way.
-    Back-pointers take the smallest unsigned type that holds a state
-    index, one byte below 257 states, and each step gathers its own
-    log-emissions, so the block holds no (T, B, N) float array.
+    (N, N, B_t) prefix. Back-pointers take the smallest unsigned type that
+    holds a state index, one byte below 257 states, and each step gathers
+    its own log-emissions, so the block holds no (T, B, N) float array.
     """
     symbols, sizes = block.symbols, block.sizes
     b_len, t_len = sizes[0], len(sizes) - 1
@@ -415,38 +398,35 @@ def viterbi_block(model: HmmModel, block: Block):
         log_pi = np.log(model.pi)
         log_a = np.log(model.a)[:, :, None]  # (N_i, N_j, 1)
         log_b = np.log(model.b)
-    if 3 * b_len < np.getbufsize():  # short rows: a copy adds faster (see above)
-        copy = np.empty((n, n, b_len))
-        np.copyto(copy, log_a)
-        log_a = copy
 
     index = np.min_scalar_type(n - 1)
     psi = np.empty((t_len, n, b_len), dtype=index)  # psi[t, j, b]: best i before j
     # rank[i] = N - 1 - i, so that among the maximizing i the lowest ranks highest
     rank = np.arange(n - 1, -1, -1, dtype=index)[:, None, None]
     scores = np.empty((n, n, b_len))
-    ranked = np.empty(scores.shape, dtype=index)  # the hits (0 or 1), then times their rank
+    hits = np.empty(scores.shape, dtype=bool)
+    ranked = np.empty(scores.shape, dtype=index)
     best = np.empty((n, b_len))
     delta = log_pi[:, None] + log_b.take(symbols[:b_len], axis=1)  # (N, B)
-    rows, dk, ak, sk, rk, bk = b_len, delta, log_a, scores, ranked, best
+    rows, dk, sk, hk, rk, bk = b_len, delta, scores, hits, ranked, best
     for t in range(1, t_len):
         # scores[i, j, b]: best path ending i -> j. Rows that have ended
         # keep their last delta.
         if sizes[t] != rows:  # views of the running prefix, made again only when it shrinks
             rows = sizes[t]
-            dk, ak, sk, rk, bk = (
-                delta[:, :rows], log_a[..., :rows], scores[..., :rows], ranked[..., :rows],
+            dk, sk, hk, rk, bk = (
+                delta[:, :rows], scores[..., :rows], hits[..., :rows], ranked[..., :rows],
                 best[:, :rows],
             )
-        np.add(dk[:, None, :], ak, out=sk)
+        np.add(dk[:, None, :], log_a, out=sk)
         np.maximum.reduce(sk, axis=0, out=bk)
-        np.equal(sk, bk, out=rk)
-        np.multiply(rk, rank, out=rk)
+        np.equal(sk, bk, out=hk)
+        np.multiply(hk, rank, out=rk)
         pt = psi[t, :, :rows]
         np.maximum.reduce(rk, axis=0, out=pt)
         np.subtract(n - 1, pt, out=pt)  # the lowest maximizing i
         np.add(bk, log_b.take(symbols[first[t] : first[t + 1]], axis=1), out=dk)
-    del log_a, scores, ranked, ak, sk, rk  # freed before the paths are made
+    del scores, hits, ranked, sk, hk, rk  # freed before the paths are made
 
     last = delta.argmax(axis=0)
     paths = np.zeros((b_len, t_len), dtype=np.int64)

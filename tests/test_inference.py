@@ -453,18 +453,6 @@ def test_blocks_match_history_oracles_with_two_byte_back_pointers():
         assert_blocks_match_history_oracles(model, seqs, steps)
 
 
-@pytest.mark.parametrize("kind", ["random", "ties", "zeros"])
-def test_blocks_match_history_oracles_in_a_block_of_many_rows(kind):
-    # from a third of numpy's buffer size in rows up, Viterbi adds log A
-    # broadcast along the rows rather than its contiguous copy
-    rng = np.random.default_rng(43)
-    model = oracle_model(rng, 3, 4, kind)
-    seqs = [rng.integers(0, 4, size=t_len) for t_len in rng.integers(1, 7, 3000)]
-    (block,) = length_blocks(Dataset(seqs), model.n_symbols, SCORE_STEPS)
-    assert 3 * len(block.rows) >= np.getbufsize()
-    assert_blocks_match_history_oracles(model, seqs, SCORE_STEPS)
-
-
 def test_scoring_blocks_stay_small():
     # a 500 x 60 file at 8 states runs in one block under SCORE_STEPS; neither
     # scoring nor decoding it may hold more than 1 MiB at once
