@@ -9,6 +9,7 @@ all of its steps succeeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import math
 import sys
@@ -23,7 +24,6 @@ from .clustering import (
     build_clusters,
     filter_low_weight,
     load_cluster_table,
-    require_one_length,
     save_cluster_table,
 )
 from .dtw import dtw_distance, euclidean_distance
@@ -69,12 +69,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_cluster(args) -> int:
     # Each distinct line is clustered once, counted as often as it occurs.
-    data, inverse = load_distinct_sequences(args.input, category_id=args.category_id)
-    if args.distance == "euclidean":  # name the sequence by its position in the file
-        require_one_length(data.lengths[inverse])
+    data, inverse = load_distinct_sequences(args.input)
     t0 = perf_counter()
-    table = build_clusters(data, distance=args.distance, counts=np.bincount(inverse))
+    table = build_clusters(data, args.distance, inverse)
     seconds = perf_counter() - t0
+    table = dataclasses.replace(table, category_id=args.category_id)
     if args.min_weight is not None:
         table = filter_low_weight(table, args.min_weight)
     save_cluster_table(table, args.out)

@@ -29,13 +29,15 @@ in order of first appearance.
 
 A ClusterTable is itself flat: its representatives are one Dataset,
 gathered from the input with `Dataset.take`, beside one int64 array of
-weights. Training reads the representatives as they are, and a table file
-is read into the same two arrays.
+weights, and it carries the category label that its file holds. Training
+reads the representatives as they are, and a table file is read into the
+same two arrays.
 
-Rows may stand for several sequences each: the `cluster` command passes
-the distinct lines of a sequence file with their counts, so the key work
-is done once per distinct line, and a weight is the sum of its rows'
-counts. Since the distinct lines come in order of first appearance,
+Rows may stand for several sequences each: `build_clusters` takes the
+`inverse` of `load_distinct_sequences`, which maps each sequence of a file
+to its distinct line, so the key work is done once per distinct line, and
+a weight is the number of sequences whose lines fall in the cluster.
+Since the distinct lines come in order of first appearance,
 representatives and cluster order are those of the whole file.
 """
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +59,12 @@ DISTANCES = ("dtw", "euclidean")
 class ClusterTable:
     """Weighted representatives: sequence i of `reps` stands for weights[i]
     sequences. `weights` is kept as a read-only int64 array of shape
-    (len(reps),), and must hold integers >= 1; the category is that of
-    `reps`."""
+    (len(reps),), and must hold integers >= 1. `category_id` is the label
+    the table's file carries: an integer, not a bool, kept as a Python int."""
 
     reps: Dataset
     weights: np.ndarray
+    category_id: int = 0
 
     def __post_init__(self):
         message = f"weights must hold {len(self.reps)} integers >= 1, one per representative"
@@ -73,10 +77,10 @@ class ClusterTable:
             raise ValueError(message)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def category_id(self) -> int:
-        return self.reps.category_id
+        label = self.category_id
+        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+            raise ValueError(f"category_id must be an integer, got {label!r}")
+        object.__setattr__(self, "category_id", operator.index(label))
 
     @property
     def total_weight(self) -> int:
@@ -110,10 +114,7 @@ def _group_equal_rows(data: Dataset):
     by their ranks when they span too much for two digits per key. Rows are
     cut into chunks of the k digits that one key holds, the first digit
     lowest, and each chunk's key is the sum of its digits times their
-    powers; rows that were one chunk end the loop."""
-    empty = np.flatnonzero(data.lengths == 0)
-    if empty.size:
-        raise ValueError(f"sequence {empty[0] + 1} is empty")
+    powers; rows that were one chunk end the loop. No row may be empty."""
     keys, offsets = data.values, data.offsets
     while keys.shape[0] > len(data):  # until each row is one key
         lo, hi = int(keys.min()), int(keys.max())
@@ -136,49 +137,46 @@ def _group_equal_rows(data: Dataset):
     return first[order], rank[inverse]
 
 
-def require_one_length(lengths: np.ndarray) -> None:
-    """Raise ValueError naming the first sequence whose length differs from
-    the first's, as Euclidean clustering needs one length."""
-    other = np.flatnonzero(lengths != lengths[0])
-    if other.size:
-        pos = int(other[0])
-        raise ValueError(
-            f"sequence {pos + 1} has length {lengths[pos]} but sequence 1 has "
-            f"length {lengths[0]}; euclidean clustering requires one length"
-        )
-
-
-def build_clusters(data: Dataset, distance: str = "dtw", counts=None) -> ClusterTable:
+def build_clusters(data: Dataset, distance: str = "dtw", inverse=None) -> ClusterTable:
     """Cluster a Dataset into weighted representatives.
 
     distance: "dtw" or "euclidean" (the latter requires all sequences to
     share one length). Representatives are the first member of each
-    cluster, in order of first appearance. counts[i], an integer in
-    [1, 2**63), is how many sequences row i stands for, as for the distinct
-    lines of `load_distinct_sequences`; a cluster's weight is the sum of its
-    rows' counts, and must stay below 2**63. None counts each row once.
+    cluster, in order of first appearance. inverse[i] is the row of `data`
+    that holds sequence i, as `load_distinct_sequences` returns it: a 1-D
+    integer array of rows in [0, len(data)), each at least once. A
+    cluster's weight is the number of sequences whose rows it holds, and an
+    empty or (for euclidean) ragged sequence is named by its place in
+    `inverse`. None: each row stands for itself.
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}, expected one of {DISTANCES}")
     if not len(data):
         raise ValueError("empty dataset")
-    message = (f"counts must hold {len(data)} integers >= 1, one per sequence, "
-               "and no cluster's sum may reach 2**63")
-    if counts is not None:
-        counts = np.asarray(counts)
-        if (counts.shape != (len(data),) or counts.dtype.kind not in "iu" or counts.min() < 1
-                or counts.max() >= 2**63):
-            raise ValueError(message)
+    if inverse is None:  # each row stands for itself
+        inverse = slice(None)
+    else:
+        inverse = np.asarray(inverse)
+        if (inverse.ndim != 1 or inverse.dtype.kind not in "iu" or not inverse.size
+                or inverse.min() < 0 or inverse.max() >= len(data)
+                or np.bincount(inverse.astype(np.intp), minlength=len(data)).min() == 0):
+            raise ValueError(f"inverse must be a 1-D integer array of rows in "
+                             f"[0, {len(data)}), each at least once")
+    lengths = data.lengths[inverse]
     if distance == "euclidean":
-        require_one_length(data.lengths)
+        other = np.flatnonzero(lengths != lengths[0])
+        if other.size:
+            pos = int(other[0])
+            raise ValueError(
+                f"sequence {pos + 1} has length {lengths[pos]} but sequence 1 has "
+                f"length {lengths[0]}; euclidean clustering requires one length"
+            )
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        raise ValueError(f"sequence {empty[0] + 1} is empty")
 
     first, cluster = _group_equal_rows(_collapse(data) if distance == "dtw" else data)
-    # sums that could pass int64 are taken exactly, as Python ints
-    exact = counts is not None and int(counts.max()) * len(counts) >= 2**63
-    weights = np.zeros(first.shape[0], dtype=object if exact else np.int64)
-    np.add.at(weights, cluster, 1 if counts is None else counts.astype(weights.dtype, copy=False))
-    if exact and weights.max() >= 2**63:
-        raise ValueError(message)
+    weights = np.bincount(cluster[inverse], minlength=first.shape[0])
     return ClusterTable(data.take(first), weights)
 
 
@@ -193,7 +191,7 @@ def filter_low_weight(table: ClusterTable, min_weight: int) -> ClusterTable:
     kept = np.flatnonzero(table.weights >= min_weight)
     if not kept.size:
         raise ValueError("all clusters filtered")
-    return ClusterTable(table.reps.take(kept), table.weights[kept])
+    return ClusterTable(table.reps.take(kept), table.weights[kept], table.category_id)
 
 
 def save_cluster_table(table: ClusterTable, path) -> None:
@@ -207,7 +205,7 @@ def save_cluster_table(table: ClusterTable, path) -> None:
     ])
     clusters = f"[\n    {body}\n  ]" if body else "[]"
     text = (
-        f'{{\n  "category_id": {json.dumps(table.category_id)},\n'
+        f'{{\n  "category_id": {table.category_id},\n'
         f'  "total_weight": {table.total_weight},\n'
         f'  "clusters": {clusters}\n}}\n'
     )
@@ -236,7 +234,7 @@ def _bulk_table(clusters, category_id):
         return None
     if (values < 0).any():
         return None
-    return ClusterTable(Dataset.from_flat(values, _offsets(lengths), category_id), weights)
+    return ClusterTable(Dataset.from_flat(values, _offsets(lengths)), weights, category_id)
 
 
 def load_cluster_table(path) -> ClusterTable:

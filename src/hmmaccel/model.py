@@ -78,38 +78,42 @@ class HmmModel:
 
 
 class Dataset:
-    """Ordered observation sequences for one category, stored flat.
+    """Ordered observation sequences, stored flat.
 
     All symbols sit in one read-only int64 buffer `values`; sequence i is
     values[offsets[i]:offsets[i + 1]], so `offsets` has one entry more than
-    there are sequences and starts at 0. `Dataset(sequences, category_id)`
-    copies a list of 1-D arrays into that layout; `from_flat` adopts a
-    buffer and offsets as they are, and `take` gathers some of the
-    sequences into a new Dataset. Order is input order, which clustering
-    and block building preserve.
+    there are sequences and starts at 0. `Dataset(sequences)` copies a list
+    of 1-D integer arrays into that layout, and rejects a non-empty row of
+    another dtype or holding a symbol of 2**63 or more rather than cut it to
+    int64; `from_flat` adopts a buffer and offsets as they are, and `take`
+    gathers some of the sequences into a new Dataset. Order is input order,
+    which clustering and block building preserve.
     """
 
-    def __init__(self, sequences, category_id: int = 0):
-        rows = [np.asarray(s, dtype=np.int64) for s in sequences]
+    def __init__(self, sequences):
+        rows = [np.asarray(s) for s in sequences]
         for i, row in enumerate(rows, start=1):
             if row.ndim != 1:
                 raise ValueError(f"sequence {i} is not a 1-D array")
-        values = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        self._adopt(values, _offsets([len(r) for r in rows]), category_id)
+            # an empty row may be float, as np.asarray([]) is
+            kind = row.dtype.kind
+            if row.size and (kind not in "iu" or kind == "u" and row.max() >= 2**63):
+                raise ValueError(f"sequence {i} must hold integers below 2**63")
+        values = (np.concatenate(rows, dtype=np.int64, casting="unsafe") if rows
+                  else np.empty(0, dtype=np.int64))
+        self._adopt(values, _offsets([len(r) for r in rows]))
 
     @classmethod
-    def from_flat(cls, values, offsets, category_id: int = 0) -> "Dataset":
+    def from_flat(cls, values, offsets) -> "Dataset":
         data = cls.__new__(cls)
-        data._adopt(np.asarray(values, dtype=np.int64), np.asarray(offsets, dtype=np.int64),
-                    category_id)
+        data._adopt(np.asarray(values, dtype=np.int64), np.asarray(offsets, dtype=np.int64))
         return data
 
-    def _adopt(self, values, offsets, category_id) -> None:
+    def _adopt(self, values, offsets) -> None:
         values.setflags(write=False)
         offsets.setflags(write=False)
         self.values = values
         self.offsets = offsets
-        self.category_id = category_id
 
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1
@@ -126,13 +130,13 @@ class Dataset:
 
     def take(self, rows) -> "Dataset":
         """The sequences at positions `rows`, in that order, repeats allowed,
-        as a new Dataset with this one's category_id."""
+        as a new Dataset."""
         rows = np.asarray(rows, dtype=np.int64)
         lengths = self.lengths[rows]
         offsets = _offsets(lengths)
         index = np.repeat(self.offsets[rows] - offsets[:-1], lengths)
         index += np.arange(offsets[-1])
-        return Dataset.from_flat(self.values[index], offsets, self.category_id)
+        return Dataset.from_flat(self.values[index], offsets)
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -189,9 +193,7 @@ def require_valid(model: HmmModel) -> None:
         raise ValueError("invalid model: " + "; ".join(violations))
 
 
-def sample_sequences(
-    model: HmmModel, count: int, length: int, seed: int, category_id: int = 0
-) -> Dataset:
+def sample_sequences(model: HmmModel, count: int, length: int, seed: int) -> Dataset:
     """Sample `count` observation sequences of exactly `length` symbols.
 
     Each sequence draws its initial state from pi, then repeatedly emits a
@@ -225,7 +227,7 @@ def sample_sequences(
         if t + 1 < length:
             states = pick(cum_a[states], rng.random(count))
 
-    return Dataset.from_flat(symbols.ravel(), _offsets(np.full(count, length)), category_id)
+    return Dataset.from_flat(symbols.ravel(), _offsets(np.full(count, length)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +365,7 @@ def save_sequences(dataset: Dataset, path) -> None:
         fh.write(text.tobytes().decode("ascii"))
 
 
-def load_distinct_sequences(
-    path, category_id: int = 0, n_symbols: int | None = None
-) -> tuple[Dataset, np.ndarray]:
+def load_distinct_sequences(path, n_symbols: int | None = None) -> tuple[Dataset, np.ndarray]:
     """Parse a sequence file into its distinct lines and where they repeat:
     (distinct, inverse), where `distinct` holds each distinct line's
     sequence once, in order of first appearance, and inverse[i] is the row
@@ -398,10 +398,10 @@ def load_distinct_sequences(
     if parsed is None:  # name a bad line by its first line number
         first_line = (np.unique(ids, return_index=True)[1][keep] + 1).tolist()
         parsed = _parse_lines(path, lines, first_line, n_symbols)
-    return Dataset.from_flat(*parsed, category_id), inverse
+    return Dataset.from_flat(*parsed), inverse
 
 
-def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> Dataset:
+def load_sequences(path, n_symbols: int | None = None) -> Dataset:
     """Parse a sequence file: one sequence per line, non-negative ints
     separated by whitespace; lines that are blank or start with '#' after
     stripping are ignored.
@@ -416,8 +416,8 @@ def load_sequences(path, category_id: int = 0, n_symbols: int | None = None) -> 
     with open(path, "rb") as fh:
         parsed = _parse_plain(fh.read(), n_symbols)
     if parsed is not None:
-        return Dataset.from_flat(*parsed, category_id)
-    distinct, inverse = load_distinct_sequences(path, category_id, n_symbols)
+        return Dataset.from_flat(*parsed)
+    distinct, inverse = load_distinct_sequences(path, n_symbols)
     return distinct if len(inverse) == len(distinct) else distinct.take(inverse)
 
 

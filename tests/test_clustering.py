@@ -180,35 +180,33 @@ def test_keyed_clustering_matches_scan_property(case):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(clustering_corpora(), st.data())
 def test_counted_rows_match_their_expanded_corpus(case, data):
-    # rows with counts cluster as the corpus that repeats each row as often,
-    # its first copies in row order and the rest after them in any order
+    # rows with an inverse cluster as the corpus that the inverse gathers:
+    # each row's first occurrence in row order, its repeats anywhere after it
     distance, rows = case
-    counts = data.draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
-    extra = [i for i, c in enumerate(counts) for _ in range(c - 1)]
-    order = list(range(len(rows))) + data.draw(st.permutations(extra))
-    expanded = Dataset([rows.sequences[i] for i in order])
-    table = build_clusters(rows, distance=distance, counts=np.array(counts))
-    expected = build_clusters(expanded, distance=distance)
+    inverse = list(range(len(rows)))
+    for row in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20)):
+        inverse.insert(data.draw(st.integers(inverse.index(row) + 1, len(inverse))), row)
+    table = build_clusters(rows, distance, np.array(inverse))
+    expected = build_clusters(rows.take(inverse), distance)
     assert table.weights.tolist() == expected.weights.tolist()
-    assert [r.tolist() for r in table.reps.sequences] == [
-        r.tolist() for r in expected.reps.sequences
-    ]
+    assert table.reps.values.tobytes() == expected.reps.values.tobytes()
+    assert table.reps.offsets.tolist() == expected.reps.offsets.tolist()
 
 
-@pytest.mark.parametrize("counts", [
-    [1, 2], [1, 0, 2], [1, 2.0, 1], [[1, 1, 1]],
-    np.array([2**64 - 1, 2, 1], dtype=np.uint64),  # no int64 holds the first
-    np.array([2**63 - 1] * 3, dtype=np.int64),  # rows 1 and 3 sum past int64
+@pytest.mark.parametrize("inverse", [
+    pytest.param([[0, 1, 2]], id="2-d"),
+    pytest.param([0.0, 1.0, 2.0], id="float"),
+    pytest.param([False, True, True], id="bool"),
+    pytest.param([0, 1, 2, -1], id="negative"),
+    pytest.param([0, 1, 2, 3], id="past-last-row"),
+    pytest.param(np.array([0, 1, 2, 2**64 - 1], dtype=np.uint64), id="huge"),
+    pytest.param(np.array([], dtype=np.int64), id="empty"),
+    pytest.param([0, 2, 0], id="row-never-occurs"),
 ])
-def test_bad_counts_rejected(counts):
-    with pytest.raises(ValueError, match="counts must hold 3 integers >= 1"):
-        build_clusters(dataset([[1], [2], [1]]), distance="dtw", counts=np.array(counts))
-
-
-def test_largest_counts_accepted():
-    counts = np.array([2**62, 1, 2**62 - 1])
-    table = build_clusters(dataset([[1], [2], [1]]), distance="dtw", counts=counts)
-    assert table.weights.tolist() == [2**63 - 1, 1]
+def test_bad_inverse_rejected(inverse):
+    with pytest.raises(ValueError, match=r"inverse must be a 1-D integer array of rows in "
+                                         r"\[0, 3\), each at least once"):
+        build_clusters(dataset([[1], [2], [1]]), "dtw", np.array(inverse))
 
 
 # (lowest symbol, highest symbol, longest row one key holds): a corpus that
@@ -299,12 +297,24 @@ def test_empty_sequence_rejected():
         match = "sequence 2 is empty" if distance == "dtw" else "sequence 2 has length 0"
         with pytest.raises(ValueError, match=match):
             build_clusters(data, distance=distance)
+    # with an inverse, the error names the sequence, not its row
+    with pytest.raises(ValueError, match="sequence 4 is empty"):
+        build_clusters(data, "dtw", np.array([0, 2, 0, 1]))
 
 
 def test_euclidean_mixed_lengths_rejected():
     data = dataset([[1, 2, 3], [1, 2, 3], [1, 2], [4, 5, 6]])
     with pytest.raises(ValueError, match="sequence 3 has length 2"):
         build_clusters(data, distance="euclidean")
+    # with an inverse, the error names the sequence, not its row
+    with pytest.raises(ValueError, match="sequence 5 has length 2 but sequence 1 has length 3"):
+        build_clusters(data, "euclidean", np.array([0, 1, 0, 3, 2]))
+
+
+def test_fractional_symbols_not_merged():
+    # 1.2 and 1.9 would both truncate to 1, and then collapse like [1, 1]
+    with pytest.raises(ValueError, match="sequence 1 must hold integers below 2"):
+        build_clusters(Dataset([[1.2, 1.9], [1.0, 1.0]]), "dtw")
 
 
 def test_empty_and_unknown_distance():
@@ -314,9 +324,20 @@ def test_empty_and_unknown_distance():
         build_clusters(dataset([[1]]), distance="cosine")
 
 
-def test_category_id_carried():
-    data = Dataset([np.array([1, 2])], category_id=4)
-    assert build_clusters(data, distance="dtw").category_id == 4
+def test_category_id_carried(tmp_path):
+    table = ClusterTable(dataset([[1, 2], [3]]), [5, 1], np.int64(3))
+    assert type(table.category_id) is int and table.category_id == 3
+    assert filter_low_weight(table, 2).category_id == 3
+    save_cluster_table(table, tmp_path / "clusters.json")
+    assert json.loads((tmp_path / "clusters.json").read_text())["category_id"] == 3
+    assert load_cluster_table(tmp_path / "clusters.json").category_id == 3
+    assert build_clusters(table.reps, "dtw").category_id == 0
+
+
+@pytest.mark.parametrize("category_id", [True, np.True_, 1.5, "3", None])
+def test_cluster_table_rejects_non_integer_label(category_id):
+    with pytest.raises(ValueError, match="category_id must be an integer"):
+        ClusterTable(dataset([[1]]), [1], category_id)
 
 
 def test_filter_low_weight():
@@ -335,8 +356,8 @@ def test_filter_low_weight():
 
 
 def test_cluster_table_weights_one_per_representative():
-    reps = Dataset([np.array([1, 2]), np.array([3])], category_id=2)
-    table = ClusterTable(reps, [4, 1])
+    reps = Dataset([np.array([1, 2]), np.array([3])])
+    table = ClusterTable(reps, [4, 1], 2)
     assert table.category_id == 2 and len(table) == 2 and table.total_weight == 5
     assert table.weights.dtype == np.int64 and not table.weights.flags.writeable
     wrapping = np.array([4, 2**63], dtype=np.uint64)
@@ -371,8 +392,8 @@ def test_cluster_table_round_trip(tmp_path):
 @example([([1], 2**62), ([2, 3], 2**62), ([4], 2**62)], 0)  # a total of 3 * 2**62 > 2**63
 def test_cluster_table_round_trip_property(tmp_path_factory, clusters, category_id):
     path = tmp_path_factory.mktemp("table") / "clusters.json"
-    table = ClusterTable(Dataset([r for r, _ in clusters], category_id),
-                         [w for _, w in clusters])
+    table = ClusterTable(Dataset([r for r, _ in clusters]), [w for _, w in clusters],
+                         category_id)
     save_cluster_table(table, path)
     assert json.loads(path.read_text()) == {
         "category_id": category_id,
@@ -381,7 +402,7 @@ def test_cluster_table_round_trip_property(tmp_path_factory, clusters, category_
     }
     assert len(path.read_text().splitlines()) == len(clusters) + 6  # one cluster per line
     loaded = load_cluster_table(path)
-    assert loaded.category_id == category_id
+    assert loaded.category_id == filter_low_weight(loaded, 1).category_id == category_id
     assert [(r.tolist(), w) for r, w in zip(loaded.reps.sequences, loaded.weights.tolist())] == (
         clusters
     )
@@ -400,8 +421,8 @@ def test_cluster_table_round_trip_property(tmp_path_factory, clusters, category_
 @example([([2**62], 2**62), ([7], 1)], -1)
 def test_cluster_table_writer_matches_json_writer(tmp_path_factory, clusters, category_id):
     folder = tmp_path_factory.mktemp("table")
-    table = ClusterTable(Dataset([r for r, _ in clusters], category_id),
-                         np.array([w for _, w in clusters], dtype=np.int64))
+    table = ClusterTable(Dataset([r for r, _ in clusters]),
+                         np.array([w for _, w in clusters], dtype=np.int64), category_id)
     save_cluster_table(table, folder / "fast.json")
     save_cluster_table_json(table, folder / "json.json")
     assert (folder / "fast.json").read_bytes() == (folder / "json.json").read_bytes()

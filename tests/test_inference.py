@@ -107,6 +107,13 @@ def test_deterministic_chain_probability_one():
     assert repr(ll) == "0.0"
 
 
+def test_fractional_symbols_rejected_not_truncated():
+    # [0.5, 1.2] would score as [0, 1], which the chain emits with probability 1
+    for fn in (likelihood, viterbi):
+        with pytest.raises(ValueError, match="sequence 1 must hold integers below 2"):
+            fn(DETERMINISTIC_CHAIN, [0.5, 1.2])
+
+
 def test_deterministic_chain_impossible():
     with pytest.raises(ImpossibleSequenceError, match="impossible"):
         likelihood(DETERMINISTIC_CHAIN, [0, 0])

@@ -290,11 +290,10 @@ def test_sequence_file_comments_and_blanks(tmp_path):
 def test_distinct_lines_keep_first_appearance(tmp_path):
     path = tmp_path / "seqs.txt"
     path.write_text("3 4\n1 2\n# c\n3 4\n 1 2\n1 2\n")
-    distinct, inverse = load_distinct_sequences(path, category_id=2)
+    distinct, inverse = load_distinct_sequences(path)
     # " 1 2" is another line than "1 2", so it gets a row of its own
     assert [s.tolist() for s in distinct.sequences] == [[3, 4], [1, 2], [1, 2]]
     assert inverse.tolist() == [0, 1, 0, 2, 1]
-    assert distinct.category_id == load_sequences(path, category_id=2).category_id == 2
 
 
 def test_sequence_file_errors_name_lines(tmp_path):
@@ -594,11 +593,10 @@ def test_other_files_take_the_line_path(tmp_path, content, n_symbols, expected):
                 max_size=12))
 def test_sequence_file_round_trip_property(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("round") / "seqs.txt"
-    data = Dataset([np.array(r, dtype=np.int64) for r in rows], category_id=3)
+    data = Dataset([np.array(r, dtype=np.int64) for r in rows])
     save_sequences(data, path)
     assert path.read_text() == "".join(" ".join(map(str, r)) + "\n" for r in rows)
-    loaded = load_sequences(path, category_id=3)
-    assert loaded.category_id == 3
+    loaded = load_sequences(path)
     assert loaded.offsets.tolist() == data.offsets.tolist()
     assert loaded.values.tolist() == data.values.tolist()
     save_sequences(loaded, path.with_suffix(".again"))
@@ -637,19 +635,42 @@ def test_dataset_rejects_rows_that_are_not_1d(sequences, number):
         Dataset(sequences)
 
 
+@pytest.mark.parametrize(
+    "sequences, number",
+    [
+        ([[1.7, 2.2]], 1),
+        ([[1], np.array([2.0])], 2),
+        ([[True, False]], 1),
+        ([np.array([1, 2], dtype=object)], 1),
+        ([[0], np.array([3, 2**63], dtype=np.uint64)], 2),
+        ([[2**64]], 1),
+    ],
+    ids=["float", "integral-float", "bool", "object", "uint64-past-int64", "python-int-past-64"],
+)
+def test_dataset_rejects_symbols_it_would_cut(sequences, number):
+    # int64 would truncate a fraction and wrap 2**63 to -2**63
+    with pytest.raises(ValueError, match=f"^sequence {number} must hold integers below 2\\*\\*63$"):
+        Dataset(sequences)
+
+
+def test_dataset_keeps_every_int64_and_empty_rows():
+    rows = [np.array([2**63 - 1, 0], dtype=np.uint64), np.array([-5, 7], dtype=np.int8), [], [3]]
+    data = Dataset(rows)
+    assert data.values.dtype == np.int64
+    assert [s.tolist() for s in data.sequences] == [[2**63 - 1, 0], [-5, 7], [], [3]]
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
     st.lists(st.lists(st.integers(0, 2**63 - 1), max_size=5), max_size=8),
-    st.integers(-3, 3),
     st.data(),
 )
-def test_dataset_take_matches_per_row_gather(rows, category_id, data):
+def test_dataset_take_matches_per_row_gather(rows, data):
     # rows may be empty, and the positions repeat, run out of order or are none
-    dataset = Dataset([np.array(r, dtype=np.int64) for r in rows], category_id)
+    dataset = Dataset([np.array(r, dtype=np.int64) for r in rows])
     positions = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12)) if rows else []
     got = dataset.take(np.array(positions, dtype=np.int64))
     assert len(got) == len(positions)
-    assert got.category_id == category_id
     assert [s.tolist() for s in got.sequences] == [rows[i] for i in positions]
     expected = [dataset.sequences[i] for i in positions]
     assert np.array_equal(got.values, np.concatenate(expected) if expected else [])
