@@ -27,7 +27,7 @@ from .clustering import (
     save_cluster_table,
 )
 from .dtw import dtw_distance, euclidean_distance
-from .inference import SCORE_STEPS, length_blocks, score_block, viterbi_block
+from .inference import length_blocks, score_block, viterbi_block
 from .model import (
     HmmModel,
     load_distinct_sequences,
@@ -125,34 +125,35 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _score_file(args, block_lines) -> int:
-    """Run `block_lines(model, block)` on each packed block of the sequence
-    file's distinct lines and print one line per sequence, in input order.
-    Every sequence is checked against the model before anything is
-    printed.
+def _score_file(args, kernel, block_lines) -> int:
+    """Run `kernel(model, block)` on each packed block of the sequence
+    file's distinct lines, turn its result into lines with
+    `block_lines(model, block, result)` and print one line per sequence,
+    in input order. Every sequence is checked against the model before
+    anything is printed.
 
     A repeated line is scored once: a sequence's result does not depend on
-    its block, so its repeats print the same bits. Blocks go up to
-    SCORE_STEPS padded steps: scoring keeps no (T, B, N) history, so a
-    whole file usually runs in one block (see `inference.SCORE_STEPS`)."""
+    its block, so its repeats print the same bits. Blocks are the kernel's
+    own, within `inference.BLOCK_BYTES`: at short lengths and few states a
+    whole file usually runs in one block."""
     model = load_model(args.model, renormalize=args.renormalize)
     data, inverse = load_distinct_sequences(args.input, n_symbols=model.n_symbols)
     lines = [""] * len(data)
-    blocks = length_blocks(data, model.n_symbols, SCORE_STEPS)
+    blocks = length_blocks(data, model, kernel)
     del data  # the blocks hold their own copy of every symbol
     for block in blocks:
-        for row, line in zip(block.rows.tolist(), block_lines(model, block)):
+        for row, line in zip(block.rows.tolist(), block_lines(model, block, kernel(model, block))):
             lines[row] = line
     sys.stdout.write("".join(map(lines.__getitem__, inverse.tolist())))
     return 0
 
 
-def _eval_lines(model, block) -> list[str]:
-    return [f"{ll!r}\n" for ll in score_block(model, block).tolist()]
+def _eval_lines(model, block, lls) -> list[str]:
+    return [f"{ll!r}\n" for ll in lls.tolist()]
 
 
-def _decode_lines(model, block) -> list[str]:
-    paths, log_probs = viterbi_block(model, block)
+def _decode_lines(model, block, decoded) -> list[str]:
+    paths, log_probs = decoded
     n, lengths = model.n_states, block.lengths
     # each state's name ends in its separator: names[s] is "s " and
     # names[N + s] is "s\t", which ends a row's path
@@ -168,11 +169,11 @@ def _decode_lines(model, block) -> list[str]:
 
 
 def _cmd_eval(args) -> int:
-    return _score_file(args, _eval_lines)
+    return _score_file(args, score_block, _eval_lines)
 
 
 def _cmd_decode(args) -> int:
-    return _score_file(args, _decode_lines)
+    return _score_file(args, viterbi_block, _decode_lines)
 
 
 def _cmd_dist(args) -> int:

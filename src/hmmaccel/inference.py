@@ -20,13 +20,15 @@ weight.
 Training, scoring and decoding all run on packed blocks, and
 `length_blocks` is the one place that makes them. It checks a Dataset's
 symbols once, sorts its sequences longest first (stably, so a
-single-length corpus keeps input order), cuts that order into blocks of a
-capped number of padded sequence-steps (`estep_steps(N)` for training,
-SCORE_STEPS for scoring and decoding), and gathers each block's symbols
-in the t-major order of PyTorch's `pack_padded_sequence`: step t holds
-the symbols of the B_t sequences still running at t. Since the rows are
-sorted, those are a prefix of the block, and every recursion works on
-that prefix only, reading each step's symbols as one contiguous run.
+single-length corpus keeps input order), cuts that order into blocks that
+fit one byte budget, BLOCK_BYTES, in the kernel that will run them, and
+gathers each block's symbols in the t-major order of PyTorch's
+`pack_padded_sequence`: step t holds the symbols of the B_t sequences
+still running at t. Since the rows are sorted, those are a prefix of the
+block, and every recursion works on that prefix only, reading each step's
+symbols as one contiguous run. `_kernel_bytes` states, beside the kernels,
+the bytes each one holds per padded step and per row at N states.
+
 `_forward_block` runs the scaled forward pass, four numpy calls per
 time step in training: the transition matmul, the emission multiply, the
 row-sum matmul and the normalizing divide (scoring adds the step's
@@ -41,17 +43,18 @@ log-likelihood before the backward pass and adds no counts;
 It runs in a workspace of three packed (P + 1, N) buffers that
 `estep_workspace` makes once per training run: alpha, the emissions, and
 the row sums that beta then overwrites. No block or iteration allocates a
-packed (P, N) array; training's cap keeps that workspace within
-ESTEP_BYTES.
+packed (P, N) array; training's blocks keep that workspace within
+BLOCK_BYTES.
 `score_block` runs the forward pass with no history, keeping only the
 row sums, and turns their coefficients into one log-likelihood per
 sequence.
 `viterbi_block` runs the max-product recursion with one-byte
-back-pointers. Neither holds a (T, B, N) float array, so their blocks can
-be larger than training's: SCORE_STEPS. `likelihood` and `viterbi` are the
-one-sequence case of `score_block` and `viterbi_block`. The tests keep a
-per-sequence forward-backward and padded block scorers, and check the
-packed kernels against them.
+back-pointers below 257 states. Neither holds a (T, B, N) float array, so
+their blocks hold more steps than training's at short lengths, while
+Viterbi's (N, N, B) scores shrink its blocks as N grows. `likelihood` and
+`viterbi` are the one-sequence case of `score_block` and `viterbi_block`.
+The tests keep a per-sequence forward-backward and padded block scorers,
+and check the packed kernels against them.
 
 A sequence gets the same score and path, bit for bit, whatever block it
 sits in, at whatever row and beside whatever lengths: see `score_block`
@@ -71,26 +74,18 @@ import numpy as np
 
 from .model import Dataset, HmmModel
 
-# Cap on the rows of any block, which bounds the per-row state of scoring
-# and decoding (a few (N,) or (N, N) arrays per row) at short lengths, and
-# the padded size B * T of a block when no cap is given.
-BLOCK_STEPS = 4096
-# Byte budget of training's E-step workspace, the three (P + 1, N) float64
-# buffers of `estep_workspace`. `estep_steps` turns it into training's cap
-# on a block's padded steps: 14,562 at 3 states, where a 10,000 x 5 corpus
-# trains in 4 blocks, and 5,460 at 8. The workspace is made once per run
-# and reused by every block and iteration, so a larger block costs no fresh
-# pages. In a sweep of caps from 1,024 to 65,536 steps at 3 and 8 states
-# (BENCH_15.json), the time per iteration stopped falling at about 8,192
-# steps; differences above that were within the host's noise.
-ESTEP_BYTES = 2**20
-# Cap on the padded size of a scoring or decoding block. A training step
-# holds 3 * 8 * N bytes of workspace. A scoring step holds its int64 symbol
-# (8 bytes) and either its c_t (8) or its back-pointer (N bytes below 257
-# states) and path entry (8): at most 16 + N bytes. At 8 states a block of
-# this cap then holds about 0.8 MB, within training's budget, and a 500 x 60
-# file runs in one.
-SCORE_STEPS = 8 * BLOCK_STEPS
+# Byte budget of every block: `length_blocks` gives a block of B rows of
+# padded length T the most rows for which B (T step + row) + step bytes fit
+# it, and at least one, where step and row are the running kernel's bytes
+# per padded step and per row (`_kernel_bytes`). In training those are the
+# E-step workspace, made once per run and reused by every block and
+# iteration: 14,562 padded steps at 3 states, where a 10,000 x 5 corpus
+# trains in 4 blocks, and 5,460 at 8. In a sweep of training caps from
+# 1,024 to 65,536 steps at 3 and 8 states (BENCH_15.json), the time per
+# iteration stopped falling at about 8,192 steps; differences above that
+# were within the host's noise. At 8 states a 500 x 60 file scores and
+# decodes in one block.
+BLOCK_BYTES = 2**20
 
 
 class ImpossibleSequenceError(ValueError):
@@ -115,27 +110,28 @@ class Block(NamedTuple):
     sizes: list[int]
 
 
-def length_blocks(data: Dataset, n_symbols, steps=None) -> list[Block]:
-    """The packed blocks of a Dataset.
+def length_blocks(data: Dataset, model: HmmModel, kernel) -> list[Block]:
+    """The packed blocks of a Dataset for `kernel` (estep_block,
+    score_block or viterbi_block) to run under `model`.
 
     Sequences are sorted longest first, stably, so equal lengths keep
-    input order, and the sorted order is cut into blocks of at most
-    `steps` padded sequence-steps (BLOCK_STEPS when None; a longer
-    sequence gets a block of its own) and at most BLOCK_STEPS rows.
-    Training passes `estep_steps(N)`, scoring and decoding SCORE_STEPS.
-    Rejects the first empty sequence or sequence with a symbol outside
-    [0, n_symbols), by its 1-based position.
+    input order, and the sorted order is cut into blocks within
+    BLOCK_BYTES: a block of rows of padded length T takes the most rows
+    whose bytes in the kernel at the model's N states, plus one spare step,
+    fit the budget, and at least one. Rejects the first empty sequence or
+    sequence with a symbol outside [0, model.n_symbols), by its 1-based
+    position.
     """
-    steps = BLOCK_STEPS if steps is None else steps
+    step, per_row = _kernel_bytes(kernel, model.n_states)
     values, offsets, lengths = data.values, data.offsets, data.lengths
     faults = []  # (position, message) of the first bad sequence of each kind
     if (lengths == 0).any():
         faults.append((int(np.argmax(lengths == 0)), "is empty"))
-    bad = (values < 0) | (values >= n_symbols)
+    bad = (values < 0) | (values >= model.n_symbols)
     if bad.any():
         # values lie in input order, so the first bad symbol is in the first bad sequence
         idx = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
-        faults.append((idx, f"uses symbols outside [0, {n_symbols})"))
+        faults.append((idx, f"uses symbols outside [0, {model.n_symbols})"))
     if faults:
         idx, message = min(faults)
         raise ValueError(f"sequence {idx + 1} {message}")
@@ -145,7 +141,7 @@ def length_blocks(data: Dataset, n_symbols, steps=None) -> list[Block]:
     lo = 0
     while lo < len(order):
         t_len = int(lengths[order[lo]])
-        rows = order[lo : lo + max(1, min(steps // t_len, BLOCK_STEPS))]
+        rows = order[lo : lo + max(1, (BLOCK_BYTES - step) // (t_len * step + per_row))]
         lens = lengths[rows]
         at = np.add.outer(np.arange(t_len), offsets[rows]).ravel()  # t * B + b: row b at t
         if lens[-1] < t_len:  # keep the valid steps only
@@ -158,13 +154,6 @@ def length_blocks(data: Dataset, n_symbols, steps=None) -> list[Block]:
         blocks.append(Block(rows, lens, symbols, sizes))
         lo += len(rows)
     return blocks
-
-
-def estep_steps(n_states: int) -> int:
-    """Training's cap on a block's padded steps: the most for which the
-    workspace of `estep_workspace`, spare row included, stays within
-    ESTEP_BYTES at n_states states."""
-    return max(1, ESTEP_BYTES // (3 * 8 * n_states) - 1)
 
 
 def estep_workspace(blocks: list[Block], n_states: int) -> np.ndarray:
@@ -440,9 +429,27 @@ def viterbi_block(model: HmmModel, block: Block):
     return paths, delta.max(axis=0) + 0.0  # + 0.0: no -0.0
 
 
+def _kernel_bytes(kernel, n: int) -> tuple[int, int]:
+    """The bytes `kernel` holds per padded step and per row of a block at n
+    states, beyond what it holds whatever the block's size. The kernel is
+    known by its name, so that a wrapper made with functools.wraps, as a
+    tracer or a test spy makes, sizes its blocks as the kernel itself:
+
+    - estep_block: per step, the three (P + 1, N) float64 workspace buffers;
+    - score_block: per step, the (W, T) float64 coefficients; per row,
+      alpha's two (N,) slots, the one-step emissions and row sums, and ll;
+    - viterbi_block: per step, psi's N back-pointers and the int64 path
+      entry; per row, the (N, N) scores, hits and ranked, then delta, best
+      and one step's log-emissions, each (N,) float64.
+    """
+    index = np.min_scalar_type(n - 1).itemsize  # one back-pointer
+    return {"estep_block": (24 * n, 0), "score_block": (8, 32 * n + 8),
+            "viterbi_block": (index * n + 8, (9 + index) * n * n + 24 * n)}[kernel.__name__]
+
+
 def likelihood(model: HmmModel, seq) -> float:
     """log P(sequence | model): the one-row case of `score_block`."""
-    (block,) = length_blocks(Dataset([seq]), model.n_symbols)
+    (block,) = length_blocks(Dataset([seq]), model, score_block)
     ll = float(score_block(model, block)[0])
     if ll == -np.inf:
         raise ImpossibleSequenceError("impossible sequence")
@@ -452,7 +459,7 @@ def likelihood(model: HmmModel, seq) -> float:
 def viterbi(model: HmmModel, seq):
     """Most probable state path and its joint log-probability for one
     sequence: the one-row case of `viterbi_block`."""
-    (block,) = length_blocks(Dataset([seq]), model.n_symbols)
+    (block,) = length_blocks(Dataset([seq]), model, viterbi_block)
     paths, log_probs = viterbi_block(model, block)
     if log_probs[0] == -np.inf:
         raise ImpossibleSequenceError("impossible sequence")

@@ -85,28 +85,26 @@ class Dataset:
     there are sequences and starts at 0. `Dataset(sequences)` copies a list
     of 1-D integer arrays into that layout, and rejects a non-empty row of
     another dtype or holding a symbol of 2**63 or more rather than cut it to
-    int64; `from_flat` adopts a buffer and offsets as they are, and `take`
-    gathers some of the sequences into a new Dataset. Order is input order,
-    which clustering and block building preserve.
+    int64; `from_flat` adopts a buffer and offsets as they are, with the
+    same check, and `take` gathers some of the sequences, at integer
+    positions, into a new Dataset. Order is input order, which clustering
+    and block building preserve.
     """
 
     def __init__(self, sequences):
-        rows = [np.asarray(s) for s in sequences]
-        for i, row in enumerate(rows, start=1):
+        rows = []
+        for i, seq in enumerate(sequences, start=1):
+            row = np.asarray(seq)
             if row.ndim != 1:
                 raise ValueError(f"sequence {i} is not a 1-D array")
-            # an empty row may be float, as np.asarray([]) is
-            kind = row.dtype.kind
-            if row.size and (kind not in "iu" or kind == "u" and row.max() >= 2**63):
-                raise ValueError(f"sequence {i} must hold integers below 2**63")
-        values = (np.concatenate(rows, dtype=np.int64, casting="unsafe") if rows
-                  else np.empty(0, dtype=np.int64))
+            rows.append(_as_int64(row, f"sequence {i}"))
+        values = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
         self._adopt(values, _offsets([len(r) for r in rows]))
 
     @classmethod
     def from_flat(cls, values, offsets) -> "Dataset":
         data = cls.__new__(cls)
-        data._adopt(np.asarray(values, dtype=np.int64), np.asarray(offsets, dtype=np.int64))
+        data._adopt(_as_int64(values, "values"), _as_int64(offsets, "offsets"))
         return data
 
     def _adopt(self, values, offsets) -> None:
@@ -130,13 +128,25 @@ class Dataset:
 
     def take(self, rows) -> "Dataset":
         """The sequences at positions `rows`, in that order, repeats allowed,
-        as a new Dataset."""
-        rows = np.asarray(rows, dtype=np.int64)
+        as a new Dataset. A position that is not an integer is a
+        ValueError, not a truncated index."""
+        rows = _as_int64(rows, "rows")
         lengths = self.lengths[rows]
         offsets = _offsets(lengths)
         index = np.repeat(self.offsets[rows] - offsets[:-1], lengths)
         index += np.arange(offsets[-1])
         return Dataset.from_flat(self.values[index], offsets)
+
+
+def _as_int64(values, name: str) -> np.ndarray:
+    """`values` as an int64 array, or a ValueError naming them if they hold
+    anything but integers below 2**63, which int64 cannot hold. Empty
+    values may be float, as np.asarray([]) is."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if values.size and (kind not in "iu" or kind == "u" and values.max() >= 2**63):
+        raise ValueError(f"{name} must hold integers below 2**63")
+    return values.astype(np.int64, copy=False)
 
 
 def _offsets(lengths) -> np.ndarray:

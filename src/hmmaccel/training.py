@@ -11,8 +11,8 @@ tight tolerances.
 
 The E-step runs block by block. Before the first iteration
 `inference.length_blocks` checks the symbols, sorts the sequences longest
-first and cuts them into packed blocks of at most `inference.estep_steps(N)`
-padded sequence-steps, so a corpus of many lengths runs in as few blocks
+first and cuts them into packed blocks whose E-step workspace fits
+`inference.BLOCK_BYTES`, so a corpus of many lengths runs in as few blocks
 as one of a single length; `inference.estep_workspace` makes the one
 workspace every block runs in, and `inference.step_weights` lays each
 block's weights out as its steps are. Every iteration then calls
@@ -49,7 +49,6 @@ from .clustering import ClusterTable
 from .inference import (
     ImpossibleSequenceError,
     estep_block,
-    estep_steps,
     estep_workspace,
     length_blocks,
     score_block,
@@ -120,7 +119,7 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
     require_valid(init)
     if not len(data):
         raise ValueError("no training sequences")
-    blocks = length_blocks(data, init.n_symbols, estep_steps(init.n_states))
+    blocks = length_blocks(data, init, estep_block)
     work = estep_workspace(blocks, init.n_states)
     blocks = [(block, step_weights(block, weights)) for block in blocks]
 

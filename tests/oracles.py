@@ -29,6 +29,10 @@
 - `dtw_path` is the DTW that filled the whole n x m table and backtracked
   a warping path; the two-row `dtw_distance` must return its distance.
   `enum_min_cost` walks every monotone path, with no memoisation.
+- `block_budget` is no oracle but the inverse of `length_blocks`' sizing:
+  the BLOCK_BYTES at which a kernel's blocks take a given number of rows
+  of a given length, so that tests can shrink blocks through the one
+  budget.
 """
 
 from dataclasses import dataclass
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hmmaccel import HmmModel, ImpossibleSequenceError, euclidean_distance
-from hmmaccel.inference import _length_runs
+from hmmaccel.inference import _kernel_bytes, _length_runs
 from hmmaccel.model import _write_json
 
 
@@ -401,3 +405,12 @@ def decode_lines_join(model, block, paths, log_probs):
         else " ".join([names[s] for s in path[:t].tolist()]) + f"\t{lp!r}\n"
         for path, t, lp in zip(paths.copy(), block.lengths.tolist(), log_probs.tolist())
     ]
+
+
+def block_budget(kernel, n_states, t_len, rows):
+    """The BLOCK_BYTES at which `length_blocks` gives `kernel`, at n_states
+    states, blocks of `rows` rows of padded length t_len, and no more. For
+    training, whose bytes are all per step, block_budget(estep_block, n, 1,
+    steps) caps a block at `steps` padded steps."""
+    step, per_row = _kernel_bytes(kernel, n_states)
+    return step + rows * (t_len * step + per_row)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decode_lines_join, dtw_path
+from oracles import block_budget, decode_lines_join, dtw_path
 
 import hmmaccel
 from hmmaccel import (
@@ -36,11 +36,13 @@ from hmmaccel import (
     load_sequences,
     save_cluster_table,
     save_model,
+    score_block,
     viterbi,
     viterbi_block,
 )
+from hmmaccel import inference
 from hmmaccel.cli import main
-from hmmaccel.inference import SCORE_STEPS
+from hmmaccel.inference import BLOCK_BYTES
 
 CHAIN_MODEL = {
     "n_states": 2,
@@ -427,7 +429,8 @@ def scoring_files(draw):
     and impossible sequences (those using the last symbol) among the rest.
     Lines repeat, some with other spacing, which the parser keeps as other
     distinct lines with the same symbols. Returns the model, the file's
-    sequences and text, which of them are impossible, and a block cap."""
+    sequences and text, which of them are impossible, and how many rows of
+    length 3 a block takes."""
     n = draw(st.sampled_from([1, 2, 3, 8]))
     m = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -457,13 +460,13 @@ def scoring_files(draw):
     seps = draw(st.lists(st.sampled_from(SPACINGS), min_size=len(picks), max_size=len(picks)))
     text = "".join(spaced(pool[i], sep) for i, sep in zip(picks, seps))
     seqs = [pool[i] for i in picks]
-    return model, seqs, text, [impossible[i] for i in picks], draw(st.sampled_from([6, 9]))
+    return model, seqs, text, [impossible[i] for i in picks], draw(st.sampled_from([2, 3]))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(scoring_files())
 def test_eval_and_decode_match_per_sequence_calls(case):
-    model, seqs, text, impossible, block_steps = case
+    model, seqs, text, impossible, block_rows = case
     expected_eval, expected_decode = [], []
     for seq in seqs:
         try:
@@ -482,13 +485,13 @@ def test_eval_and_decode_match_per_sequence_calls(case):
         save_model(model, model_path)
         seqs_path.write_text(text)
         outputs = []
-        # a small scoring cap splits the length-3 group over several blocks
-        with mock.patch.object(cli, "SCORE_STEPS", block_steps):
-            for command in ("eval", "decode"):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    assert main([command, str(model_path), str(seqs_path)]) == 0
-                outputs.append(out.getvalue().splitlines())
+        # a small budget splits the length-3 group over several blocks
+        for command, kernel in (("eval", score_block), ("decode", viterbi_block)):
+            budget = block_budget(kernel, model.n_states, 3, block_rows)
+            out = io.StringIO()
+            with mock.patch.object(inference, "BLOCK_BYTES", budget), contextlib.redirect_stdout(out):
+                assert main([command, str(model_path), str(seqs_path)]) == 0
+            outputs.append(out.getvalue().splitlines())
     assert outputs == [expected_eval, expected_decode]
 
 
@@ -497,10 +500,10 @@ def test_eval_and_decode_match_per_sequence_calls(case):
     n=st.sampled_from([1, 2, 9, 10, 11, 101, 300]),
     lengths=st.lists(st.integers(1, 9), min_size=1, max_size=30),
     dead=st.lists(st.booleans(), max_size=30),
-    steps=st.sampled_from([1, 4, 16, SCORE_STEPS]),
+    budget=st.sampled_from([1, 2**10, 2**14, BLOCK_BYTES]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_decode_lines_match_join_oracle(n, lengths, dead, steps, seed):
+def test_decode_lines_match_join_oracle(n, lengths, dead, budget, seed):
     # names of one, two and three digits share one table, so the shorter ones
     # are NUL-padded; a row that uses the last symbol has probability 0
     rng = np.random.default_rng(seed)
@@ -514,9 +517,12 @@ def test_decode_lines_match_join_oracle(n, lengths, dead, steps, seed):
     for seq, is_dead in zip(seqs, dead):
         if is_dead:
             seq[-1] = m - 1
-    for block in length_blocks(Dataset(seqs), m, steps):
-        expected = decode_lines_join(model, block, *viterbi_block(model, block))
-        assert cli._decode_lines(model, block) == expected
+    with mock.patch.object(inference, "BLOCK_BYTES", budget):
+        blocks = length_blocks(Dataset(seqs), model, viterbi_block)
+    for block in blocks:
+        decoded = viterbi_block(model, block)
+        expected = decode_lines_join(model, block, *decoded)
+        assert cli._decode_lines(model, block, decoded) == expected
 
 
 @st.composite

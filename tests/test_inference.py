@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import forward_backward, padded_block, score_block_history, viterbi_block_history
+from oracles import (
+    block_budget,
+    forward_backward,
+    padded_block,
+    score_block_history,
+    viterbi_block_history,
+)
 
 from hmmaccel import (
     HmmModel,
@@ -21,9 +27,9 @@ from hmmaccel import (
 )
 from hmmaccel import inference
 from hmmaccel.inference import (
-    BLOCK_STEPS,
-    SCORE_STEPS,
+    BLOCK_BYTES,
     _forward_block,
+    _kernel_bytes,
     estep_block,
     estep_workspace,
     length_blocks,
@@ -249,7 +255,7 @@ def test_blocks_match_enumeration():
         m_sym = int(rng.integers(2, 5))
         model = random_model(rng, n, m_sym)
         obs = rng.integers(0, m_sym, size=(int(rng.integers(1, 5)), int(rng.integers(1, 6))))
-        (block,) = length_blocks(Dataset(list(obs)), m_sym)
+        (block,) = length_blocks(Dataset(list(obs)), model, viterbi_block)
         lls = score_block(model, block)
         paths, lps = viterbi_block(model, block)
         assert lls.shape == lps.shape == (obs.shape[0],)
@@ -263,7 +269,7 @@ def test_blocks_match_enumeration():
 
 def test_blocks_mark_impossible_rows():
     obs = [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
-    (block,) = length_blocks(Dataset(obs), 2)
+    (block,) = length_blocks(Dataset(obs), DETERMINISTIC_CHAIN, viterbi_block)
     assert score_block(DETERMINISTIC_CHAIN, block).tolist() == [-np.inf, 0.0, -np.inf]
     paths, lps = viterbi_block(DETERMINISTIC_CHAIN, block)
     assert lps.tolist() == [-np.inf, 0.0, -np.inf]
@@ -278,7 +284,9 @@ def test_scoring_coefficients_are_one_past_each_row(lengths):
     # past a row's length, the padding row's too, must hold a sum first
     rng = np.random.default_rng(59)
     model = random_model(rng, 3, 4)
-    (block,) = length_blocks(Dataset([rng.integers(0, 4, size=t) for t in lengths]), 4)
+    (block,) = length_blocks(
+        Dataset([rng.integers(0, 4, size=t) for t in lengths]), model, score_block
+    )
     c = _forward_block(model, block)
     assert c.shape == (lengths[0], max(len(lengths), 2))
     running = np.arange(lengths[0])[:, None] < block.lengths
@@ -299,7 +307,7 @@ def test_scaling_coefficients_do_not_depend_on_block(n):
     def forward(rows):
         """Training's packed c, checked against scoring's (T, W) c, and the
         packed position of each step's first row."""
-        (block,) = length_blocks(Dataset(rows), 6)
+        (block,) = length_blocks(Dataset(rows), model, estep_block)
         _, _, c = _forward_block(model, block, estep_workspace([block], n))
         c_scoring = _forward_block(model, block)
         first = np.cumsum([0] + block.sizes[:-2])
@@ -331,7 +339,8 @@ def test_packed_blocks_match_per_sequence_calls():
         model = random_model(rng, int(rng.integers(1, 6)), 4)
         lengths = np.sort(rng.integers(1, 12, size=int(rng.integers(1, 9))))[::-1]
         obs = rng.integers(0, 4, size=(len(lengths), lengths[0]))
-        (block,) = length_blocks(Dataset([row[:t] for row, t in zip(obs, lengths)]), 4)
+        data = Dataset([row[:t] for row, t in zip(obs, lengths)])
+        (block,) = length_blocks(data, model, viterbi_block)
         lls = score_block(model, block)
         paths, lps = viterbi_block(model, block)
         for row, t_len, ll, path, lp in zip(obs, lengths, lls, paths, lps):
@@ -344,31 +353,36 @@ def test_packed_blocks_match_per_sequence_calls():
 
 @st.composite
 def ragged_blocks(draw):
-    """A ragged Dataset with its symbol count, a small step cap (or None)
-    and a small BLOCK_STEPS."""
-    m = draw(st.integers(1, 5))
+    """A ragged Dataset, a model for its symbols, a kernel and a small byte
+    budget."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     seqs = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=9),
                          min_size=1, max_size=25))
-    steps = draw(st.none() | st.integers(1, 40))
-    return Dataset(seqs), m, steps, draw(st.integers(1, 12))
+    model = make(np.full(n, 1 / n), np.full((n, n), 1 / n), np.full((n, m), 1 / m))
+    kernel = draw(st.sampled_from([estep_block, score_block, viterbi_block]))
+    return Dataset(seqs), model, kernel, draw(st.integers(1, 6000))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(ragged_blocks())
 def test_block_invariants(case):
-    data, m, steps, block_steps = case
-    with mock.patch.object(inference, "BLOCK_STEPS", block_steps):
-        blocks = length_blocks(data, m, steps)
+    data, model, kernel, budget = case
+    m = model.n_symbols
+    with mock.patch.object(inference, "BLOCK_BYTES", budget):
+        blocks = length_blocks(data, model, kernel)
+    step, per_row = _kernel_bytes(kernel, model.n_states)
     seqs, lengths = data.sequences, data.lengths.tolist()
     order = sorted(range(len(data)), key=lambda i: -lengths[i])  # a stable sort
     assert np.concatenate([block.rows for block in blocks]).tolist() == order
     weights = np.arange(len(data)) + 1.0
-    for block in blocks:
+    for i, block in enumerate(blocks):
         rows, sizes = block.rows.tolist(), block.sizes
         t_len = lengths[rows[0]]
         assert block.lengths.tolist() == [lengths[r] for r in rows]
-        assert len(rows) <= block_steps
-        assert len(rows) == 1 or len(rows) * t_len <= (block_steps if steps is None else steps)
+        # the most rows that fit the budget, and at least one
+        fit = (budget - step) // (t_len * step + per_row)
+        assert len(rows) == max(1, fit) or i == len(blocks) - 1 and len(rows) < fit
+        assert len(rows) == 1 or step + len(rows) * (t_len * step + per_row) <= budget
         assert sizes == [sum(lengths[r] > t for r in rows) for t in range(t_len + 1)]
         assert sizes[0] == len(rows) and sizes[-1] == 0
         assert len(block.symbols) == sum(sizes) + 1
@@ -401,27 +415,30 @@ def oracle_model(rng, n, m, kind):
     return make(pi / pi.sum(), a / a.sum(axis=1, keepdims=True), b / b.sum(axis=1, keepdims=True))
 
 
-def assert_blocks_match_history_oracles(model, seqs, steps):
-    """Score and decode `seqs` in blocks of at most `steps` padded steps, and
-    the history oracles in training's blocks, padded, and require the same
-    bits."""
+def assert_blocks_match_history_oracles(model, seqs, budget):
+    """Score and decode `seqs` in blocks of at most `budget` bytes, each
+    kernel in its own blocks, and the history oracles in training's
+    blocks, padded, and require the same bits."""
     data = Dataset(seqs)
 
-    def history(block):
-        obs, lengths = padded_block([seqs[row] for row in block.rows])
-        return score_block_history(model, obs, lengths), viterbi_block_history(model, obs, lengths)
+    def history(kernel):
+        for block in length_blocks(data, model, estep_block):
+            obs, lengths = padded_block([seqs[row] for row in block.rows])
+            run = score_block_history if kernel is score_block else viterbi_block_history
+            yield block, run(model, obs, lengths)
 
-    def packed(block):
-        return score_block(model, block), viterbi_block(model, block)
+    def packed(kernel):
+        with mock.patch.object(inference, "BLOCK_BYTES", budget):
+            blocks = length_blocks(data, model, kernel)
+        for block in blocks:
+            yield block, kernel(model, block)
 
     results = []
-    for blocks, run in (
-        (length_blocks(data, model.n_symbols), history),
-        (length_blocks(data, model.n_symbols, steps), packed),
-    ):
+    for run in (history, packed):
         lls, lps, paths = np.empty(len(seqs)), np.empty(len(seqs)), [None] * len(seqs)
-        for block in blocks:
-            lls[block.rows], (block_paths, lps[block.rows]) = run(block)
+        for block, block_lls in run(score_block):
+            lls[block.rows] = block_lls
+        for block, (block_paths, lps[block.rows]) in run(viterbi_block):
             for row, path, t_len in zip(block.rows, block_paths, block.lengths):
                 paths[row] = path[:t_len].tolist()
         results.append((lls.tobytes(), lps.tobytes(), paths))
@@ -436,19 +453,21 @@ def oracle_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lengths = draw(st.lists(st.integers(1, 70), min_size=1, max_size=12))
     seqs = [rng.integers(0, m, size=t_len) for t_len in lengths]
-    return oracle_model(rng, n, m, kind), seqs, draw(st.sampled_from([16, 70, 200, SCORE_STEPS]))
+    budget = draw(st.sampled_from([1, 2**11, 2**13, BLOCK_BYTES]))
+    return oracle_model(rng, n, m, kind), seqs, budget
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(oracle_cases())
 def test_blocks_match_history_oracles(case):
-    # small caps split the sequences over several blocks, down to one row each
+    # small budgets split the sequences over several blocks, down to one row each
     assert_blocks_match_history_oracles(*case)
 
 
 def test_blocks_match_history_oracles_with_two_byte_back_pointers():
     # 300 states need uint16 back-pointers; half the A rows are uniform, so
-    # argmax ties across all 300 states there
+    # argmax ties across all 300 states there. Under BLOCK_BYTES Viterbi
+    # runs one row per block at 300 states; 8 MiB packs all six rows in one.
     rng = np.random.default_rng(42)
     n, m = 300, 5
     model = oracle_model(rng, n, m, "random")
@@ -456,31 +475,64 @@ def test_blocks_match_history_oracles_with_two_byte_back_pointers():
     a[::2] = 1 / n
     model = make(model.pi, a, model.b)
     seqs = [rng.integers(0, m, size=t_len) for t_len in (70, 33, 33, 8, 2, 1)]
-    for steps in (40, SCORE_STEPS):
-        assert_blocks_match_history_oracles(model, seqs, steps)
+    for budget in (BLOCK_BYTES, 2**23):
+        assert_blocks_match_history_oracles(model, seqs, budget)
 
 
 def test_scoring_blocks_stay_small():
-    # a 500 x 60 file at 8 states runs in one block under SCORE_STEPS; neither
+    # a 500 x 60 file at 8 states scores and decodes in one block; neither
     # scoring nor decoding it may hold more than 1 MiB at once
     rng = np.random.default_rng(70)
     model = random_model(rng, 8, 40)
     data = Dataset(list(rng.integers(0, 40, size=(500, 60))))
-    blocks = length_blocks(data, model.n_symbols, SCORE_STEPS)
-    assert len(blocks) == 1
     for run in (score_block, viterbi_block):
+        (block,) = length_blocks(data, model, run)
         tracemalloc.start()
         try:
-            for block in blocks:
-                run(model, block)
+            run(model, block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20, (run.__name__, peak)
-    # short sequences fill a scoring block by rows, capped as in training
+    # short rows fill a block by rows, as many as the budget holds
     data = Dataset(list(rng.integers(0, 40, size=(10000, 2))))
-    blocks = length_blocks(data, model.n_symbols, SCORE_STEPS)
-    assert [len(block.rows) for block in blocks] == [BLOCK_STEPS, BLOCK_STEPS, 1808]
+    for run, layout in ((score_block, [3744, 3744, 2512]), (viterbi_block, [1213] * 8 + [296])):
+        assert [len(block.rows) for block in length_blocks(data, model, run)] == layout
+
+
+# The bytes a kernel holds whatever its block's size: its (N, N) float64
+# arrays (the all-ones matrix in scoring, log A in Viterbi: 32 KiB each at
+# 64 states) and the buffers numpy's ufuncs use for a broadcast operand, up
+# to 8,192 elements each.
+SLACK = 2**18
+
+
+@pytest.mark.parametrize("kernel", [score_block, viterbi_block])
+def test_blocks_hold_their_stated_bytes_at_64_states(kernel):
+    # 4,096 rows of lengths 2-8 at 64 states: in one block, Viterbi's
+    # (N, N, B) arrays alone would take 160 MiB. Each block's peak holds
+    # the bytes `_kernel_bytes` states for it, within BLOCK_BYTES, and at
+    # most SLACK more.
+    rng = np.random.default_rng(90)
+    n = 64
+    model = random_model(rng, n, 6)
+    data = Dataset([rng.integers(0, 6, size=t) for t in rng.integers(2, 9, size=4096)])
+    step, per_row = _kernel_bytes(kernel, n)
+    blocks = length_blocks(data, model, kernel)
+    assert len(blocks) > 1
+    kernel(model, blocks[-1])  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        for block in blocks:
+            stated = step + len(block.rows) * (int(block.lengths[0]) * step + per_row)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kernel(model, block)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert stated <= BLOCK_BYTES
+            assert stated <= peak <= stated + SLACK, (len(block.rows), stated, peak)
+    finally:
+        tracemalloc.stop()
 
 
 def estep_counts(model, blocks, weights, work, fill):
@@ -508,10 +560,12 @@ def test_estep_names_exactly_the_impossible_rows(steps, layout):
     # block that holds one returns a non-finite log-likelihood and adds
     # nothing to the counts, and score_block marks exactly its impossible
     # rows -inf
-    model = make([0.6, 0.4], [[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]])
     seqs = [[0, 1, 1, 0, 1, 0], [0, 1, 0, 1, 1, 2], [1, 1, 0], [0, 2, 1, 1], [1, 0], [2],
             [0, 1, 1, 1, 0, 0]]
-    blocks = length_blocks(Dataset([np.array(seq) for seq in seqs]), 3, steps)
+    model = make([0.6, 0.4], [[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]])
+    budget = BLOCK_BYTES if steps is None else block_budget(estep_block, 2, 1, steps)
+    with mock.patch.object(inference, "BLOCK_BYTES", budget):
+        blocks = length_blocks(Dataset([np.array(seq) for seq in seqs]), model, estep_block)
     assert [block.rows.tolist() for block in blocks] == [rows for rows, _ in layout]
     work = estep_workspace(blocks, 2)
     for block, (_, dead) in zip(blocks, layout):
@@ -541,7 +595,9 @@ def test_estep_reads_nothing_it_did_not_write_to_its_workspace(n, lengths, steps
     model = random_model(rng, n, 4)
     data = Dataset([rng.integers(0, 4, size=t) for t in lengths])
     weights = rng.integers(1, 6, size=len(data)).astype(float)
-    blocks = length_blocks(data, 4, steps)
+    budget = BLOCK_BYTES if steps is None else block_budget(estep_block, n, 1, steps)
+    with mock.patch.object(inference, "BLOCK_BYTES", budget):
+        blocks = length_blocks(data, model, estep_block)
     assert [len(block.symbols) - 1 for block in blocks] == packed
     work = estep_workspace(blocks, n)
     assert estep_counts(model, blocks, weights, work, np.nan) == estep_counts(
@@ -555,7 +611,8 @@ def test_estep_allocates_less_than_one_packed_array(lengths):
     # at 3 states allocates less than one (P, N) float64 array
     rng = np.random.default_rng(81)
     model = random_model(rng, 3, 4)
-    (block,) = length_blocks(Dataset([rng.integers(0, 4, size=t) for t in lengths]), 4)
+    data = Dataset([rng.integers(0, 4, size=t) for t in lengths])
+    (block,) = length_blocks(data, model, estep_block)
     p = len(block.symbols) - 1
     assert p >= 1000
     work = estep_workspace([block], 3)

@@ -653,6 +653,40 @@ def test_dataset_rejects_symbols_it_would_cut(sequences, number):
         Dataset(sequences)
 
 
+@pytest.mark.parametrize(
+    "values, offsets, name",
+    [
+        ([1.7, 2.2], [0, 2], "values"),
+        (np.array([2**63], dtype=np.uint64), [0, 1], "values"),
+        ([True, False], [0, 2], "values"),
+        ([1, 2], [0.0, 2.0], "offsets"),
+    ],
+    ids=["float", "uint64-past-int64", "bool", "float-offsets"],
+)
+def test_dataset_from_flat_rejects_values_it_would_cut(values, offsets, name):
+    # as Dataset(sequences) does: [1.7, 2.2] would become [1, 2] and 2**63
+    # would wrap to -2**63
+    with pytest.raises(ValueError, match=f"^{name} must hold integers below 2\\*\\*63$"):
+        Dataset.from_flat(values, offsets)
+
+
+def test_dataset_from_flat_keeps_every_int64():
+    data = Dataset.from_flat(np.array([2**63 - 1, 0, 5], dtype=np.uint64), np.array([0, 2, 3]))
+    assert data.values.dtype == data.offsets.dtype == np.int64
+    assert [s.tolist() for s in data.sequences] == [[2**63 - 1, 0], [5]]
+    assert len(Dataset.from_flat([], [0])) == 0  # empty values may be float, as np.asarray([]) is
+
+
+@pytest.mark.parametrize(
+    "rows", [[1.7], np.array([0.0]), [True], np.array([2**63], dtype=np.uint64)],
+    ids=["float", "integral-float", "bool", "uint64-past-int64"],
+)
+def test_dataset_take_rejects_positions_that_are_not_integers(rows):
+    # int64 would take [1.7] as row 1 and wrap 2**63 to row -2**63
+    with pytest.raises(ValueError, match="^rows must hold integers below 2\\*\\*63$"):
+        Dataset([[5, 6], [7]]).take(rows)
+
+
 def test_dataset_keeps_every_int64_and_empty_rows():
     rows = [np.array([2**63 - 1, 0], dtype=np.uint64), np.array([-5, 7], dtype=np.int8), [], [3]]
     data = Dataset(rows)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import per_sequence_em
+from oracles import block_budget, per_sequence_em
 
 from hmmaccel import (
     ClusterTable,
@@ -28,8 +28,9 @@ from hmmaccel import inference
 from hmmaccel import training as training_module
 from hmmaccel.cli import _bundled_bench_model
 from hmmaccel.inference import (
-    ESTEP_BYTES,
-    estep_steps,
+    BLOCK_BYTES,
+    _kernel_bytes,
+    estep_block,
     estep_workspace,
     length_blocks,
 )
@@ -70,16 +71,22 @@ def reestimate_by_enumeration(model, obs):
     return pi, a, b
 
 
+def estep_spy():
+    """A spy on the E-step, which runs once per block and iteration. It
+    keeps the kernel's name, by which `length_blocks` sizes training's
+    blocks."""
+    return mock.patch.object(
+        training_module, "estep_block", autospec=True, side_effect=inference.estep_block
+    )
+
+
 @contextlib.contextmanager
 def training_blocks(steps, n_states):
     """Train in blocks of at most `steps` padded steps at n_states states,
-    through the workspace budget that gives that cap, and yield a spy on
-    the E-step, which runs once per block and iteration."""
-    budget = (steps + 1) * 3 * 8 * n_states
-    with mock.patch.object(inference, "ESTEP_BYTES", budget), mock.patch.object(
-        training_module, "estep_block", wraps=inference.estep_block
-    ) as spy:
-        assert estep_steps(n_states) == steps
+    through the byte budget that gives that cap, and yield a spy on the
+    E-step."""
+    budget = block_budget(estep_block, n_states, 1, steps)
+    with mock.patch.object(inference, "BLOCK_BYTES", budget), estep_spy() as spy:
         yield spy
 
 
@@ -123,7 +130,9 @@ def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
         + [rng.integers(0, 4, size=1) for _ in range(3)]
     )
     weights = [int(w) for w in rng.integers(1, 5, size=len(seqs))]
-    blocks = length_blocks(Dataset(seqs), 4, steps)
+    init = initialize_model(2, 4, 13)
+    with training_blocks(steps, 2):
+        blocks = length_blocks(Dataset(seqs), init, estep_block)
     assert [block.lengths.tolist() for block in blocks] == [
         [t_long] * 4,
         [t_long] * 4,
@@ -134,7 +143,6 @@ def test_block_kernel_matches_per_sequence_loop_across_block_boundaries():
     assert np.concatenate([block.rows for block in blocks]).tolist() == (
         list(range(5, 20)) + list(range(5)) + list(range(20, 23))
     )
-    init = initialize_model(2, 4, 13)
     table = ClusterTable(Dataset(seqs), weights)
     with training_blocks(steps, 2) as spy:
         assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
@@ -192,9 +200,9 @@ def test_packed_blocks_match_per_sequence_loop(case):
     init, seqs, weights, block_steps = case
     # a small cap splits lengths across blocks; at 30 and 64 the lone
     # length-13 row leads a block of several, so the prefix shrinks to it
-    n_blocks = len(length_blocks(Dataset(seqs), init.n_symbols, block_steps))
-    assert n_blocks > 1
     with training_blocks(block_steps, init.n_states) as spy:
+        n_blocks = len(length_blocks(Dataset(seqs), init, estep_block))
+        assert n_blocks > 1
         assert_matches_per_sequence(em_train, init, Dataset(seqs), seqs, [1] * len(seqs), 3)
         assert spy.call_count == 3 * n_blocks
         table = ClusterTable(Dataset(seqs), weights)
@@ -262,9 +270,9 @@ def test_impossible_sequence_named_in_input_order_across_blocks():
     message = "sequence 2 is impossible under the model at iteration 1"
     with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
         per_sequence_em(init, seqs, [1] * len(seqs), 1)
-    blocks = [block.rows.tolist() for block in length_blocks(Dataset(seqs), 3, 4)]
-    assert blocks == [[0], [3], [1, 2]]
     with training_blocks(4, 2) as spy:
+        blocks = [block.rows.tolist() for block in length_blocks(Dataset(seqs), init, estep_block)]
+        assert blocks == [[0], [3], [1, 2]]
         with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
             em_train(init, Dataset(seqs), TrainingConfig(iterations=1))
         assert spy.call_count == 3  # every block runs before the error names one
@@ -276,22 +284,35 @@ def test_impossible_sequence_named_in_input_order_across_blocks():
 
 @pytest.mark.parametrize("n", [1, 3, 8, 64])
 def test_training_block_cap_keeps_the_workspace_within_budget(n):
-    # a sequence of exactly the cap fills the largest block training makes;
-    # its workspace fits the budget, and one more step would not
-    steps = estep_steps(n)
+    # a sequence of the most steps whose workspace, spare step included,
+    # fits BLOCK_BYTES fills the largest block training makes; one more
+    # step would not fit
+    step = _kernel_bytes(estep_block, n)[0]
+    steps = BLOCK_BYTES // step - 1
     rng = np.random.default_rng(n)
     lengths = [steps, steps // 2 + 1, steps // 2, 7, 3, 1, 1]
-    blocks = length_blocks(Dataset([rng.integers(0, 2, size=t) for t in lengths]), 2, steps)
+    data = Dataset([rng.integers(0, 2, size=t) for t in lengths])
+    blocks = length_blocks(data, initialize_model(n, 2, 0), estep_block)
+    assert [block.lengths.tolist() for block in blocks][:2] == [[steps], [steps // 2 + 1]]
     assert max(len(block.symbols) for block in blocks) == steps + 1
     work = estep_workspace(blocks, n)
     assert work.shape == (3, steps + 1, n) and work.dtype == np.float64
-    assert work.nbytes <= ESTEP_BYTES < work.nbytes + 3 * 8 * n
+    assert work.nbytes <= BLOCK_BYTES < work.nbytes + step
+
+
+def test_corpus_of_10000_by_5_trains_in_four_blocks_at_3_states():
+    # the paper's corpus size under the bundled model's state count
+    rng = np.random.default_rng(73)
+    data = Dataset(list(rng.integers(0, 10, size=(10000, 5))))
+    with estep_spy() as spy:
+        em_train(initialize_model(3, 10, 3), data, TrainingConfig(iterations=1))
+    assert [len(call.args[1].rows) for call in spy.call_args_list] == [2912, 2912, 2912, 1264]
 
 
 def test_ragged_corpus_of_147_by_30_trains_in_one_block_at_8_states():
     rng = np.random.default_rng(71)
     data = Dataset(list(rng.integers(0, 40, size=(147, 30))))
-    with mock.patch.object(training_module, "estep_block", wraps=inference.estep_block) as spy:
+    with estep_spy() as spy:
         em_train(initialize_model(8, 40, 3), data, TrainingConfig(iterations=2))
     assert spy.call_count == 2
 
