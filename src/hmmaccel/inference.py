@@ -30,8 +30,8 @@ symbols as one contiguous run. `_kernel_bytes` states, beside the kernels,
 the bytes each one holds per padded step and per row at N states.
 
 `_forward_block` runs the scaled forward pass, four numpy calls per
-time step in training: the transition matmul, the emission multiply, the
-row-sum matmul and the normalizing divide (scoring adds the step's
+time step in training: the transition product, the emission multiply,
+the row-sum product and the normalizing divide (scoring adds the step's
 emission gather and keeps its sums). `estep_block` keeps the packed alpha
 and adds the backward pass, two calls per step, and the block's weighted
 expected counts, all in packed order: each row's weight enters once, at
@@ -44,7 +44,12 @@ It runs in a workspace of three packed (P + 1, N) buffers that
 `estep_workspace` makes once per training run: alpha, the emissions, and
 the row sums that beta then overwrites. No block or iteration allocates a
 packed (P, N) array; training's blocks keep that workspace within
-BLOCK_BYTES.
+BLOCK_BYTES. `estep_plans` also makes each block's step plan once per
+run: the views into the workspace that each forward and backward step
+reads and writes, so that no iteration slices the workspace step by step
+(`estep_plan`; scoring runs the same loop on views made as it goes). The
+per-step products are np.dot, which reaches the same dgemm as np.matmul,
+with the same bits, for less overhead per call.
 `score_block` runs the forward pass with no history, keeping only the
 row sums, and turns their coefficients into one log-likelihood per
 sequence.
@@ -67,7 +72,9 @@ kernels trust its blocks.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +93,12 @@ from .model import Dataset, HmmModel
 # were within the host's noise. At 8 states a 500 x 60 file scores and
 # decodes in one block.
 BLOCK_BYTES = 2**20
+
+# Padded steps whose E-step plans a training run keeps, summed over its
+# blocks, longest first: a kept plan holds about 1 KB of views per padded
+# step, so a run keeps at most about 16 MB of them. A block past the cap
+# makes its views as each call reaches them.
+PLAN_STEPS = 2**14
 
 
 class ImpossibleSequenceError(ValueError):
@@ -173,84 +186,100 @@ def step_weights(block: Block, weights: np.ndarray) -> np.ndarray:
     return np.concatenate([w[:k] for k in block.sizes[:-1]])
 
 
-def _forward_block(model: HmmModel, block: Block, work: np.ndarray | None = None):
+def _forward_steps(block: Block, alpha, et, sums, s=None):
+    """The views each step of `_forward_block` reads and writes, made as
+    its loop asks for them: one (symbols, alpha_{t-1}, product, alpha_t,
+    emissions, row sums, kept sums, their source) tuple per step, None
+    where the step has no such view. Training (no s) packs every step in
+    place, and needs neither symbols nor kept sums: `estep_plan` keeps its
+    tuples for a whole run, up to PLAN_STEPS. Scoring (s, a (T, W) view of
+    the coefficients) runs alpha in two slots and one step's emissions and
+    sums, and keeps step t's running sums in s[t]; it plans on each call.
+
+    Where a padding row ran beside a lone row at t - 1, alpha_t overlaps
+    the alpha_{t-1} rows that the transition product reads, so that
+    product goes to the step's row sums first, and every other step
+    writes it straight into alpha_t.
+    """
+    sizes, symbols = block.sizes, block.symbols
+    first = list(itertools.accumulate(sizes, initial=0))  # step t at first[t]
+    width = len(alpha) // 2  # scoring's slot
+    prev = rows = None
+    for t, b in enumerate(sizes[:-1]):
+        k, lo = max(b, 2), first[t] if s is None else t % 2 * width
+        at = alpha[lo : lo + k]
+        if s is None:
+            ek, sk, sym, st, sb = et[lo : lo + k], sums[lo : lo + k], None, None, None
+        else:
+            if b != rows:  # views of the running prefix, made when it shrinks
+                rows, ek, sk, sb = b, et[:k], sums[:k], sums[:b, 0]
+            sym, st = symbols[first[t] : first[t] + k], s[t, :b]
+        prev = prev if prev is None or len(prev) == k else prev[:k]
+        yield sym, prev, sk if s is None and t and sizes[t - 1] < k else at, at, ek, sk, st, sb
+        prev = at
+
+
+def _forward_block(model: HmmModel, block: Block, plan: EStepPlan | None = None):
     """Scaled forward pass over a block: alpha_t = f_t / s_t, where f_0 =
     pi b(o_0), f_t = (alpha_{t-1} a) b(o_t) and s_t is the sum of f_t, and
     the coefficients c_t = 1 / s_t, taken for the whole block in one call
-    after the loop.
+    after the loop. Every step runs the views of `_forward_steps`: in
+    training four numpy calls, the transition product, the emission
+    multiply, the row-sum product and the normalizing divide; scoring adds
+    the step's emission gather and keeps its sums.
 
-    Given the workspace of `estep_workspace`, as training needs it, keeps
-    the history: gathers the block's emissions into work[1] in one call
-    before the loop, writes the alpha of the valid steps into work[0] and
-    their row sums into work[2], all in the block's packed order, and
-    returns views of the emissions and alpha, each (sum_t B_t, N), and c
-    as one contiguous (sum_t B_t,) array, packed the same way: row b's c_t
-    at first_t + b. Without, as scoring needs it, alpha lives in two
-    slots, each step gathers its own emissions into a one-step buffer and
-    copies its row sums into a (T, W) view of a (W, T) array, where W is
-    B but at least 2, and only c comes back, as that view; the block then
-    holds no (T, B, N) array at all, and c is 1.0 past a row's length. A
-    row with probability 0 gets a non-finite c from the step where it
-    dies, after a 0 / 0 that callers run under np.errstate. The emissions
-    come from the model's `b_by_symbol`, made once per model.
+    Given the plan of `estep_plan`, as training needs it, keeps the
+    history: gathers the block's emissions into the plan's workspace in
+    one call before the loop, writes the alpha of the valid steps and
+    their row sums beside them, all in the block's packed order, and
+    returns c as one contiguous (sum_t B_t,) array, packed the same way:
+    row b's c_t at first_t + b. Without, as scoring needs it, alpha lives
+    in two slots, each step gathers its own emissions into a one-step
+    buffer and copies its row sums into a (T, W) view of a (W, T) array,
+    where W is B but at least 2, and only c comes back, as that view; the
+    block then holds no (T, B, N) array at all, and c is 1.0 past a row's
+    length. A row with probability 0 gets a non-finite c from the step
+    where it dies, after a 0 / 0 that callers run under np.errstate. The
+    emissions come from the model's `b_by_symbol`, made once per model.
 
-    Each step's row sums come from a matmul with an all-ones (N, N)
-    matrix, which puts a row's sum in every column with bits that depend
-    on that row alone, as the transition matmul's do; a BLAS gemv
+    Each step's row sums come from a product with the model's all-ones
+    (N, N) matrix, which puts a row's sum in every column with bits that
+    depend on that row alone, as the transition product's do; a BLAS gemv
     (x @ ones(N)) rounds a row by the row count and the row's offset.
-    numpy sends a one-row matmul down another BLAS path than a multi-row
+    numpy sends a one-row product down another BLAS path than a multi-row
     one, so every step runs on at least two rows. The second is padding
     once its own sequence has ended, and reads the symbol after the
     step's last: the next step's first, or the block's spare. Both modes
     do the same arithmetic, so a row gets the same c bits in either, in
-    every block.
+    every block. The products are np.dot, which reaches the dgemm that
+    np.matmul does, with the same bits, at less cost per call.
     """
-    a = model.a
-    b_t = model.b_by_symbol
-    n = a.shape[0]
-    symbols, sizes = block.symbols, block.sizes
-    t_len = len(sizes) - 1
-    first = list(itertools.accumulate(sizes, initial=0))  # step t at first[t]
-    ones = np.ones_like(a)
-    if work is not None:
-        # A padding row run beside a lone running row writes one entry on
-        # in alpha and the sums, into the next step's first, which that
-        # step then overwrites, or into the one spare at the end.
-        p, slot = first[-1], first
-        alpha, et, sums = work[:, : p + 1]
-        # symbols are checked; "clip" lets take write straight into out
-        b_t.take(symbols, axis=0, out=et, mode="clip")
+    a, pi, b_t, ones = model.a, model.pi, model.b_by_symbol, model.ones
+    if plan is None:
+        width, n = max(block.sizes[0], 2), model.n_states
+        alpha, (et, sums) = np.empty((2 * width, n)), np.empty((2, width, n))
+        s = np.ones((width, len(block.sizes) - 1)).T  # entries past a row's length stay 1
+        steps = _forward_steps(block, alpha, et, sums, s)
     else:
-        width = max(sizes[0], 2)
-        slot = [t % 2 * width for t in range(t_len)]  # alpha's two slots
-        alpha = np.empty((2 * width, n))
-        et, sums = np.empty((2, width, n))  # the step's emissions and row sums
-        s = np.ones((width, t_len)).T  # entries past a row's length stay 1
-    rows = None
-    # each step fills its alpha rows in place: f = (alpha_{t-1} @ a) * b(o_t), alpha_t = f / s_t
-    for t in range(t_len):
-        lo, b = slot[t], sizes[t]
-        if b != rows:  # the running prefix and scoring's views of it, made when it shrinks
-            rows, k = b, max(b, 2)
-            ek, sk, sb = et[:k], sums[:k], sums[:b, 0]
-        at = alpha[lo : lo + k]
-        if work is None:  # scoring gathers each step's emissions
-            b_t.take(symbols[first[t] : first[t] + k], axis=0, out=ek, mode="clip")
-        else:  # training reads the packed emissions and keeps every step's sums
-            ek, sk = et[lo : lo + k], sums[lo : lo + k]
-        if t == 0:
-            np.multiply(model.pi, ek, out=at)
+        # symbols are checked; "clip" lets take write straight into out
+        b_t.take(block.symbols, axis=0, out=plan.work[1], mode="clip")
+        steps = plan.forward
+    # each step fills its alpha rows in place: f = (alpha_{t-1} a) b(o_t), alpha_t = f / s_t
+    for sym, prev, product, at, ek, sk, st, sb in steps:
+        if sym is not None:
+            b_t.take(sym, axis=0, out=ek, mode="clip")
+        if prev is None:
+            np.multiply(pi, ek, out=at)
         else:
-            np.matmul(alpha[slot[t - 1] : slot[t - 1] + k], a, out=at)
-            at *= ek
-        np.matmul(at, ones, out=sk)
+            np.dot(prev, a, out=product)
+            np.multiply(product, ek, out=at)
+        np.dot(at, ones, out=sk)
         at /= sk
-        if work is None:
-            s[t, :b] = sb
-    if work is None:
+        if st is not None:
+            st[...] = sb
+    if plan is None:
         return np.divide(1.0, s, out=s)
-    c = np.divide(1.0, sums[:p, 0])  # contiguous, unlike the column it reads
-    return et[:-1], alpha[:-1], c
+    return np.divide(1.0, plan.work[2, :-1, 0])  # contiguous, unlike the column it reads
 
 
 def _length_runs(sizes: list[int]):
@@ -260,47 +289,110 @@ def _length_runs(sizes: list[int]):
             if sizes[t] < sizes[t - 1]]
 
 
-def estep_block(
-    model: HmmModel,
-    block: Block,
-    wp: np.ndarray,
-    pi_num: np.ndarray,
-    a_num: np.ndarray,
-    b_num: np.ndarray,
-    work: np.ndarray,
-) -> float:
+class EStepPlan(NamedTuple):
+    """One block's E-step in a workspace of `estep_workspace`, as
+    `estep_plan` lays it out. `wp` holds the block's step weights; `work`
+    is the block's (3, P + 1, N) part of the workspace: its packed alpha,
+    emissions and row sums, which beta overwrites, with the spare step;
+    `forward` and `backward` hold one tuple of views per step, and `runs`
+    the operands of the one xi product of each run of steps whose
+    alpha_{t-1} rows lie end to end.
+    """
+
+    wp: np.ndarray
+    work: np.ndarray
+    forward: Iterable
+    backward: Iterable
+    runs: list
+
+
+class _Steps(functools.partial):
+    """Steps whose views each pass over them makes afresh."""
+
+    def __iter__(self):
+        return self()
+
+
+def _backward_steps(sizes: list[int], off: list[int], bt, beta, wp):
+    """One (v_{t+1}, beta_{t+1}, beta_t's first B_{t+1} rows, the rows of
+    beta_t whose sequences end at t, their weights) tuple per step t from
+    T - 2 down to 0, the last two None where no sequence ends at t."""
+    for t in range(len(sizes) - 3, -1, -1):
+        k, lo, hi, nxt = sizes[t + 1], off[t], off[t + 1], np.s_[off[t + 1] : off[t + 2]]
+        ends = (beta[lo + k : hi], wp[lo + k : hi, None]) if k < sizes[t] else (None, None)
+        yield bt[nxt], beta[nxt], beta[lo : lo + k], *ends
+
+
+def estep_plan(block: Block, wp: np.ndarray, work: np.ndarray, keep: bool = True) -> EStepPlan:
+    """The views `estep_block` runs a block in: wp is the block's step
+    weights, from `step_weights`, and work a workspace from
+    `estep_workspace` for a list of blocks that holds this one. With keep,
+    every step's views are made now, once, and the plan serves every
+    call to come while work lives; without, each step's views are made as
+    the one call the plan serves reaches it, so the plan holds no per-step
+    objects. A kept plan holds about 1 KB of views per padded step.
+    """
+    sizes, t_len = block.sizes, len(block.sizes) - 1
+    off = list(itertools.accumulate(sizes, initial=0))
+    work = work[:, : off[-1] + 1]
+    alpha, et, sums = work
+    bt, beta = et[:-1], sums[:-1]
+    forward = _Steps(_forward_steps, block, alpha, et, sums)
+    backward = _Steps(_backward_steps, sizes, off, bt, beta, wp)
+    if keep:
+        forward, backward = list(forward), list(backward)
+    # Step t pairs its rows with alpha rows [off[t - 1], off[t - 1] + B_t),
+    # the same b one step back, which run on into step t + 1's until a row
+    # ends: one product serves each run of steps.
+    starts = [t for t in range(1, t_len) if t == 1 or sizes[t - 1] < sizes[t - 2]]
+    runs = [(alpha[off[t0 - 1] : off[t0 - 1] + off[t1] - off[t0]].T, bt[off[t0] : off[t1]])
+            for t0, t1 in zip(starts, starts[1:] + [t_len])]
+    return EStepPlan(wp, work, forward, backward, runs)
+
+
+def estep_plans(blocks: list[Block], weights: np.ndarray, n_states: int):
+    """Each block of a training run with its plan, all in the one
+    workspace of `estep_workspace`: (block, plan) pairs for `estep_block`.
+    `weights` is indexed by input position. The first blocks, longest
+    first, keep their plans' views while their padded steps sum to at
+    most PLAN_STEPS; later blocks make theirs on every call."""
+    work = estep_workspace(blocks, n_states)
+    planned = itertools.accumulate(len(block.sizes) - 1 for block in blocks)
+    return [(block, estep_plan(block, step_weights(block, weights), work, steps <= PLAN_STEPS))
+            for block, steps in zip(blocks, planned)]
+
+
+def estep_block(model: HmmModel, block: Block, plan: EStepPlan, pi_num: np.ndarray,
+                a_num: np.ndarray, b_num: np.ndarray) -> float:
     """Add the weighted expected counts of a block of sequences in place,
     and return sum_b w_b log P(obs_b) = -sum_{t, b} w_b log c_t^b.
 
-    wp holds the block's per-step weights, from `step_weights`, and work
-    is a workspace from `estep_workspace` for a list of blocks that holds
-    this one. Adds sum_b w_b gamma_1^b to pi_num (N,), sum_b w_b sum_t
-    xi_t^b to a_num (N, N) and sum_b w_b sum_{t: o_t=k} gamma_t^b(j) to
-    b_num[j, k] (N, M), laid out as the model's B. With the emissions
-    scaled by c, v_t = c_t b(o_t), the backward pass starts each row at its
-    weight, beta_{T-1} = w, and runs beta_t = a (v_{t+1} beta_{t+1}). The
-    recursion is linear, so every beta_t carries w, and both posteriors
-    carry it straight from the scaled recursions (see the module
-    docstring), with no normalizing: w gamma_t = alpha_t (w beta_t) and
-    w xi_t(i, j) = alpha_{t-1}(i) a_ij v_t(j) (w beta_t(j)). xi_t is only
-    ever summed over t and b, so no (B, T, N, N) array is made: a_num gains
-    a_ij times the sum of alpha_{t-1}^T (v_t w beta_t), one matmul per run
-    of steps whose alpha_{t-1} rows lie end to end. The backward pass and
-    the counts work in the block's packed order, valid (t, b) steps only:
-    step t's B_t rows are [off[t], off[t + 1]).
+    The plan, from `estep_plan`, holds the block's per-step weights and the
+    views of every step into its workspace, so that a forward step is its
+    four numpy calls and a backward step its two. Adds sum_b w_b
+    gamma_1^b to pi_num (N,), sum_b w_b sum_t xi_t^b to a_num (N, N) and
+    sum_b w_b sum_{t: o_t=k} gamma_t^b(j) to b_num[j, k] (N, M), laid out
+    as the model's B. With the emissions scaled by c, v_t = c_t b(o_t), the
+    backward pass starts each row at its weight, beta_{T-1} = w, and runs
+    beta_t = a (v_{t+1} beta_{t+1}). The recursion is linear, so every
+    beta_t carries w, and both posteriors carry it straight from the
+    scaled recursions (see the module docstring), with no normalizing:
+    w gamma_t = alpha_t (w beta_t) and w xi_t(i, j) = alpha_{t-1}(i) a_ij
+    v_t(j) (w beta_t(j)). xi_t is only ever summed over t and b, so no
+    (B, T, N, N) array is made: a_num gains a_ij times the sum of
+    alpha_{t-1}^T (v_t w beta_t), one product per run of steps whose
+    alpha_{t-1} rows lie end to end. The backward pass and the counts work
+    in the block's packed order, valid (t, b) steps only: step t's B_t
+    rows are [off[t], off[t + 1]).
 
     If a row has probability 0, the sum is not finite; it is returned as
     soon as the forward pass gives it, and nothing is added to the counts.
     `score_block` names the rows, with the same c bits.
     """
-    sizes = block.sizes
-    b_len, t_len = sizes[0], len(sizes) - 1
-    n = model.n_states
-    a = model.a
-    off = list(itertools.accumulate(sizes, initial=0))
-    p = off[-1]
+    b_len, n, wp = block.sizes[0], model.n_states, plan.wp
+    alpha, bt, beta = plan.work[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore"):  # a row of probability 0 divides 0 by 0
-        bt, alpha, c = _forward_block(model, block, work)
+        c = _forward_block(model, block, plan)
         ll = -float(wp @ np.log(c, out=c))  # log c in place: c itself is not needed again
     if not np.isfinite(ll):
         return ll
@@ -309,34 +401,25 @@ def estep_block(
     # Every column of the row sums holds s_t = 1 / c_t, so one contiguous
     # divide scales the emissions.
     v = bt[b_len:]  # c_t b(o_t) for t >= 1, then c_t b(o_t) beta_t
-    beta = work[2, :p]  # where the forward pass kept its row sums
     np.divide(v, beta[b_len:], out=v)
-    last = off[t_len - 1]
+    last = len(wp) - block.sizes[-2]  # the rows of the last step
     beta[last:] = wp[last:, None]
-    for t in range(t_len - 2, -1, -1):
-        k, nxt = sizes[t + 1], np.s_[off[t + 1] : off[t + 2]]
-        v_next = bt[nxt]  # made c b(o_{t+1}) beta_{t+1} in place: no emission is read again
-        v_next *= beta[nxt]
-        np.matmul(v_next, a.T, out=beta[off[t] : off[t] + k])
-        if k < sizes[t]:  # rows whose last step is t
-            beta[off[t] + k : off[t + 1]] = wp[off[t] + k : off[t + 1], None]
+    a_t = model.a.T
+    for v_next, beta_next, out, ends, w in plan.backward:
+        v_next *= beta_next  # made c b(o_{t+1}) beta_{t+1} in place: no emission is read again
+        np.dot(v_next, a_t, out=out)
+        if ends is not None:
+            ends[...] = w
 
-    gamma = beta  # alpha * beta, in place: beta is not read again
-    gamma *= alpha
+    gamma = np.multiply(beta, alpha, out=beta)  # in place: beta is not read again
     symbols = block.symbols[:-1]
     for j in range(n):
         b_num[j] += np.bincount(symbols, weights=gamma[:, j], minlength=model.n_symbols)
     pi_num += np.ones(b_len) @ gamma[:b_len]
-
-    # Step t pairs its rows with alpha rows [off[t - 1], off[t - 1] + B_t),
-    # the same b one step back, which run on into step t + 1's until a row
-    # ends: one matmul serves each run of steps.
-    starts = [t for t in range(1, t_len) if t == 1 or sizes[t - 1] < sizes[t - 2]]
     xi = np.zeros((n, n))
-    for t0, t1 in zip(starts, starts[1:] + [t_len]):
-        src = off[t0 - 1]
-        xi += alpha[src : src + off[t1] - off[t0]].T @ v[off[t0] - b_len : off[t1] - b_len]
-    a_num += a * xi
+    for alpha_prev, v_run in plan.runs:
+        xi += alpha_prev @ v_run
+    a_num += model.a * xi
     return ll
 
 
@@ -383,10 +466,8 @@ def viterbi_block(model: HmmModel, block: Block):
     n = model.n_states
     first = list(itertools.accumulate(sizes, initial=0))  # step t at first[t]
 
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.pi)
-        log_a = np.log(model.a)[:, :, None]  # (N_i, N_j, 1)
-        log_b = np.log(model.b)
+    log_pi, log_a, log_b = model.log_parameters
+    log_a = log_a[:, :, None]  # (N_i, N_j, 1)
 
     index = np.min_scalar_type(n - 1)
     psi = np.empty((t_len, n, b_len), dtype=index)  # psi[t, j, b]: best i before j
@@ -441,6 +522,12 @@ def _kernel_bytes(kernel, n: int) -> tuple[int, int]:
     - viterbi_block: per step, psi's N back-pointers and the int64 path
       entry; per row, the (N, N) scores, hits and ranked, then delta, best
       and one step's log-emissions, each (N,) float64.
+
+    The (N, N) arrays the kernels read, scoring's all-ones matrix and
+    Viterbi's log A, with log pi and log B, are the model's, made once per
+    model, not per block. A training plan's views (`estep_plan`) are held
+    per padded step, not per row, and are bounded per run by PLAN_STEPS,
+    outside this budget.
     """
     index = np.min_scalar_type(n - 1).itemsize  # one back-pointer
     return {"estep_block": (24 * n, 0), "score_block": (8, 32 * n + 8),

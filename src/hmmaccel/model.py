@@ -69,6 +69,25 @@ class HmmModel:
         b_t.setflags(write=False)
         return b_t
 
+    @functools.cached_property
+    def ones(self) -> np.ndarray:
+        """An (N, N) all-ones matrix, read-only: the forward pass takes
+        each step's row sums as its product with alpha_t. Made once per
+        model."""
+        ones = np.ones_like(self.a)
+        ones.setflags(write=False)
+        return ones
+
+    @functools.cached_property
+    def log_parameters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log pi, log A and log B, read-only, with log 0 = -inf: Viterbi's
+        operands, made once per model."""
+        with np.errstate(divide="ignore"):
+            logs = np.log(self.pi), np.log(self.a), np.log(self.b)
+        for x in logs:
+            x.setflags(write=False)
+        return logs
+
     @classmethod
     def from_arrays(cls, pi, a, b) -> "HmmModel":
         """Build a model, taking N and M from the array shapes."""

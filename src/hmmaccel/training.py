@@ -13,11 +13,13 @@ The E-step runs block by block. Before the first iteration
 `inference.length_blocks` checks the symbols, sorts the sequences longest
 first and cuts them into packed blocks whose E-step workspace fits
 `inference.BLOCK_BYTES`, so a corpus of many lengths runs in as few blocks
-as one of a single length; `inference.estep_workspace` makes the one
-workspace every block runs in, and `inference.step_weights` lays each
-block's weights out as its steps are. Every iteration then calls
-`inference.estep_block` once per block. A block that holds a sequence of
-probability 0 adds no counts and returns a non-finite log-likelihood;
+as one of a single length; `inference.estep_plans` makes the one
+workspace every block runs in and, once per run, each block's plan: its
+weights laid out as its steps are and the views of every step into the
+workspace. The plans die with the run. Every iteration then calls
+`inference.estep_block` once per block, with its plan. A block that
+holds a sequence of probability 0 adds no counts and returns a
+non-finite log-likelihood;
 after every block has run, `inference.score_block` marks the impossible
 rows of every block -inf, and the error names the lowest input position
 among them. Only the inference module knows the packed layout: this one
@@ -49,10 +51,9 @@ from .clustering import ClusterTable
 from .inference import (
     ImpossibleSequenceError,
     estep_block,
-    estep_workspace,
+    estep_plans,
     length_blocks,
     score_block,
-    step_weights,
 )
 from .model import Dataset, HmmModel, require_valid
 
@@ -119,9 +120,7 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
     require_valid(init)
     if not len(data):
         raise ValueError("no training sequences")
-    blocks = length_blocks(data, init, estep_block)
-    work = estep_workspace(blocks, init.n_states)
-    blocks = [(block, step_weights(block, weights)) for block in blocks]
+    blocks = estep_plans(length_blocks(data, init, estep_block), weights, init.n_states)
 
     n, m = init.n_states, init.n_symbols
     w_total = float(weights.sum())
@@ -136,8 +135,8 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
         for num in (pi_num, a_num, b_num):  # the M-step below copies out of them
             num.fill(0.0)
         total_ll = 0.0
-        for block, wp in blocks:
-            total_ll += estep_block(model, block, wp, pi_num, a_num, b_num, work)
+        for block, plan in blocks:
+            total_ll += estep_block(model, block, plan, pi_num, a_num, b_num)
         if not np.isfinite(total_ll):
             dead = np.concatenate([block.rows[score_block(model, block) == -np.inf]
                                    for block, _ in blocks])

@@ -29,12 +29,17 @@
 - `dtw_path` is the DTW that filled the whole n x m table and backtracked
   a warping path; the two-row `dtw_distance` must return its distance.
   `enum_min_cost` walks every monotone path, with no memoisation.
+- `estep_block_slicing` is `estep_block` as it was before each block's
+  steps were planned once per run: it slices the workspace at every step
+  of the forward and backward passes and runs each step's products with
+  np.matmul. `estep_block` must give its counts and log-likelihood bits.
 - `block_budget` is no oracle but the inverse of `length_blocks`' sizing:
   the BLOCK_BYTES at which a kernel's blocks take a given number of rows
   of a given length, so that tests can shrink blocks through the one
   budget.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -414,3 +419,58 @@ def block_budget(kernel, n_states, t_len, rows):
     steps) caps a block at `steps` padded steps."""
     step, per_row = _kernel_bytes(kernel, n_states)
     return step + rows * (t_len * step + per_row)
+
+
+def estep_block_slicing(model, block, wp, pi_num, a_num, b_num, work):
+    """Add a block's weighted expected counts, slicing the workspace `work`
+    (from `estep_workspace`) at every step, and return its weighted
+    log-likelihood; a non-finite one adds no counts."""
+    a, n = model.a, model.n_states
+    sizes, symbols = block.sizes, block.symbols
+    b_len, t_len = sizes[0], len(sizes) - 1
+    off = list(itertools.accumulate(sizes, initial=0))
+    p = off[-1]
+    ones = np.ones_like(a)
+    alpha, et, sums = work[:, : p + 1]
+    np.ascontiguousarray(model.b.T).take(symbols, axis=0, out=et, mode="clip")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(t_len):
+            lo, k = off[t], max(sizes[t], 2)  # a padding row beside a lone row
+            at, ek, sk = alpha[lo : lo + k], et[lo : lo + k], sums[lo : lo + k]
+            if t == 0:
+                np.multiply(model.pi, ek, out=at)
+            else:
+                np.matmul(alpha[off[t - 1] : off[t - 1] + k], a, out=at)
+                at *= ek
+            np.matmul(at, ones, out=sk)
+            at /= sk
+        c = np.divide(1.0, sums[:p, 0])
+        ll = -float(wp @ np.log(c, out=c))
+    if not np.isfinite(ll):
+        return ll
+
+    bt, beta = et[:p], sums[:p]
+    v = bt[b_len:]
+    np.divide(v, beta[b_len:], out=v)
+    last = off[t_len - 1]
+    beta[last:] = wp[last:, None]
+    for t in range(t_len - 2, -1, -1):
+        k, nxt = sizes[t + 1], np.s_[off[t + 1] : off[t + 2]]
+        v_next = bt[nxt]
+        v_next *= beta[nxt]
+        np.matmul(v_next, a.T, out=beta[off[t] : off[t] + k])
+        if k < sizes[t]:  # rows whose last step is t
+            beta[off[t] + k : off[t + 1]] = wp[off[t] + k : off[t + 1], None]
+
+    gamma = beta
+    gamma *= alpha[:p]
+    for j in range(n):
+        b_num[j] += np.bincount(symbols[:-1], weights=gamma[:, j], minlength=model.n_symbols)
+    pi_num += np.ones(b_len) @ gamma[:b_len]
+    starts = [t for t in range(1, t_len) if t == 1 or sizes[t - 1] < sizes[t - 2]]
+    xi = np.zeros((n, n))
+    for t0, t1 in zip(starts, starts[1:] + [t_len]):
+        src = off[t0 - 1]
+        xi += alpha[src : src + off[t1] - off[t0]].T @ v[off[t0] - b_len : off[t1] - b_len]
+    a_num += a * xi
+    return ll

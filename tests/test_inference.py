@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     block_budget,
+    estep_block_slicing,
     forward_backward,
     padded_block,
     score_block_history,
@@ -31,6 +32,8 @@ from hmmaccel.inference import (
     _forward_block,
     _kernel_bytes,
     estep_block,
+    estep_plan,
+    estep_plans,
     estep_workspace,
     length_blocks,
     step_weights,
@@ -308,7 +311,8 @@ def test_scaling_coefficients_do_not_depend_on_block(n):
         """Training's packed c, checked against scoring's (T, W) c, and the
         packed position of each step's first row."""
         (block,) = length_blocks(Dataset(rows), model, estep_block)
-        _, _, c = _forward_block(model, block, estep_workspace([block], n))
+        plan = estep_plan(block, np.ones(len(block.symbols) - 1), estep_workspace([block], n))
+        c = _forward_block(model, block, plan)
         c_scoring = _forward_block(model, block)
         first = np.cumsum([0] + block.sizes[:-2])
         for t, k in enumerate(block.sizes[:-1]):  # the running rows of each step
@@ -500,10 +504,11 @@ def test_scoring_blocks_stay_small():
         assert [len(block.rows) for block in length_blocks(data, model, run)] == layout
 
 
-# The bytes a kernel holds whatever its block's size: its (N, N) float64
-# arrays (the all-ones matrix in scoring, log A in Viterbi: 32 KiB each at
-# 64 states) and the buffers numpy's ufuncs use for a broadcast operand, up
-# to 8,192 elements each.
+# The bytes a kernel holds whatever its block's size: the buffers numpy's
+# ufuncs use for a broadcast operand, up to 8,192 elements each, and the
+# views of the step it runs. The (N, N) float64 arrays it reads (the
+# all-ones matrix in scoring, log A in Viterbi: 32 KiB each at 64 states)
+# are the model's, made in the first call, which is not counted.
 SLACK = 2**18
 
 
@@ -540,10 +545,11 @@ def estep_counts(model, blocks, weights, work, fill):
     block: the counts and each block's log-likelihood, as bytes."""
     n, m = model.n_states, model.n_symbols
     counts = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
+    plans = [estep_plan(block, step_weights(block, weights), work) for block in blocks]
     lls = []
-    for block in blocks:
+    for block, plan in zip(blocks, plans):
         work.fill(fill)
-        lls.append(estep_block(model, block, step_weights(block, weights), *counts, work))
+        lls.append(estep_block(model, block, plan, *counts))
     return [x.tobytes() for x in counts], np.array(lls).tobytes()
 
 
@@ -570,8 +576,8 @@ def test_estep_names_exactly_the_impossible_rows(steps, layout):
     work = estep_workspace(blocks, 2)
     for block, (_, dead) in zip(blocks, layout):
         counts = np.zeros(2), np.zeros((2, 2)), np.zeros((2, 3))
-        wp = step_weights(block, np.ones(len(seqs)))
-        ll = estep_block(model, block, wp, *counts, work)
+        plan = estep_plan(block, step_weights(block, np.ones(len(seqs))), work)
+        ll = estep_block(model, block, plan, *counts)
         assert np.isfinite(ll) == (dead is None), block.rows
         assert [x.any() for x in counts] == [dead is None] * 3, block.rows
         assert np.flatnonzero(score_block(model, block) == -np.inf).tolist() == (dead or [])
@@ -615,14 +621,55 @@ def test_estep_allocates_less_than_one_packed_array(lengths):
     (block,) = length_blocks(data, model, estep_block)
     p = len(block.symbols) - 1
     assert p >= 1000
-    work = estep_workspace([block], 3)
-    wp = step_weights(block, np.ones(len(lengths)))
+    plan = estep_plan(block, step_weights(block, np.ones(len(lengths))), estep_workspace([block], 3))
     counts = np.zeros(3), np.zeros((3, 3)), np.zeros((3, 4))
-    estep_block(model, block, wp, *counts, work)  # first-call set-up is not counted
+    estep_block(model, block, plan, *counts)  # first-call set-up is not counted
     tracemalloc.start()
     try:
-        estep_block(model, block, wp, *counts, work)
+        estep_block(model, block, plan, *counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < p * 3 * 8, (peak, p * 3 * 8)
+
+
+@st.composite
+def plan_cases(draw):
+    """Ragged sequences with weights, a cap on a block's padded steps, a
+    cap on the steps whose plans are kept, and the models of several
+    iterations, some of which make a sequence impossible."""
+    n, m = draw(st.sampled_from([1, 2, 3, 8])), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    seqs = [rng.integers(0, m, size=t_len) for t_len in lengths]
+    weights = draw(st.sampled_from([np.ones, lambda k: rng.integers(1, 6, size=k) * 1.0,
+                                    lambda k: rng.uniform(0.1, 3.0, size=k)]))(len(seqs))
+    steps = draw(st.sampled_from([1, 6, 25, 10**6]))  # 1: blocks of one row each
+    kept = draw(st.sampled_from([0, 15, 10**6]))  # padded steps whose plans are kept
+    kinds = draw(st.lists(st.sampled_from(["random", "zeros"]), min_size=3, max_size=3))
+    return seqs, weights, steps, kept, [oracle_model(rng, n, m, kind) for kind in kinds]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(plan_cases())
+def test_plans_match_the_per_step_slicing_oracle(case):
+    # one set of plans, kept or made on each call, serves every iteration,
+    # over blocks of different sizes that share one workspace; each block
+    # gives the counts and log-likelihood bits of the loop that sliced the
+    # workspace at every step
+    seqs, weights, steps, kept, models = case
+    n, m = models[0].n_states, models[0].n_symbols
+    budget = block_budget(estep_block, n, 1, steps)
+    with mock.patch.object(inference, "BLOCK_BYTES", budget), \
+            mock.patch.object(inference, "PLAN_STEPS", kept):
+        blocks = length_blocks(Dataset(seqs), models[0], estep_block)
+        plans = estep_plans(blocks, weights, n)
+    oracle_work = estep_workspace(blocks, n)
+    for model in models:
+        got = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
+        expected = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
+        for block, plan in plans:
+            ll = estep_block(model, block, plan, *got)
+            expected_ll = estep_block_slicing(model, block, plan.wp, *expected, oracle_work)
+            assert np.array([ll]).tobytes() == np.array([expected_ll]).tobytes()
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]

@@ -1,8 +1,10 @@
 """Classical and weighted Baum-Welch re-estimation."""
 
 import contextlib
+import gc
 import itertools
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -280,6 +282,38 @@ def test_impossible_sequence_named_in_input_order_across_blocks():
         with pytest.raises(ImpossibleSequenceError, match=f"^{message}$"):
             weighted_em_train(init, table, TrainingConfig(iterations=1))
         assert spy.call_count == 6
+
+
+@pytest.mark.parametrize("impossible", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["classical", "weighted"])
+def test_no_state_outlives_a_run(weighted, impossible):
+    # the plans hold views into the run's workspace; once a trainer
+    # returns or raises, nothing holds that workspace, so no module keeps
+    # a plan
+    init = make([0.6, 0.4], [[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]])
+    seqs = [np.array([0, 1, 1, 0]), np.array([1, 0]), np.array([0, 1, 1, 0, 1, 0, 0])]
+    if impossible:
+        seqs.append(np.array([1, 2]))  # symbol 2 is never emitted
+    make_workspace, refs = inference.estep_workspace, []
+
+    def workspace(*args):
+        work = make_workspace(*args)
+        refs.append(weakref.ref(work))
+        return work
+
+    with mock.patch.object(inference, "estep_workspace", workspace):
+        try:
+            if weighted:
+                weighted_em_train(init, ClusterTable(Dataset(seqs), [2] * len(seqs)),
+                                  TrainingConfig(iterations=3))
+            else:
+                em_train(init, Dataset(seqs), TrainingConfig(iterations=3))
+            raised = False
+        except ImpossibleSequenceError:
+            raised = True
+    assert raised == impossible
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 64])
