@@ -56,7 +56,12 @@ sequence.
 `viterbi_block` runs the max-product recursion with one-byte
 back-pointers below 257 states. Neither holds a (T, B, N) float array, so
 their blocks hold more steps than training's at short lengths, while
-Viterbi's (N, N, B) scores shrink its blocks as N grows. `likelihood` and
+Viterbi's (N, N, B) scores shrink its blocks as N grows. Some of
+Viterbi's per-step loops read an operand broadcast along the rows, which
+numpy copies through its ufunc buffer unless the buffer holds fewer
+elements than three times the rows; from UNBUFFERED_ROWS running rows the
+step loop lowers the buffer size below that, so that those loops run
+unbuffered, and then restores the caller's. `likelihood` and
 `viterbi` are the one-sequence case of `score_block` and `viterbi_block`.
 The tests keep a per-sequence forward-backward and padded block scorers,
 and check the packed kernels against them.
@@ -99,6 +104,16 @@ BLOCK_BYTES = 2**20
 # step, so a run keeps at most about 16 MB of them. A block past the cap
 # makes its views as each call reaches them.
 PLAN_STEPS = 2**14
+
+# Running rows from which `viterbi_block` sizes numpy's ufunc buffer for
+# its step loop. A ufunc whose operand is broadcast along the rows (log A
+# in the add, best in the compare, the ranks in the tie-break multiply)
+# goes through numpy's buffer unless that buffer holds fewer elements than
+# three times the rows: below 2,731 rows at the default 8,192. Buffered,
+# the add at 8 states and 500 rows took 38 us a step, against 11 us
+# unbuffered. Below 128 rows a smaller buffer did not pay at every state
+# count (BENCH_28.json), so smaller prefixes keep the caller's size.
+UNBUFFERED_ROWS = 128
 
 
 class ImpossibleSequenceError(ValueError):
@@ -460,6 +475,15 @@ def viterbi_block(model: HmmModel, block: Block):
     (N, N, B_t) prefix. Back-pointers take the smallest unsigned type that
     holds a state index, one byte below 257 states, and each step gathers
     its own log-emissions, so the block holds no (T, B, N) float array.
+
+    From UNBUFFERED_ROWS running rows, the step loop sets numpy's ufunc
+    buffer below three times the rows, a multiple of 16 as numpy 1.x
+    requires, and never above the caller's size, so that its (N, N, B_t)
+    loops, which read an operand broadcast along the rows, run unbuffered;
+    it sets the size again as the prefix shrinks, and restores the
+    caller's size when it returns or raises. The tie-break multiply reads
+    the hits as uint8, so no loop needs a buffer to cast them. Only the
+    loop's strides change, not its arithmetic, so the bits do not.
     """
     symbols, sizes = block.symbols, block.sizes
     b_len, t_len = sizes[0], len(sizes) - 1
@@ -475,28 +499,39 @@ def viterbi_block(model: HmmModel, block: Block):
     rank = np.arange(n - 1, -1, -1, dtype=index)[:, None, None]
     scores = np.empty((n, n, b_len))
     hits = np.empty(scores.shape, dtype=bool)
+    flags = hits.view(np.uint8)  # hits as the multiply reads them: no bool to uint8 cast
     ranked = np.empty(scores.shape, dtype=index)
     best = np.empty((n, b_len))
     delta = log_pi[:, None] + log_b.take(symbols[:b_len], axis=1)  # (N, B)
-    rows, dk, sk, hk, rk, bk = b_len, delta, scores, hits, ranked, best
-    for t in range(1, t_len):
-        # scores[i, j, b]: best path ending i -> j. Rows that have ended
-        # keep their last delta.
-        if sizes[t] != rows:  # views of the running prefix, made again only when it shrinks
-            rows = sizes[t]
-            dk, sk, hk, rk, bk = (
-                delta[:, :rows], scores[..., :rows], hits[..., :rows], ranked[..., :rows],
-                best[:, :rows],
-            )
-        np.add(dk[:, None, :], log_a, out=sk)
-        np.maximum.reduce(sk, axis=0, out=bk)
-        np.equal(sk, bk, out=hk)
-        np.multiply(hk, rank, out=rk)
-        pt = psi[t, :, :rows]
-        np.maximum.reduce(rk, axis=0, out=pt)
-        np.subtract(n - 1, pt, out=pt)  # the lowest maximizing i
-        np.add(bk, log_b.take(symbols[first[t] : first[t + 1]], axis=1), out=dk)
-    del scores, hits, ranked, sk, hk, rk  # freed before the paths are made
+    caller = np.getbufsize() if b_len >= UNBUFFERED_ROWS else 0
+    # a block that sizes the buffer makes its views, and sets the size, at t = 1
+    rows = None if caller else b_len
+    dk, sk, hk, fk, rk, bk = delta, scores, hits, flags, ranked, best
+    try:
+        for t in range(1, t_len):
+            # scores[i, j, b]: best path ending i -> j. Rows that have ended
+            # keep their last delta.
+            if sizes[t] != rows:  # views of the running prefix, made again only when it shrinks
+                rows = sizes[t]
+                dk, sk, hk, fk, rk, bk = (
+                    delta[:, :rows], scores[..., :rows], hits[..., :rows], flags[..., :rows],
+                    ranked[..., :rows], best[:, :rows],
+                )
+                if caller:  # a buffer of fewer than 3 * rows elements: see UNBUFFERED_ROWS
+                    np.setbufsize(caller if rows < UNBUFFERED_ROWS
+                                  else min(caller, (3 * rows - 1) // 16 * 16))
+            np.add(dk[:, None, :], log_a, out=sk)
+            np.maximum.reduce(sk, axis=0, out=bk)
+            np.equal(sk, bk, out=hk)
+            np.multiply(fk, rank, out=rk)
+            pt = psi[t, :, :rows]
+            np.maximum.reduce(rk, axis=0, out=pt)
+            np.subtract(n - 1, pt, out=pt)  # the lowest maximizing i
+            np.add(bk, log_b.take(symbols[first[t] : first[t + 1]], axis=1), out=dk)
+    finally:
+        if caller:
+            np.setbufsize(caller)
+    del scores, hits, flags, ranked, sk, hk, fk, rk  # freed before the paths are made
 
     last = delta.argmax(axis=0)
     paths = np.zeros((b_len, t_len), dtype=np.int64)

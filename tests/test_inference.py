@@ -673,3 +673,116 @@ def test_plans_match_the_per_step_slicing_oracle(case):
             expected_ll = estep_block_slicing(model, block, plan.wp, *expected, oracle_work)
             assert np.array([ll]).tobytes() == np.array([expected_ll]).tobytes()
             assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
+
+def buffer_floor_seqs(rng, m, layout):
+    """Sequences that make Viterbi blocks of 100-400 rows at BLOCK_BYTES:
+    "crossing" blocks start above UNBUFFERED_ROWS running rows and end
+    below it, "above" blocks stay above it to the end, and "below"
+    blocks never reach it."""
+    rows, lengths = {"crossing": (400, (1, 40)), "above": (250, (25, 26)),
+                     "below": (100, (1, 30))}[layout]
+    return [rng.integers(0, m, size=t_len) for t_len in rng.integers(*lengths, size=rows)]
+
+
+@pytest.mark.parametrize("layout", ["crossing", "above", "below"])
+@pytest.mark.parametrize("kind", ["random", "ties", "zeros"])
+@pytest.mark.parametrize("n", [1, 3, 8, 16])
+def test_viterbi_blocks_around_the_buffer_floor_match_history_oracles(n, kind, layout):
+    # from UNBUFFERED_ROWS running rows, viterbi_block runs its step loop
+    # under a smaller ufunc buffer, and must keep every bit
+    rng = np.random.default_rng([91, n])
+    model = oracle_model(rng, n, 5, kind)
+    seqs = buffer_floor_seqs(rng, 5, layout)
+    floor = inference.UNBUFFERED_ROWS
+    sizes = [block.sizes for block in length_blocks(Dataset(seqs), model, viterbi_block)]
+    assert all(100 <= s[0] <= 400 for s in sizes)
+    if layout == "below":
+        assert all(s[0] < floor for s in sizes)
+    else:  # each block starts at or above the floor; crossing ones end below it
+        assert all(s[0] >= floor and (s[-2] < floor) == (layout == "crossing") for s in sizes)
+    assert_blocks_match_history_oracles(model, seqs, BLOCK_BYTES)
+
+
+def floor_blocks(layout, n=8, seed=92):
+    """A random model at n states and its Viterbi blocks of a
+    `buffer_floor_seqs` layout."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n, 5)
+    return model, length_blocks(Dataset(buffer_floor_seqs(rng, 5, layout)), model, viterbi_block)
+
+
+@pytest.mark.parametrize("caller", [8192, 4096, 400, 256, 16])
+def test_viterbi_leaves_the_callers_buffer_size(caller):
+    # every size the kernel sets is a multiple of 16, as numpy 1.x requires,
+    # and never above the caller's; the caller's size is back on return
+    model, blocks = floor_blocks("crossing")
+    old = np.setbufsize(caller)
+    try:
+        with mock.patch.object(np, "setbufsize", wraps=np.setbufsize) as spy:
+            for block in blocks:
+                viterbi_block(model, block)
+        after = np.getbufsize()
+    finally:
+        np.setbufsize(old)
+    sizes = [call.args[0] for call in spy.call_args_list]
+    assert after == caller
+    assert sizes[-1] == caller  # restored
+    assert all(size % 16 == 0 and 0 < size <= caller for size in sizes), sizes
+    assert (min(sizes) < caller) == (caller > 3 * inference.UNBUFFERED_ROWS), sizes
+
+
+def test_viterbi_restores_the_buffer_size_when_a_step_raises():
+    model, (block,) = floor_blocks("above")
+    equal, calls, seen = np.equal, itertools.count(), []
+
+    def failing_equal(*args, **kwargs):
+        if next(calls) == 10:
+            seen.append(np.getbufsize())
+            raise RuntimeError("step failed")
+        return equal(*args, **kwargs)
+
+    caller = np.getbufsize()
+    with mock.patch.object(np, "equal", failing_equal), \
+            pytest.raises(RuntimeError, match="step failed"):
+        viterbi_block(model, block)
+    assert seen[0] < caller  # the step raised under the kernel's size
+    assert np.getbufsize() == caller
+
+
+def test_viterbi_blocks_below_the_floor_make_no_buffer_size_call():
+    model, blocks = floor_blocks("below")
+    with mock.patch.object(np, "getbufsize", wraps=np.getbufsize) as get, \
+            mock.patch.object(np, "setbufsize", wraps=np.setbufsize) as set_:
+        for block in blocks:
+            viterbi_block(model, block)
+    assert get.call_count == set_.call_count == 0
+
+
+@pytest.mark.parametrize("kernel", [estep_block, score_block, viterbi_block])
+def test_kernels_give_the_same_bits_at_any_buffer_size(kernel):
+    # a buffer size changes how numpy walks a loop, never its arithmetic,
+    # so no kernel's bits depend on it: Viterbi may size its own buffer, and
+    # scoring and training run the same under any caller's size
+    rng = np.random.default_rng(93)
+    n = 8
+    model = random_model(rng, n, 5)
+    data = Dataset(buffer_floor_seqs(rng, 5, "crossing"))
+    blocks = length_blocks(data, model, kernel)
+    weights = rng.integers(1, 6, size=len(data)).astype(float)
+
+    def run():
+        if kernel is estep_block:
+            return estep_counts(model, blocks, weights, estep_workspace(blocks, n), 0.0)
+        if kernel is score_block:
+            return [score_block(model, block).tobytes() for block in blocks]
+        return [[x.tobytes() for x in viterbi_block(model, block)] for block in blocks]
+
+    results = []
+    for size in (16, 8192):
+        old = np.setbufsize(size)
+        try:
+            results.append(run())
+        finally:
+            np.setbufsize(old)
+    assert results[0] == results[1]
