@@ -296,31 +296,44 @@ COMMANDS = {
 
 
 def build_parser(only=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the one named `only`. The second
-    prints the same usage line as the first, so that an error its top level
-    reports (an extra argument) reads the same."""
+    """The parser of every command, or the standalone parser of the one
+    named `only`. The second is the parser the first builds for that
+    command, with the same prog (`hmmaccel ONLY`), arguments and defaults,
+    so its help and errors read the same."""
+    if only is not None:
+        _, add_args, func = COMMANDS[only]
+        parser = argparse.ArgumentParser(prog=f"hmmaccel {only}")
+        add_args(parser)
+        parser.set_defaults(func=func)
+        return parser
     parser = argparse.ArgumentParser(
         prog="hmmaccel",
         description="Discrete-HMM training accelerated by weighted sequence clustering.",
     )
-    # Only here: in the full parser a metavar would also replace `command`
-    # in the missing-command and invalid-choice errors.
-    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args, func) in COMMANDS.items():
-        if only is None or name == only:
-            p = sub.add_parser(name, help=help_text)
-            add_args(p)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command line `argv` (default: `sys.argv[1:]`) and return its
+    exit code.
+
+    When `argv[0]` names a command, the rest of the line is parsed by that
+    command's parser alone, with `parse_known_args`, as the full parser's
+    subparsers action would parse it. The full parser is built only when
+    there is no command, an option or an unknown command comes first, or
+    arguments are left over; it then reports them under its own usage
+    line. So a valid command line builds one `ArgumentParser`."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a known command builds only its own parser; anything else (no
-    # arguments, --help, a typo) gets the full one and its messages
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(only).parse_args(argv)
+    args = extra = None
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

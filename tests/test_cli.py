@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import contextlib
 import csv
 import importlib
@@ -788,7 +789,33 @@ def test_train_rejects_nan_tolerance_and_takes_inf(tmp_path, capsys):
 
 COMMAND_NAMES = ["gen", "cluster", "train", "eval", "decode", "dist", "bench"]
 
-# help and usage errors, each printed by the top level or by one command
+# lines that parse: a plain one per command (in COMMAND_NAMES order), then
+# abbreviated, repeated and negative options and `--`
+VALID_LINES = [
+    ["gen", "m", "o", "--count", "2", "--length", "3"],
+    ["cluster", "a", "b"],
+    ["train", "a", "b", "--states", "2", "--symbols", "3"],
+    ["eval", "m", "s"],
+    ["decode", "m", "s", "--renormalize"],
+    ["dist", "a", "b", "--distance", "euclidean"],
+    ["bench"],
+    ["train", "a", "b", "--iter", "3", "--st", "2", "--sy", "3"],
+    ["cluster", "a", "b", "--dist", "euclidean", "--min", "2"],
+    ["bench", "--si", "5", "--r", "2"],
+    ["eval", "m", "s", "--re"],
+    ["train", "a", "b", "--seed", "1", "--seed", "2"],
+    ["cluster", "a", "b", "--distance", "dtw", "--distance", "euclidean"],
+    ["gen", "m", "o", "--count", "-3", "--length", "-1", "--seed", "-5"],
+    ["train", "a", "b", "--ll-tolerance", "-0.001"],
+    ["bench", "--seed", "-2"],
+    ["cluster", "a", "b", "--min-weight", "-1"],
+    ["eval", "--", "m", "s"],
+    ["eval", "m", "--", "s"],
+    ["dist", "--", "-a", "-b"],
+]
+
+# help and usage errors, each printed by the top level or by one command,
+# and the valid lines
 PARSER_CASES = [
     [],
     ["-h"],
@@ -799,7 +826,43 @@ PARSER_CASES = [
     ["cluster", "a", "b", "--distance", "cos"],
     ["train", "a", "b", "--iterations", "x"],
     ["eval", "--bogus", "a", "b"],
+    # missing arguments and values
+    ["eval"],
+    ["cluster", "a"],
+    ["dist", "a"],
+    ["gen", "m", "o"],
+    ["gen", "m", "o", "--count", "3"],
+    ["train", "a", "b", "--iterations"],
+    ["train", "a", "b", "--iterations", "-x"],
+    ["train", "a", "b", "--ll-tolerance", "-1e-3"],  # not a number to argparse
+    # extra arguments
+    ["dist", "a", "b", "c", "d"],
+    ["bench", "x"],
+    ["decode", "m", "s", "--bogus", "1"],
+    ["train", "a", "b", "--states", "2", "3"],
+    ["eval", "m", "s", "--", "--renormalize"],
+    # an ambiguous abbreviation, and commands that are not spelled out
+    ["train", "a", "b", "--s", "2"],
+    ["ev", "m", "s"],
+    ["EVAL", "m", "s"],
+    # options first, `--`, and -h after other arguments
+    ["--bogus", "eval", "m", "s"],
+    ["--", "eval", "m", "s"],
+    ["eval", "m", "s", "-h"],
+    ["cluster", "a", "-h", "b"],
+    ["gen", "-h", "bogus"],
+    ["eval", "-h", "--bogus"],
+    ["dist", "a", "b", "--distance", "cos", "-h"],
+    *VALID_LINES,
 ]
+
+
+@pytest.fixture
+def commands_return_args(monkeypatch):
+    """Each command's handler returns its namespace instead of running, so
+    `main` returns what it parsed."""
+    for name, (help_text, add_args, _) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, name, (help_text, add_args, lambda args: args))
 
 
 def exit_output(capsys, parse, argv):
@@ -810,14 +873,42 @@ def exit_output(capsys, parse, argv):
     return exc.value.code, captured.out, captured.err
 
 
+def parse_outcome(capsys, parse, argv):
+    """What parse(argv) gives: its namespace's values but `command`, which
+    only the full parser sets, or (exit code, stdout, stderr) if it exits."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+    return {key: value for key, value in vars(args).items() if key != "command"}
+
+
 def full_parse(argv):
     return cli.build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
-def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
-    monkeypatch.setenv("COLUMNS", "80")  # fixes the help wrapping
-    assert exit_output(capsys, main, argv) == exit_output(capsys, full_parse, argv)
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, commands_return_args, argv):
+    for columns in ("40", "80", "200"):  # fix the help wrapping at three widths
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = parse_outcome(capsys, full_parse, argv)
+        assert isinstance(expected, dict) == (argv in VALID_LINES)
+        assert parse_outcome(capsys, main, argv) == expected
+
+
+@pytest.mark.parametrize("argv", VALID_LINES[:len(COMMAND_NAMES)], ids=lambda argv: argv[0])
+def test_a_valid_line_builds_one_argument_parser(monkeypatch, commands_return_args, argv):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert isinstance(main(argv), argparse.Namespace)
+    assert progs == [f"hmmaccel {argv[0]}"]
 
 
 def test_full_parser_errors_name_the_command_argument(monkeypatch, capsys):
@@ -829,8 +920,7 @@ def test_full_parser_errors_name_the_command_argument(monkeypatch, capsys):
     assert "error: argument command: invalid choice: 'bogus'" in err
 
 
-def test_console_script_path_builds_one_command(monkeypatch, capsys):
-    argv = ["eval", "a", "b", "extra"]
+def test_console_script_path_builds_one_command(monkeypatch, capsys, commands_return_args):
     built = []
     build_parser = cli.build_parser
 
@@ -840,9 +930,15 @@ def test_console_script_path_builds_one_command(monkeypatch, capsys):
 
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(sys, "argv", ["hmmaccel", "eval", "m", "s"])
+    assert isinstance(main(), argparse.Namespace)
+    assert built == ["eval"]
+    # arguments left over: the top level reports them, as the full parser does
+    built.clear()
+    argv = ["eval", "a", "b", "extra"]
     monkeypatch.setattr(sys, "argv", ["hmmaccel", *argv])
     got = exit_output(capsys, lambda _: main(), None)
-    assert built == ["eval"]
+    assert built == ["eval", None]
     assert got == exit_output(capsys, lambda a: build_parser().parse_args(a), argv)
 
 
