@@ -10,18 +10,22 @@ step per sequence. All randomness goes through numpy's default_rng
 
 `_parse_plain` is the one tokenizer for plain text: ASCII digits and
 ASCII whitespace alone, with no carriage return and no token longer than
-18 digits, as `save_sequences` writes it. It builds the symbols and the
-line offsets by digit arithmetic over the bytes. `load_sequences` reads a
-file once, in binary, and runs it over the whole file when the file is
-plain, with no line memo. Any other file, and any symbol out of the
-model's range, takes the path of `load_distinct_sequences`, which does
-its work per distinct line rather than per line: a repeated line costs
-one dictionary lookup. Its distinct lines go through `_parse_plain` when
-they are plain, and through int() per token of each distinct line
-otherwise, which accepts whatever int() accepts and names the first
-faulty line. `load_distinct_sequences` returns its work as it is, the
-distinct lines with an index from each sequence to its line, so that
-clustering, scoring and decoding can handle each distinct line once.
+18 digits. It builds the symbols and the line offsets by digit arithmetic
+over the bytes. `save_sequences` writes this form, for every symbol below
+10**18, and writes only a Dataset that loads back as the same values and
+offsets: it refuses one with no sequence, an empty sequence (a blank line,
+which loading skips) or a negative symbol (which loading rejects).
+`load_sequences` reads a file once, in binary, and runs `_parse_plain`
+over the whole file when the file is plain, with no line memo. Any other
+file, and any symbol out of the model's range, takes the path of
+`load_distinct_sequences`, which does its work per distinct line rather
+than per line: a repeated line costs one dictionary lookup. Its distinct
+lines go through `_parse_plain` when they are plain, and through int() per
+token of each distinct line otherwise, which accepts whatever int()
+accepts and names the first faulty line. `load_distinct_sequences`
+returns its work as it is, the distinct lines with an index from each
+sequence to its line, so that clustering, scoring and decoding can handle
+each distinct line once.
 """
 
 from __future__ import annotations
@@ -307,9 +311,11 @@ def load_model(path, renormalize: bool = False) -> HmmModel:
     """Read a model JSON file and validate it.
 
     n_states and n_symbols must be JSON integers (not floats or booleans),
-    and every error names the file. With renormalize=True, rows whose sums
-    are off are divided by their sums before validation; off-sum rows are
-    otherwise reported as errors so data bugs are not silently hidden.
+    every entry of pi, a and b a JSON number (not a boolean, string or
+    null), and every error names the file. With renormalize=True, rows
+    whose sums are off are divided by their sums before validation; off-sum
+    rows are otherwise reported as errors so data bugs are not silently
+    hidden.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -326,6 +332,15 @@ def load_model(path, renormalize: bool = False) -> HmmModel:
         raise ValueError(f"model file {path} is missing key {exc}") from None
 
     try:
+        for key, value in (("pi", pi), ("a", a), ("b", b)):
+            # pi is one row, a and b are lists of rows: take the entries two
+            # levels down at most, and leave a list found there to HmmModel's
+            # shape check
+            rows = value if type(value) is list else [value]
+            entries = [*itertools.chain.from_iterable(r if type(r) is list else [r] for r in rows)]
+            if not {int, float, list}.issuperset(map(type, entries)):
+                bad = next(x for x in entries if type(x) not in (int, float, list))
+                raise ValueError(f"{key} must hold JSON numbers, got {json.dumps(bad)}")
         model = HmmModel(n, m, pi, a, b)
         if renormalize:
             # A row summing to zero turns non-finite here; validation rejects it.
@@ -334,7 +349,7 @@ def load_model(path, renormalize: bool = False) -> HmmModel:
                 a = model.a / model.a.sum(axis=1, keepdims=True)
                 b = model.b / model.b.sum(axis=1, keepdims=True)
             model = HmmModel(n, m, pi, a, b)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"model file {path}: {exc}") from None
 
     violations = validate_model(model)
@@ -343,15 +358,21 @@ def load_model(path, renormalize: bool = False) -> HmmModel:
     return model
 
 
-# 10**1 .. 10**18: a magnitude below 2**63 has one digit more than it
+# 10**1 .. 10**18: a symbol below 2**63 has one digit more than it
 # reaches of these
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def save_sequences(dataset: Dataset, path) -> None:
-    """Write sequences one per line, symbols space-separated, in decimal
-    with a leading `-` for a negative symbol; an empty sequence is an empty
-    line.
+    """Write sequences one per line, symbols in decimal separated by single
+    spaces: the plain text that `load_sequences` reads back as the same
+    values and offsets.
+
+    Only such a Dataset is written. One with no sequence, an empty sequence
+    (whose blank line loading would skip) or a negative symbol (which
+    loading rejects) is a ValueError naming the first such sequence by its
+    1-based position, raised before the file is opened, so a file already
+    at `path` keeps its bytes.
 
     The text is built in one uint8 buffer by numpy calls over all symbols
     at once: each token's digit count, from comparisons with powers of ten,
@@ -360,36 +381,32 @@ def save_sequences(dataset: Dataset, path) -> None:
     pass per digit position over the tokens that have one.
     """
     values, offsets = dataset.values, dataset.offsets
-    lengths = np.diff(offsets)
-    neg = values < 0
-    mag = values.view(np.uint64).copy()  # |value|, exact for -2**63 too
-    np.negative(mag, out=mag, where=neg)
+    # the first sequence of each kind that would not load back, 1-based; values
+    # lie in input order, so the first negative one is in the first such sequence
+    faults = [(int(i) + 1, "is empty") for i in np.flatnonzero(dataset.lengths == 0)[:1]]
+    negative = np.searchsorted(offsets, np.flatnonzero(values < 0)[:1], side="right")
+    faults += [(int(i), "has a negative symbol") for i in negative]
+    if faults or not len(dataset):
+        raise ValueError("sequence %d %s" % min(faults, default=(1, "is missing")))
     digits = np.ones(len(values), dtype=np.uint8)
     for power in _POWERS_OF_TEN:
-        more = mag >= power
+        more = values >= power
         if not more.any():
             break
         digits += more
-    at = np.cumsum(digits + neg + 1, dtype=np.intp)  # one past each token's separator
-    empty = offsets[:-1][lengths == 0]
-    if len(empty):  # an empty line's newline comes before the next token
-        at += np.searchsorted(empty, np.arange(len(values)), side="right")
-    size = len(values) + int(digits.sum(dtype=np.intp)) + int(neg.sum()) + len(empty)
-    text = np.full(size, ord("\n"), dtype=np.uint8)
+    at = np.cumsum(digits + 1, dtype=np.intp)  # one past each token's separator
+    text = np.full(at[-1], ord("\n"), dtype=np.uint8)
     at -= 1  # each token's separator
     text[at] = ord(" ")
-    text[at[offsets[1:][lengths > 0] - 1]] = ord("\n")
-    text[at[neg] - 1 - digits[neg]] = ord("-")
-    for place in range(int(digits.max(initial=0))):
+    text[at[offsets[1:] - 1]] = ord("\n")
+    for place in range(int(digits.max())):
         if place:  # the tokens with a digit at this place
             live = digits > place
-            at, mag, digits = at[live], mag[live], digits[live]
+            at, values, digits = at[live], values[live], digits[live]
         at -= 1
-        rest = mag // 10
-        mag -= rest * 10
-        mag += ord("0")
-        text[at] = mag
-        mag = rest
+        rest = values // 10  # not divmod, which takes several times as long
+        text[at] = values - rest * 10 + ord("0")
+        values = rest
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text.tobytes().decode("ascii"))
 

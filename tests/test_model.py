@@ -255,8 +255,33 @@ def test_load_model_rejects_nan(tmp_path):
         (b"\xff{}", "is not valid JSON"),
         (b"[1, 2]", "must hold a JSON object"),
         (b'{"n_states": 1, "n_symbols": 1, "pi": "x", "a": [[1.0]], "b": [[1.0]]}', "x"),
+        (
+            b'{"n_states": 2, "n_symbols": 1, "pi": [true, false],'
+            b' "a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0], [1.0]]}',
+            "pi must hold JSON numbers, got true",
+        ),
+        (
+            b'{"n_states": 2, "n_symbols": 1, "pi": [1.0, 0.0],'
+            b' "a": [["1.0", "0"], [0.0, 1.0]], "b": [[1.0], [1.0]]}',
+            'a must hold JSON numbers, got "1.0"',
+        ),
+        (
+            b'{"n_states": 2, "n_symbols": 2, "pi": [1.0, 0.0],'
+            b' "a": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.5, "0.5"], [1, 0]]}',
+            'b must hold JSON numbers, got "0.5"',
+        ),
+        (
+            b'{"n_states": 1, "n_symbols": 1, "pi": [null], "a": [[1.0]], "b": [[1.0]]}',
+            "pi must hold JSON numbers, got null",
+        ),
+        (
+            b'{"n_states": 1, "n_symbols": 1, "pi": [1' + b"0" * 400 + b'], "a": [[1.0]],'
+            b' "b": [[1.0]]}',
+            "int too large to convert to float",
+        ),
     ],
-    ids=["float_n_states", "bool_n_symbols", "bad_json", "not_utf8", "top_level_list", "string_pi"],
+    ids=["float_n_states", "bool_n_symbols", "bad_json", "not_utf8", "top_level_list", "string_pi",
+         "bool_in_pi", "string_in_a", "number_and_string_in_b", "null_in_pi", "huge_int_in_pi"],
 )
 def test_load_model_rejects_malformed_files(tmp_path, content, message):
     path = tmp_path / "model.json"
@@ -603,26 +628,53 @@ def test_sequence_file_round_trip_property(tmp_path_factory, rows):
     assert path.with_suffix(".again").read_bytes() == path.read_bytes()
 
 
-EDGE_SYMBOLS = [0, 9, 10, -1, -10, 10**18 - 1, 10**18, -(10**18), 2**63 - 1, -(2**63)]
+EDGE_SYMBOLS = [0, 9, 10, 99, 10**18 - 1, 10**18, 2**62, 2**63 - 1]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.lists(
-    st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-120, 120),
-                       st.sampled_from(EDGE_SYMBOLS)), max_size=6),
-    max_size=10,
+    st.lists(st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 120),
+                       st.sampled_from(EDGE_SYMBOLS)), min_size=1, max_size=6),
+    min_size=1, max_size=10,
 ))
-@example([[7], [-3], [0]])  # one-symbol lines
-@example([[], [5], []])  # empty lines around a token
-@example([])
+@example([[7], [3], [0]])  # one-symbol lines
 @example([EDGE_SYMBOLS])
 def test_save_sequences_writes_the_bytes_of_the_join_writer(tmp_path_factory, rows):
-    # every int64, with 1 to 19 digits and a sign, and empty lines anywhere
+    # every Dataset the writer accepts: symbols of 1 to 19 digits, no empty line
     data = Dataset([np.array(r, dtype=np.int64) for r in rows])
     out = tmp_path_factory.mktemp("save")
     save_sequences(data, out / "numpy.txt")
     save_sequences_join(data, out / "join.txt")
     assert (out / "numpy.txt").read_bytes() == (out / "join.txt").read_bytes()
+    loaded = load_sequences(out / "numpy.txt")
+    assert loaded.values.tolist() == data.values.tolist()
+    assert loaded.offsets.tolist() == data.offsets.tolist()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "sequence 1 is missing"),
+        ([[], [5], []], "sequence 1 is empty"),
+        ([[1, 2], [], [3]], "sequence 2 is empty"),
+        ([[7], [-3], [0]], "sequence 2 has a negative symbol"),
+        ([[0, 9, 10, -1, -10, 10**18, -(10**18), 2**63 - 1, -(2**63)]],
+         "sequence 1 has a negative symbol"),
+        ([[4], [5, -(2**63)], []], "sequence 2 has a negative symbol"),
+        ([[4], [], [5, -1]], "sequence 2 is empty"),
+    ],
+    ids=["no_rows", "empty_rows", "empty_middle", "negative", "negative_edges",
+         "negative_first", "empty_first"],
+)
+def test_save_sequences_refuses_what_would_not_load_back(tmp_path, rows, message):
+    # no row: a file of no sequence fails to load; an empty row: its blank
+    # line is skipped; a negative symbol: loading rejects it
+    path = tmp_path / "seqs.txt"
+    path.write_bytes(b"kept\n")
+    data = Dataset([np.array(r, dtype=np.int64) for r in rows])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        save_sequences(data, path)
+    assert path.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize(
