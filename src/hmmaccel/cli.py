@@ -99,7 +99,7 @@ def _cmd_train(args) -> int:
     config = TrainingConfig(iterations=args.iterations, ll_tolerance=args.ll_tolerance)
     if weighted:
         table = load_cluster_table(args.input)
-        values = table.reps.values  # not empty, and no symbol is negative
+        values = table.reps.values  # a Dataset's: not empty, and no symbol is negative
         if values.max() >= init.n_symbols:
             at = int(np.argmax(values >= init.n_symbols))
             i = int(np.searchsorted(table.reps.offsets, at, side="right")) - 1

@@ -95,12 +95,11 @@ def _collapse(data: Dataset) -> Dataset:
     """Each sequence with its consecutive repeats removed, as a Dataset:
     a symbol is kept where it starts its sequence or differs from the one
     before it."""
-    values, starts = data.values, data.offsets[:-1]
+    values = data.values
     keep = np.ones(values.shape[0], dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
-    keep[starts[starts < values.shape[0]]] = True
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
-    return Dataset.from_flat(values[keep], kept_before[data.offsets])
+    keep[data.offsets[:-1]] = True
+    return Dataset.__new__(Dataset)._adopt(values[keep], _offsets(keep)[data.offsets])
 
 
 def _group_equal_rows(data: Dataset):
@@ -114,7 +113,7 @@ def _group_equal_rows(data: Dataset):
     by their ranks when they span too much for two digits per key. Rows are
     cut into chunks of the k digits that one key holds, the first digit
     lowest, and each chunk's key is the sum of its digits times their
-    powers; rows that were one chunk end the loop. No row may be empty."""
+    powers; rows that were one chunk end the loop."""
     keys, offsets = data.values, data.offsets
     while keys.shape[0] > len(data):  # until each row is one key
         lo, hi = int(keys.min()), int(keys.max())
@@ -145,14 +144,12 @@ def build_clusters(data: Dataset, distance: str = "dtw", inverse=None) -> Cluste
     cluster, in order of first appearance. inverse[i] is the row of `data`
     that holds sequence i, as `load_distinct_sequences` returns it: a 1-D
     integer array of rows in [0, len(data)), each at least once. A
-    cluster's weight is the number of sequences whose rows it holds, and an
-    empty or (for euclidean) ragged sequence is named by its place in
-    `inverse`. None: each row stands for itself.
+    cluster's weight is the number of sequences whose rows it holds, and
+    for euclidean a sequence of another length than the first is named by
+    its place in `inverse`. None: each row stands for itself.
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}, expected one of {DISTANCES}")
-    if not len(data):
-        raise ValueError("empty dataset")
     if inverse is None:  # each row stands for itself
         inverse = slice(None)
     else:
@@ -162,8 +159,8 @@ def build_clusters(data: Dataset, distance: str = "dtw", inverse=None) -> Cluste
                 or np.bincount(inverse.astype(np.intp), minlength=len(data)).min() == 0):
             raise ValueError(f"inverse must be a 1-D integer array of rows in "
                              f"[0, {len(data)}), each at least once")
-    lengths = data.lengths[inverse]
     if distance == "euclidean":
+        lengths = data.lengths[inverse]
         other = np.flatnonzero(lengths != lengths[0])
         if other.size:
             pos = int(other[0])
@@ -171,10 +168,6 @@ def build_clusters(data: Dataset, distance: str = "dtw", inverse=None) -> Cluste
                 f"sequence {pos + 1} has length {lengths[pos]} but sequence 1 has "
                 f"length {lengths[0]}; euclidean clustering requires one length"
             )
-    empty = np.flatnonzero(lengths == 0)
-    if empty.size:
-        raise ValueError(f"sequence {empty[0] + 1} is empty")
-
     first, cluster = _group_equal_rows(_collapse(data) if distance == "dtw" else data)
     weights = np.bincount(cluster[inverse], minlength=first.shape[0])
     return ClusterTable(data.take(first), weights)
@@ -203,11 +196,10 @@ def save_cluster_table(table: ClusterTable, path) -> None:
         '{"representative": %s, "weight": %d}' % (values[lo:hi], w)
         for lo, hi, w in zip(offsets, offsets[1:], table.weights.tolist())
     ])
-    clusters = f"[\n    {body}\n  ]" if body else "[]"
     text = (
         f'{{\n  "category_id": {table.category_id},\n'
         f'  "total_weight": {table.total_weight},\n'
-        f'  "clusters": {clusters}\n}}\n'
+        f'  "clusters": [\n    {body}\n  ]\n}}\n'
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -215,35 +207,32 @@ def save_cluster_table(table: ClusterTable, path) -> None:
 
 def _bulk_table(clusters, category_id):
     """The table of a list of clusters that are all well formed, checked
-    with a few whole-table tests; None if any test fails."""
+    with a few whole-table tests and the Dataset invariant; None if any
+    test fails."""
     try:
         reps = [c["representative"] for c in clusters]
         weights = [c["weight"] for c in clusters]
     except (KeyError, TypeError):  # a cluster that is no object, or lacks a key
         return None
-    if set(map(type, reps)) != {list} or set(map(type, weights)) != {int} or min(weights) < 1:
+    if set(map(type, reps)) != {list} or set(map(type, weights)) != {int}:
         return None
-    lengths = list(map(len, reps))
     flat = list(itertools.chain.from_iterable(reps))
-    if min(lengths) == 0 or set(map(type, flat)) != {int}:
+    if set(map(type, flat)) != {int}:
         return None
-    try:  # a symbol or a weight too large for int64
-        values = np.array(flat, dtype=np.int64)
-        weights = np.array(weights, dtype=np.int64)
-    except OverflowError:
+    try:  # a symbol too large for int64, representatives that make no Dataset, a bad weight
+        reps = Dataset.from_flat(np.array(flat, dtype=np.int64), _offsets(list(map(len, reps))))
+        return ClusterTable(reps, weights, category_id)
+    except (OverflowError, ValueError):
         return None
-    if (values < 0).any():
-        return None
-    return ClusterTable(Dataset.from_flat(values, _offsets(lengths)), weights, category_id)
 
 
 def load_cluster_table(path) -> ClusterTable:
     """Read a cluster table, rejecting anything that would need rounding.
 
     Weights, symbols, category_id and total_weight must be JSON integers
-    (not floats or booleans); weights must lie in [1, 2**63), and
-    representatives must be non-empty flat lists of non-negative symbols.
-    Every error names the file, and the cluster index where there is one.
+    (not floats or booleans); weights must lie in [1, 2**63), and the
+    representatives, flat lists of symbols, must make a Dataset. Every
+    error names the file, and the cluster index where there is one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

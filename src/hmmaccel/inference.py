@@ -19,11 +19,11 @@ weight.
 
 Training, scoring and decoding all run on packed blocks, and
 `length_blocks` is the one place that makes them. It checks a Dataset's
-symbols once, sorts its sequences longest first (stably, so a
-single-length corpus keeps input order), cuts that order into blocks that
-fit one byte budget, BLOCK_BYTES, in the kernel that will run them, and
-gathers each block's symbols in the t-major order of PyTorch's
-`pack_padded_sequence`: step t holds the symbols of the B_t sequences
+symbols against the model once, sorts its sequences longest first
+(stably, so a single-length corpus keeps input order), cuts that order
+into blocks that fit one byte budget, BLOCK_BYTES, in the kernel that
+will run them, and gathers each block's symbols in the t-major order of
+PyTorch's `pack_padded_sequence`: step t holds the symbols of the B_t sequences
 still running at t. Since the rows are sorted, those are a prefix of the
 block, and every recursion works on that prefix only, reading each step's
 symbols as one contiguous run. `_kernel_bytes` states, beside the kernels,
@@ -146,23 +146,15 @@ def length_blocks(data: Dataset, model: HmmModel, kernel) -> list[Block]:
     input order, and the sorted order is cut into blocks within
     BLOCK_BYTES: a block of rows of padded length T takes the most rows
     whose bytes in the kernel at the model's N states, plus one spare step,
-    fit the budget, and at least one. Rejects the first empty sequence or
-    sequence with a symbol outside [0, model.n_symbols), by its 1-based
-    position.
+    fit the budget, and at least one. Rejects the first sequence with a
+    symbol of model.n_symbols or more, by its 1-based position.
     """
     step, per_row = _kernel_bytes(kernel, model.n_states)
     values, offsets, lengths = data.values, data.offsets, data.lengths
-    faults = []  # (position, message) of the first bad sequence of each kind
-    if (lengths == 0).any():
-        faults.append((int(np.argmax(lengths == 0)), "is empty"))
-    bad = (values < 0) | (values >= model.n_symbols)
-    if bad.any():
+    if values.max() >= model.n_symbols:
         # values lie in input order, so the first bad symbol is in the first bad sequence
-        idx = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
-        faults.append((idx, f"uses symbols outside [0, {model.n_symbols})"))
-    if faults:
-        idx, message = min(faults)
-        raise ValueError(f"sequence {idx + 1} {message}")
+        idx = int(np.searchsorted(offsets, np.argmax(values >= model.n_symbols), side="right"))
+        raise ValueError(f"sequence {idx} uses symbols outside [0, {model.n_symbols})")
 
     order = np.argsort(-lengths, kind="stable")
     blocks = []

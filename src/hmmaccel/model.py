@@ -12,9 +12,8 @@ step per sequence. All randomness goes through numpy's default_rng
 ASCII whitespace alone, with no carriage return and no token longer than
 18 digits. It builds the symbols and the line offsets by digit arithmetic
 over the bytes. `save_sequences` writes this form, for every symbol below
-10**18, and writes only a Dataset that loads back as the same values and
-offsets: it refuses one with no sequence, an empty sequence (a blank line,
-which loading skips) or a negative symbol (which loading rejects).
+10**18, and every Dataset loads back from it as the same values and
+offsets.
 `load_sequences` reads a file once, in binary, and runs `_parse_plain`
 over the whole file when the file is plain, with no line memo. Any other
 file, and any symbol out of the model's range, takes the path of
@@ -104,14 +103,19 @@ class Dataset:
     """Ordered observation sequences, stored flat.
 
     All symbols sit in one read-only int64 buffer `values`; sequence i is
-    values[offsets[i]:offsets[i + 1]], so `offsets` has one entry more than
-    there are sequences and starts at 0. `Dataset(sequences)` copies a list
-    of 1-D integer arrays into that layout, and rejects a non-empty row of
-    another dtype or holding a symbol of 2**63 or more rather than cut it to
-    int64; `from_flat` adopts a buffer and offsets as they are, with the
-    same check, and `take` gathers some of the sequences, at integer
-    positions, into a new Dataset. Order is input order, which clustering
-    and block building preserve.
+    values[offsets[i]:offsets[i + 1]]. Every Dataset holds the invariant:
+    offsets start at 0, rise strictly and end at len(values), with at least
+    one sequence, and every symbol lies in [0, 2**63). So no sequence is
+    empty and no symbol is negative. The two public constructors check it
+    and raise a ValueError naming the first sequence, 1-based, that breaks
+    it: `Dataset(sequences)` copies a list of 1-D integer arrays into that
+    layout, and `from_flat` adopts a buffer and offsets as they are; either
+    refuses integers of another dtype, or of 2**63 or more, rather than cut
+    them to int64. `take` gathers some of the sequences, at integer
+    positions, into a new Dataset. The loaders, `sample_sequences`, `take`
+    and clustering's `_collapse` build valid arrays by construction and
+    adopt them unchecked, through `_adopt`. Order is input order, which
+    clustering and block building preserve.
     """
 
     def __init__(self, sequences):
@@ -122,19 +126,21 @@ class Dataset:
                 raise ValueError(f"sequence {i} is not a 1-D array")
             rows.append(_as_int64(row, f"sequence {i}"))
         values = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        self._adopt(values, _offsets([len(r) for r in rows]))
+        self._adopt(*_checked(values, _offsets([len(r) for r in rows])))
 
     @classmethod
     def from_flat(cls, values, offsets) -> "Dataset":
-        data = cls.__new__(cls)
-        data._adopt(_as_int64(values, "values"), _as_int64(offsets, "offsets"))
-        return data
+        values, offsets = _as_int64(values, "values"), _as_int64(offsets, "offsets")
+        return cls.__new__(cls)._adopt(*_checked(values, offsets))
 
-    def _adopt(self, values, offsets) -> None:
+    def _adopt(self, values, offsets) -> "Dataset":
+        """Take int64 `values` and `offsets` that hold the invariant, read-only
+        and unchecked, and return self."""
         values.setflags(write=False)
         offsets.setflags(write=False)
         self.values = values
         self.offsets = offsets
+        return self
 
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1
@@ -151,14 +157,44 @@ class Dataset:
 
     def take(self, rows) -> "Dataset":
         """The sequences at positions `rows`, in that order, repeats allowed,
-        as a new Dataset. A position that is not an integer is a
-        ValueError, not a truncated index."""
+        as a new Dataset. A position that is not an integer, or no position,
+        is a ValueError, not a truncated index or an empty Dataset."""
         rows = _as_int64(rows, "rows")
+        if not rows.size:
+            raise ValueError("sequence 1 is missing")
         lengths = self.lengths[rows]
         offsets = _offsets(lengths)
         index = np.repeat(self.offsets[rows] - offsets[:-1], lengths)
         index += np.arange(offsets[-1])
-        return Dataset.from_flat(self.values[index], offsets)
+        return Dataset.__new__(Dataset)._adopt(self.values[index], offsets)
+
+
+def _checked(values, offsets):
+    """(values, offsets) if they hold the Dataset invariant, else a
+    ValueError naming the first sequence, 1-based, that breaks it. The
+    symbols of a sequence that is empty, or that does not run from its
+    predecessor's end (0 for the first) to at most len(values) (exactly,
+    for the last), are not read."""
+    if values.ndim != 1 or offsets.ndim != 1:
+        raise ValueError("values and offsets must be 1-D arrays")
+    if offsets.shape[0] < 2:
+        raise ValueError("sequence 1 is missing")
+    n, lengths = values.shape[0], np.diff(offsets)
+    bad = (lengths <= 0) | (offsets[1:] > n)
+    bad[0] |= offsets[0] != 0
+    bad[-1] |= offsets[-1] != n
+    k = int(np.argmax(bad)) if bad.any() else len(lengths)  # offsets[:k + 1] rise from 0
+    # values lie in input order up to offsets[k], so the first negative one
+    # there is in the first sequence that holds one
+    negative = values[: offsets[k] if k else 0] < 0
+    if negative.any():
+        i = np.searchsorted(offsets[: k + 1], np.argmax(negative), side="right")
+        raise ValueError(f"sequence {i} has a negative symbol")
+    if k < len(lengths):
+        raise ValueError(f"sequence {k + 1} is empty" if lengths[k] == 0 else
+                         f"sequence {k + 1} spans offsets {offsets[k]} to {offsets[k + 1]}, "
+                         f"but offsets must rise from 0 to len(values) = {n}")
+    return values, offsets
 
 
 def _as_int64(values, name: str) -> np.ndarray:
@@ -260,7 +296,7 @@ def sample_sequences(model: HmmModel, count: int, length: int, seed: int) -> Dat
         if t + 1 < length:
             states = pick(cum_a[states], rng.random(count))
 
-    return Dataset.from_flat(symbols.ravel(), _offsets(np.full(count, length)))
+    return Dataset.__new__(Dataset)._adopt(symbols.ravel(), _offsets(np.full(count, length)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +377,11 @@ def load_model(path, renormalize: bool = False) -> HmmModel:
             if not {int, float, list}.issuperset(map(type, entries)):
                 bad = next(x for x in entries if type(x) not in (int, float, list))
                 raise ValueError(f"{key} must hold JSON numbers, got {json.dumps(bad)}")
+            if key != "pi" and len({len(r) if type(r) is list else -1 for r in rows}) > 1:
+                width = n if key == "a" else m  # name the first row numpy could not stack
+                i = next(i for i, r in enumerate(rows) if type(r) is not list or len(r) != width)
+                got = f"has {len(rows[i])} entries" if type(rows[i]) is list else "is not a list"
+                raise ValueError(f"{key} row {i} {got}, expected {width}")
         model = HmmModel(n, m, pi, a, b)
         if renormalize:
             # A row summing to zero turns non-finite here; validation rejects it.
@@ -368,12 +409,6 @@ def save_sequences(dataset: Dataset, path) -> None:
     spaces: the plain text that `load_sequences` reads back as the same
     values and offsets.
 
-    Only such a Dataset is written. One with no sequence, an empty sequence
-    (whose blank line loading would skip) or a negative symbol (which
-    loading rejects) is a ValueError naming the first such sequence by its
-    1-based position, raised before the file is opened, so a file already
-    at `path` keeps its bytes.
-
     The text is built in one uint8 buffer by numpy calls over all symbols
     at once: each token's digit count, from comparisons with powers of ten,
     gives its place, its separator goes at its end (a newline after a line's
@@ -381,13 +416,6 @@ def save_sequences(dataset: Dataset, path) -> None:
     pass per digit position over the tokens that have one.
     """
     values, offsets = dataset.values, dataset.offsets
-    # the first sequence of each kind that would not load back, 1-based; values
-    # lie in input order, so the first negative one is in the first such sequence
-    faults = [(int(i) + 1, "is empty") for i in np.flatnonzero(dataset.lengths == 0)[:1]]
-    negative = np.searchsorted(offsets, np.flatnonzero(values < 0)[:1], side="right")
-    faults += [(int(i), "has a negative symbol") for i in negative]
-    if faults or not len(dataset):
-        raise ValueError("sequence %d %s" % min(faults, default=(1, "is missing")))
     digits = np.ones(len(values), dtype=np.uint8)
     for power in _POWERS_OF_TEN:
         more = values >= power
@@ -444,7 +472,7 @@ def load_distinct_sequences(path, n_symbols: int | None = None) -> tuple[Dataset
     if parsed is None:  # name a bad line by its first line number
         first_line = (np.unique(ids, return_index=True)[1][keep] + 1).tolist()
         parsed = _parse_lines(path, lines, first_line, n_symbols)
-    return Dataset.from_flat(*parsed), inverse
+    return Dataset.__new__(Dataset)._adopt(*parsed), inverse
 
 
 def load_sequences(path, n_symbols: int | None = None) -> Dataset:
@@ -462,7 +490,7 @@ def load_sequences(path, n_symbols: int | None = None) -> Dataset:
     with open(path, "rb") as fh:
         parsed = _parse_plain(fh.read(), n_symbols)
     if parsed is not None:
-        return Dataset.from_flat(*parsed)
+        return Dataset.__new__(Dataset)._adopt(*parsed)
     distinct, inverse = load_distinct_sequences(path, n_symbols)
     return distinct if len(inverse) == len(distinct) else distinct.take(inverse)
 

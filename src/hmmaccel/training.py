@@ -107,8 +107,6 @@ def weighted_em_train(
     init: HmmModel, table: ClusterTable, config: TrainingConfig, on_iteration=None
 ) -> TrainingTrace:
     """Baum-Welch over cluster representatives, counts scaled by weights."""
-    if not len(table):
-        raise ValueError("empty cluster table")
     return _run_em(init, table.reps, table.weights.astype(float), config, on_iteration)
 
 
@@ -118,8 +116,6 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
     if config.ll_tolerance is not None and not config.ll_tolerance >= 0:  # NaN too
         raise ValueError(f"ll_tolerance must be >= 0, got {config.ll_tolerance}")
     require_valid(init)
-    if not len(data):
-        raise ValueError("no training sequences")
     blocks = estep_plans(length_blocks(data, init, estep_block), weights, init.n_states)
 
     n, m = init.n_states, init.n_symbols

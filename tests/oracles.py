@@ -23,6 +23,9 @@
   cluster with `json.dumps`; `save_cluster_table` must write its bytes.
 - `save_sequences_join` is the sequence-file writer that joined str()
   names line by line; `save_sequences` must write its bytes.
+- `dataset_fault` states the Dataset invariant one sequence at a time;
+  `Dataset.from_flat` must refuse exactly the pairs it faults, with its
+  message.
 - `decode_lines_join` is the `decode` formatter that joined each row's
   state names with `str.join`, one row at a time; `cli._decode_lines`
   must give its lines.
@@ -397,6 +400,26 @@ def save_sequences_join(dataset, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(" ".join(map(names.__getitem__, values[lo:hi])) + "\n"
                          for lo, hi in zip(offsets, offsets[1:])))
+
+
+def dataset_fault(values, offsets):
+    """The ValueError text that `Dataset.from_flat(values, offsets)` must
+    raise, for lists of ints, or None if they hold the invariant: offsets
+    start at 0, rise strictly and end at len(values), with at least one
+    sequence, and no symbol is negative. Sequences are checked in order,
+    and a sequence's symbols only once its offsets are known good."""
+    n = len(values)
+    if len(offsets) < 2:
+        return "sequence 1 is missing"
+    for i, (lo, hi) in enumerate(zip(offsets, offsets[1:]), start=1):
+        if lo == hi:
+            return f"sequence {i} is empty"
+        if (i == 1 and lo != 0) or hi < lo or hi > n or (i == len(offsets) - 1 and hi != n):
+            return (f"sequence {i} spans offsets {lo} to {hi}, but offsets must rise from 0 "
+                    f"to len(values) = {n}")
+        if min(values[lo:hi]) < 0:
+            return f"sequence {i} has a negative symbol"
+    return None
 
 
 def decode_lines_join(model, block, paths, log_probs):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import save_sequences_join
+from oracles import dataset_fault, save_sequences_join
 
 from hmmaccel import (
     HmmModel,
@@ -279,9 +279,25 @@ def test_load_model_rejects_nan(tmp_path):
             b' "b": [[1.0]]}',
             "int too large to convert to float",
         ),
+        (
+            b'{"n_states": 2, "n_symbols": 1, "pi": [1.0, 0.0],'
+            b' "a": [[1.0, 0.0], [1.0]], "b": [[1.0], [1.0]]}',
+            "a row 1 has 1 entries, expected 2",
+        ),
+        (
+            b'{"n_states": 2, "n_symbols": 2, "pi": [1.0, 0.0],'
+            b' "a": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.5, 0.25, 0.25], [1.0, 0.0]]}',
+            "b row 0 has 3 entries, expected 2",
+        ),
+        (
+            b'{"n_states": 2, "n_symbols": 1, "pi": [1.0, 0.0],'
+            b' "a": [[1.0, 0.0], 1.0], "b": [[1.0], [1.0]]}',
+            "a row 1 is not a list, expected 2",
+        ),
     ],
     ids=["float_n_states", "bool_n_symbols", "bad_json", "not_utf8", "top_level_list", "string_pi",
-         "bool_in_pi", "string_in_a", "number_and_string_in_b", "null_in_pi", "huge_int_in_pi"],
+         "bool_in_pi", "string_in_a", "number_and_string_in_b", "null_in_pi", "huge_int_in_pi",
+         "ragged_a", "ragged_b", "number_row_in_a"],
 )
 def test_load_model_rejects_malformed_files(tmp_path, content, message):
     path = tmp_path / "model.json"
@@ -668,13 +684,52 @@ def test_save_sequences_writes_the_bytes_of_the_join_writer(tmp_path_factory, ro
 )
 def test_save_sequences_refuses_what_would_not_load_back(tmp_path, rows, message):
     # no row: a file of no sequence fails to load; an empty row: its blank
-    # line is skipped; a negative symbol: loading rejects it
+    # line is skipped; a negative symbol: loading rejects it. Neither
+    # constructor builds such a Dataset, so none reaches the writer.
     path = tmp_path / "seqs.txt"
     path.write_bytes(b"kept\n")
-    data = Dataset([np.array(r, dtype=np.int64) for r in rows])
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        save_sequences(data, path)
+    rows = [np.array(r, dtype=np.int64) for r in rows]
+    flat = np.concatenate(rows) if rows else [], np.cumsum([0] + [len(r) for r in rows])
+    for build in (lambda: Dataset(rows), lambda: Dataset.from_flat(*flat)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            save_sequences(build(), path)
     assert path.read_bytes() == b"kept\n"
+
+
+def flat_pair(rows):
+    """(values, offsets) of these rows, as lists."""
+    return [s for r in rows for s in r], np.cumsum([0] + [len(r) for r in rows]).tolist()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(
+    # rows: some empty, or none, or with a negative symbol
+    st.lists(st.lists(st.integers(-1, 9) | st.just(2**63 - 1), max_size=4), max_size=5)
+    .map(flat_pair),
+    # offsets that need not match the values
+    st.tuples(st.lists(st.integers(-1, 9), max_size=6), st.lists(st.integers(-1, 7), max_size=5)),
+))
+@example(([1, 2, 3], [0, 2, 1, 3]))  # a sequence of length -1
+@example(([1, 2, 3], [0, 2]))  # a symbol outside every sequence
+@example(([1, 2, 3], [0, 5]))  # a sequence past the last symbol
+@example(([1, 2, 3], [1, 3]))  # the first symbol outside every sequence
+@example(([0, 1, -1], [0, 3]))
+@example(([], [0]))
+def test_dataset_from_flat_accepts_exactly_the_invariant(tmp_path_factory, pair):
+    values, offsets = pair
+    fault = dataset_fault(values, offsets)
+    if fault is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            Dataset.from_flat(values, offsets)
+        return
+    data = Dataset.from_flat(values, offsets)
+    same = Dataset([values[lo:hi] for lo, hi in zip(offsets, offsets[1:])])
+    assert data.values.tolist() == same.values.tolist() == values
+    assert data.offsets.tolist() == same.offsets.tolist() == offsets
+    path = tmp_path_factory.mktemp("flat") / "seqs.txt"
+    save_sequences(data, path)
+    loaded = load_sequences(path)
+    assert loaded.values.tolist() == values and loaded.offsets.tolist() == offsets
 
 
 @pytest.mark.parametrize(
@@ -726,7 +781,9 @@ def test_dataset_from_flat_keeps_every_int64():
     data = Dataset.from_flat(np.array([2**63 - 1, 0, 5], dtype=np.uint64), np.array([0, 2, 3]))
     assert data.values.dtype == data.offsets.dtype == np.int64
     assert [s.tolist() for s in data.sequences] == [[2**63 - 1, 0], [5]]
-    assert len(Dataset.from_flat([], [0])) == 0  # empty values may be float, as np.asarray([]) is
+    # empty values may be float, as np.asarray([]) is, but make no sequence
+    with pytest.raises(ValueError, match="^sequence 1 is missing$"):
+        Dataset.from_flat([], [0])
 
 
 @pytest.mark.parametrize(
@@ -739,26 +796,28 @@ def test_dataset_take_rejects_positions_that_are_not_integers(rows):
         Dataset([[5, 6], [7]]).take(rows)
 
 
-def test_dataset_keeps_every_int64_and_empty_rows():
-    rows = [np.array([2**63 - 1, 0], dtype=np.uint64), np.array([-5, 7], dtype=np.int8), [], [3]]
+def test_dataset_keeps_every_int64():
+    rows = [np.array([2**63 - 1, 0], dtype=np.uint64), np.array([5, 7], dtype=np.int8), [3]]
     data = Dataset(rows)
     assert data.values.dtype == np.int64
-    assert [s.tolist() for s in data.sequences] == [[2**63 - 1, 0], [-5, 7], [], [3]]
+    assert [s.tolist() for s in data.sequences] == [[2**63 - 1, 0], [5, 7], [3]]
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
-    st.lists(st.lists(st.integers(0, 2**63 - 1), max_size=5), max_size=8),
+    st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5), min_size=1, max_size=8),
     st.data(),
 )
 def test_dataset_take_matches_per_row_gather(rows, data):
-    # rows may be empty, and the positions repeat, run out of order or are none
+    # the positions repeat or run out of order; no position makes no Dataset
     dataset = Dataset([np.array(r, dtype=np.int64) for r in rows])
-    positions = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12)) if rows else []
+    positions = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12))
     got = dataset.take(np.array(positions, dtype=np.int64))
     assert len(got) == len(positions)
     assert [s.tolist() for s in got.sequences] == [rows[i] for i in positions]
     expected = [dataset.sequences[i] for i in positions]
-    assert np.array_equal(got.values, np.concatenate(expected) if expected else [])
+    assert np.array_equal(got.values, np.concatenate(expected))
     assert got.values.dtype == np.int64 and got.offsets.tolist()[0] == 0
     assert not got.values.flags.writeable and not got.offsets.flags.writeable
+    with pytest.raises(ValueError, match="^sequence 1 is missing$"):
+        dataset.take([])

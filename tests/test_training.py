@@ -572,12 +572,30 @@ def test_symbol_range_checked_upfront():
     with pytest.raises(ValueError, match="sequence 1 uses symbols outside"):
         em_train(init, Dataset([np.array([0, 5])]), TrainingConfig(iterations=1))
     # the first bad sequence in input order is named, whatever its length group
-    mixed = [np.array([0, 1]), np.array([0, 1, 2]), np.array([2, 1, 0]), np.array([0, -1]),
-             np.array([], dtype=np.int64)]
+    mixed = [np.array([0, 1]), np.array([0, 1, 2]), np.array([2, 1, 0]), np.array([0, 3]),
+             np.array([3])]
     with pytest.raises(ValueError, match="^sequence 4 uses symbols outside"):
         em_train(init, Dataset(mixed), TrainingConfig(iterations=1))
+    # an empty sequence or a negative symbol is refused where the Dataset is built
     with pytest.raises(ValueError, match="^sequence 2 is empty$"):
-        em_train(init, Dataset([mixed[0], mixed[4], mixed[3]]), TrainingConfig(iterations=1))
+        em_train(init, Dataset([mixed[0], [], mixed[3]]), TrainingConfig(iterations=1))
+    with pytest.raises(ValueError, match="^sequence 4 has a negative symbol$"):
+        em_train(init, Dataset(mixed[:3] + [[0, -1], []]), TrainingConfig(iterations=1))
+
+
+def test_offsets_of_no_sequence_refused_before_training():
+    # from_flat once adopted these offsets, a sequence of length -1, and
+    # weighted EM trained on them into a pi summing to 0.667
+    init = initialize_model(2, 3, 0)
+    config = TrainingConfig(iterations=1)
+    trainers = (lambda data: em_train(init, data, config),
+                lambda data: weighted_em_train(init, ClusterTable(data, [1, 1, 1]), config))
+    with mock.patch.object(training_module, "_run_em") as run:
+        for train in trainers:
+            with pytest.raises(ValueError, match=r"^sequence 2 spans offsets 2 to 1, but offsets "
+                                                 r"must rise from 0 to len\(values\) = 3$"):
+                train(Dataset.from_flat([0, 1, 2], [0, 2, 1, 3]))
+    run.assert_not_called()
 
 
 def test_config_validation():
@@ -591,9 +609,10 @@ def test_config_validation():
         em_train(init, data, TrainingConfig(iterations=1, ll_tolerance=math.nan))
     trace = em_train(init, data, TrainingConfig(iterations=3, ll_tolerance=math.inf))
     assert len(trace.per_iteration_log_likelihood) == 2
-    with pytest.raises(ValueError, match="empty cluster table"):
+    # no sequence: refused where the Dataset is built
+    with pytest.raises(ValueError, match="^sequence 1 is missing$"):
         weighted_em_train(init, ClusterTable(Dataset([]), []), TrainingConfig(iterations=1))
-    with pytest.raises(ValueError, match="^no training sequences$"):
+    with pytest.raises(ValueError, match="^sequence 1 is missing$"):
         em_train(init, Dataset([]), TrainingConfig(iterations=1))
 
 
