@@ -9,7 +9,6 @@ all of its steps succeeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.resources
 import math
 import sys
@@ -73,7 +72,6 @@ def _cmd_cluster(args) -> int:
     t0 = perf_counter()
     table = build_clusters(data, args.distance, inverse)
     seconds = perf_counter() - t0
-    table = dataclasses.replace(table, category_id=args.category_id)
     if args.min_weight is not None:
         table = filter_low_weight(table, args.min_weight)
     save_cluster_table(table, args.out)
@@ -98,15 +96,7 @@ def _cmd_train(args) -> int:
     mode = "weighted" if weighted else "classical"
     config = TrainingConfig(iterations=args.iterations, ll_tolerance=args.ll_tolerance)
     if weighted:
-        table = load_cluster_table(args.input)
-        values = table.reps.values  # a Dataset's: not empty, and no symbol is negative
-        if values.max() >= init.n_symbols:
-            at = int(np.argmax(values >= init.n_symbols))
-            i = int(np.searchsorted(table.reps.offsets, at, side="right")) - 1
-            raise ValueError(
-                f"cluster file {args.input}: cluster {i} uses symbol {values[at]}, "
-                f"out of range for a model with {init.n_symbols} symbols"
-            )
+        table = load_cluster_table(args.input, n_symbols=init.n_symbols)
         trace = weighted_em_train(init, table, config)
     else:
         data = load_sequences(args.input, n_symbols=init.n_symbols)
@@ -244,7 +234,6 @@ def _cluster_args(p) -> None:
     p.add_argument("out", help="output cluster table JSON")
     p.add_argument("--distance", choices=DISTANCES, default="dtw")
     p.add_argument("--min-weight", type=int, default=None, help="drop clusters below this weight")
-    p.add_argument("--category-id", type=int, default=0)
 
 
 def _train_args(p) -> None:

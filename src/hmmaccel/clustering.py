@@ -29,9 +29,8 @@ in order of first appearance.
 
 A ClusterTable is itself flat: its representatives are one Dataset,
 gathered from the input with `Dataset.take`, beside one int64 array of
-weights, and it carries the category label that its file holds. Training
-reads the representatives as they are, and a table file is read into the
-same two arrays.
+weights. Training reads the representatives as they are, and a table file
+is read into the same two arrays.
 
 Rows may stand for several sequences each: `build_clusters` takes the
 `inverse` of `load_distinct_sequences`, which maps each sequence of a file
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +57,10 @@ DISTANCES = ("dtw", "euclidean")
 class ClusterTable:
     """Weighted representatives: sequence i of `reps` stands for weights[i]
     sequences. `weights` is kept as a read-only int64 array of shape
-    (len(reps),), and must hold integers >= 1. `category_id` is the label
-    the table's file carries: an integer, not a bool, kept as a Python int."""
+    (len(reps),), and must hold integers >= 1."""
 
     reps: Dataset
     weights: np.ndarray
-    category_id: int = 0
 
     def __post_init__(self):
         message = f"weights must hold {len(self.reps)} integers >= 1, one per representative"
@@ -77,10 +73,6 @@ class ClusterTable:
             raise ValueError(message)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        label = self.category_id
-        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
-            raise ValueError(f"category_id must be an integer, got {label!r}")
-        object.__setattr__(self, "category_id", operator.index(label))
 
     @property
     def total_weight(self) -> int:
@@ -184,7 +176,7 @@ def filter_low_weight(table: ClusterTable, min_weight: int) -> ClusterTable:
     kept = np.flatnonzero(table.weights >= min_weight)
     if not kept.size:
         raise ValueError("all clusters filtered")
-    return ClusterTable(table.reps.take(kept), table.weights[kept], table.category_id)
+    return ClusterTable(table.reps.take(kept), table.weights[kept])
 
 
 def save_cluster_table(table: ClusterTable, path) -> None:
@@ -197,18 +189,17 @@ def save_cluster_table(table: ClusterTable, path) -> None:
         for lo, hi, w in zip(offsets, offsets[1:], table.weights.tolist())
     ])
     text = (
-        f'{{\n  "category_id": {table.category_id},\n'
-        f'  "total_weight": {table.total_weight},\n'
+        f'{{\n  "total_weight": {table.total_weight},\n'
         f'  "clusters": [\n    {body}\n  ]\n}}\n'
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _bulk_table(clusters, category_id):
+def _bulk_table(clusters, n_symbols):
     """The table of a list of clusters that are all well formed, checked
     with a few whole-table tests and the Dataset invariant; None if any
-    test fails."""
+    test fails, or if a symbol is n_symbols or more."""
     try:
         reps = [c["representative"] for c in clusters]
         weights = [c["weight"] for c in clusters]
@@ -221,18 +212,22 @@ def _bulk_table(clusters, category_id):
         return None
     try:  # a symbol too large for int64, representatives that make no Dataset, a bad weight
         reps = Dataset.from_flat(np.array(flat, dtype=np.int64), _offsets(list(map(len, reps))))
-        return ClusterTable(reps, weights, category_id)
+        if n_symbols is not None and reps.values.max() >= n_symbols:
+            return None
+        return ClusterTable(reps, weights)
     except (OverflowError, ValueError):
         return None
 
 
-def load_cluster_table(path) -> ClusterTable:
+def load_cluster_table(path, n_symbols: int | None = None) -> ClusterTable:
     """Read a cluster table, rejecting anything that would need rounding.
 
-    Weights, symbols, category_id and total_weight must be JSON integers
-    (not floats or booleans); weights must lie in [1, 2**63), and the
-    representatives, flat lists of symbols, must make a Dataset. Every
-    error names the file, and the cluster index where there is one.
+    Weights, symbols and total_weight must be JSON integers (not floats or
+    booleans); weights must lie in [1, 2**63), and the representatives,
+    flat lists of symbols, must make a Dataset. With n_symbols given, a
+    symbol >= n_symbols is bad input too. Keys other than total_weight and
+    clusters are ignored. Every error names the file, and the first bad
+    cluster's index where there is one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -243,7 +238,6 @@ def load_cluster_table(path) -> ClusterTable:
         raise ValueError(f"cluster file {path} must hold a JSON object")
     try:
         clusters = doc["clusters"]
-        category_id = _exact_int(doc["category_id"], f"cluster file {path}: category_id")
         declared = _exact_int(doc["total_weight"], f"cluster file {path}: total_weight")
     except KeyError as exc:
         raise ValueError(f"cluster file {path} is missing key {exc}") from None
@@ -252,7 +246,7 @@ def load_cluster_table(path) -> ClusterTable:
     if not clusters:
         raise ValueError(f"cluster file {path} has no clusters")
 
-    table = _bulk_table(clusters, category_id)
+    table = _bulk_table(clusters, n_symbols)
     if table is None:  # some cluster is bad: check them one by one, to name the first
         for i, c in enumerate(clusters):
             where = f"cluster file {path}: cluster {i}"
@@ -276,6 +270,9 @@ def load_cluster_table(path) -> ClusterTable:
                     raise ValueError(f"{where} symbol {pos} is negative: {v}")
             if max(rep) >= 2**63:
                 raise ValueError(f"{where} has a symbol too large for int64")
+            if n_symbols is not None and max(rep) >= n_symbols:
+                raise ValueError(f"{where} uses symbol {next(v for v in rep if v >= n_symbols)}, "
+                                 f"out of range for a model with {n_symbols} symbols")
 
     if declared != table.total_weight:
         raise ValueError(

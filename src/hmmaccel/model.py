@@ -157,14 +157,19 @@ class Dataset:
 
     def take(self, rows) -> "Dataset":
         """The sequences at positions `rows`, in that order, repeats allowed,
-        as a new Dataset. A position that is not an integer, or no position,
-        is a ValueError, not a truncated index or an empty Dataset."""
+        as a new Dataset. A negative position counts from the end, as
+        numpy's do. A position that is not an integer or lies outside
+        [-len(self), len(self)), or no position, is a ValueError, not a
+        truncated index or an empty Dataset."""
         rows = _as_int64(rows, "rows")
         if not rows.size:
             raise ValueError("sequence 1 is missing")
+        out = rows[(rows < -len(self)) | (rows >= len(self))]
+        if out.size:
+            raise ValueError(f"position {out[0]} is out of range for {len(self)} sequences")
         lengths = self.lengths[rows]
         offsets = _offsets(lengths)
-        index = np.repeat(self.offsets[rows] - offsets[:-1], lengths)
+        index = np.repeat(self.offsets[:-1][rows] - offsets[:-1], lengths)
         index += np.arange(offsets[-1])
         return Dataset.__new__(Dataset)._adopt(self.values[index], offsets)
 
@@ -368,15 +373,16 @@ def load_model(path, renormalize: bool = False) -> HmmModel:
         raise ValueError(f"model file {path} is missing key {exc}") from None
 
     try:
-        for key, value in (("pi", pi), ("a", a), ("b", b)):
-            # pi is one row, a and b are lists of rows: take the entries two
-            # levels down at most, and leave a list found there to HmmModel's
-            # shape check
+        for key, value in (("pi", [pi]), ("a", a), ("b", b)):
+            # pi is one row, a and b are lists of rows, and a row must hold
+            # numbers, not lists; a row that is no list is left to the width
+            # check below, and a matrix that is none to HmmModel's shape check
             rows = value if type(value) is list else [value]
-            entries = [*itertools.chain.from_iterable(r if type(r) is list else [r] for r in rows)]
-            if not {int, float, list}.issuperset(map(type, entries)):
-                bad = next(x for x in entries if type(x) not in (int, float, list))
-                raise ValueError(f"{key} must hold JSON numbers, got {json.dumps(bad)}")
+            for i, row in enumerate(r if type(r) is list else [r] for r in rows):
+                if not {int, float}.issuperset(map(type, row)):
+                    bad = next(x for x in row if type(x) not in (int, float))
+                    at = "" if key == "pi" else f" row {i}"
+                    raise ValueError(f"{key}{at} must hold JSON numbers, got {json.dumps(bad)}")
             if key != "pi" and len({len(r) if type(r) is list else -1 for r in rows}) > 1:
                 width = n if key == "a" else m  # name the first row numpy could not stack
                 i = next(i for i, r in enumerate(rows) if type(r) is not list or len(r) != width)

@@ -266,7 +266,6 @@ def save_cluster_table_json(table, path):
     values, offsets = table.reps.values.tolist(), table.reps.offsets.tolist()
     _write_json(
         {
-            "category_id": table.category_id,
             "total_weight": table.total_weight,
             "clusters": [
                 {"representative": values[lo:hi], "weight": w}

@@ -24,7 +24,6 @@ from oracles import block_budget, decode_lines_join, dtw_path
 
 import hmmaccel
 from hmmaccel import (
-    ClusterTable,
     Dataset,
     HmmModel,
     ImpossibleSequenceError,
@@ -558,10 +557,10 @@ def test_cluster_writes_the_table_of_the_whole_file(case):
         seqs, got, expected = (Path(tmp) / name for name in ("seqs.txt", "got.json", "exp.json"))
         seqs.write_text(text)
         table = build_clusters(load_sequences(seqs), distance=distance)
-        save_cluster_table(ClusterTable(table.reps, table.weights, 3), expected)
+        save_cluster_table(table, expected)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            argv = ["cluster", str(seqs), str(got), "--distance", distance, "--category-id", "3"]
+            argv = ["cluster", str(seqs), str(got), "--distance", distance]
             assert main(argv) == 0
         assert got.read_bytes() == expected.read_bytes()
     assert out.getvalue().startswith(
@@ -940,6 +939,44 @@ def test_console_script_path_builds_one_command(monkeypatch, capsys, commands_re
     got = exit_output(capsys, lambda _: main(), None)
     assert built == ["eval", None]
     assert got == exit_output(capsys, lambda a: build_parser().parse_args(a), argv)
+
+
+def test_every_parsed_option_is_read(tmp_path, capsys):
+    # an option that no handler reads changes nothing: run each command's
+    # handler on valid lines through a namespace that records the names read
+    model, seqs, table, out, trace, csv_path = (
+        str(tmp_path / name)
+        for name in ("m.json", "s.txt", "t.json", "o.json", "o.csv", "b.csv")
+    )
+    write_json(tmp_path / "m.json", CHAIN_MODEL)
+    lines = [
+        ["gen", model, seqs, "--count", "6", "--length", "4", "--seed", "1", "--renormalize"],
+        ["cluster", seqs, table, "--distance", "euclidean", "--min-weight", "1"],
+        ["train", table, out, "--init-model", model, "--iterations", "2", "--ll-tolerance", "0",
+         "--trace", trace, "--renormalize"],
+        ["train", seqs, out, "--states", "2", "--symbols", "2", "--seed", "3"],
+        ["eval", model, seqs, "--renormalize"],
+        ["decode", model, seqs],
+        ["dist", seqs, seqs, "--distance", "euclidean"],
+        ["bench", "--model", model, "--sizes", "4", "--length", "3", "--iterations", "2",
+         "--runs", "1", "--seed", "1", "--distance", "dtw", "--csv", csv_path],
+    ]
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    unread = {}
+    for argv in lines:
+        args = cli.build_parser(argv[0]).parse_args(argv[1:])
+        reads.clear()
+        assert args.func(Recorder(**vars(args))) == 0, argv
+        dests = set(vars(args)) - {"func"}
+        unread[argv[0]] = unread.get(argv[0], dests) & (dests - reads)
+    capsys.readouterr()
+    assert unread == {name: set() for name in cli.COMMANDS}
 
 
 def test_exports_resolve_once():

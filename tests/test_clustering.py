@@ -327,22 +327,6 @@ def test_empty_and_unknown_distance():
         build_clusters(dataset([[1]]), distance="cosine")
 
 
-def test_category_id_carried(tmp_path):
-    table = ClusterTable(dataset([[1, 2], [3]]), [5, 1], np.int64(3))
-    assert type(table.category_id) is int and table.category_id == 3
-    assert filter_low_weight(table, 2).category_id == 3
-    save_cluster_table(table, tmp_path / "clusters.json")
-    assert json.loads((tmp_path / "clusters.json").read_text())["category_id"] == 3
-    assert load_cluster_table(tmp_path / "clusters.json").category_id == 3
-    assert build_clusters(table.reps, "dtw").category_id == 0
-
-
-@pytest.mark.parametrize("category_id", [True, np.True_, 1.5, "3", None])
-def test_cluster_table_rejects_non_integer_label(category_id):
-    with pytest.raises(ValueError, match="category_id must be an integer"):
-        ClusterTable(dataset([[1]]), [1], category_id)
-
-
 def test_filter_low_weight():
     s1, s2 = np.array([1, 2]), np.array([3, 4])
     table = ClusterTable(Dataset([s1, s2]), [5, 1])
@@ -360,8 +344,8 @@ def test_filter_low_weight():
 
 def test_cluster_table_weights_one_per_representative():
     reps = Dataset([np.array([1, 2]), np.array([3])])
-    table = ClusterTable(reps, [4, 1], 2)
-    assert table.category_id == 2 and len(table) == 2 and table.total_weight == 5
+    table = ClusterTable(reps, [4, 1])
+    assert len(table) == 2 and table.total_weight == 5
     assert table.weights.dtype == np.int64 and not table.weights.flags.writeable
     wrapping = np.array([4, 2**63], dtype=np.uint64)
     for weights in ([4], [4, 1, 1], [[4, 1]], 4, [4, 0], [4, 1.5], wrapping, [4, 2**63]):
@@ -374,7 +358,6 @@ def test_cluster_table_round_trip(tmp_path):
     path = tmp_path / "clusters.json"
     save_cluster_table(table, path)
     loaded = load_cluster_table(path)
-    assert loaded.category_id == table.category_id
     assert loaded.total_weight == table.total_weight
     assert len(loaded) == 2
     for r1, r2 in zip(loaded.reps.sequences, table.reps.sequences):
@@ -390,22 +373,18 @@ def test_cluster_table_round_trip(tmp_path):
         min_size=1,
         max_size=10,
     ),
-    st.integers(-5, 5),
 )
-@example([([1], 2**62), ([2, 3], 2**62), ([4], 2**62)], 0)  # a total of 3 * 2**62 > 2**63
-def test_cluster_table_round_trip_property(tmp_path_factory, clusters, category_id):
+@example([([1], 2**62), ([2, 3], 2**62), ([4], 2**62)])  # a total of 3 * 2**62 > 2**63
+def test_cluster_table_round_trip_property(tmp_path_factory, clusters):
     path = tmp_path_factory.mktemp("table") / "clusters.json"
-    table = ClusterTable(Dataset([r for r, _ in clusters]), [w for _, w in clusters],
-                         category_id)
+    table = ClusterTable(Dataset([r for r, _ in clusters]), [w for _, w in clusters])
     save_cluster_table(table, path)
     assert json.loads(path.read_text()) == {
-        "category_id": category_id,
         "total_weight": sum(w for _, w in clusters),
         "clusters": [{"representative": r, "weight": w} for r, w in clusters],
     }
-    assert len(path.read_text().splitlines()) == len(clusters) + 6  # one cluster per line
+    assert len(path.read_text().splitlines()) == len(clusters) + 5  # one cluster per line
     loaded = load_cluster_table(path)
-    assert loaded.category_id == filter_low_weight(loaded, 1).category_id == category_id
     assert [(r.tolist(), w) for r, w in zip(loaded.reps.sequences, loaded.weights.tolist())] == (
         clusters
     )
@@ -419,14 +398,13 @@ def test_cluster_table_round_trip_property(tmp_path_factory, clusters, category_
         min_size=1,
         max_size=8,
     ),
-    st.integers(-5, 5),
 )
-@example([([0], 1)], 0)
-@example([([2**62], 2**62), ([7], 1)], -1)
-def test_cluster_table_writer_matches_json_writer(tmp_path_factory, clusters, category_id):
+@example([([0], 1)])
+@example([([2**62], 2**62), ([7], 1)])
+def test_cluster_table_writer_matches_json_writer(tmp_path_factory, clusters):
     folder = tmp_path_factory.mktemp("table")
     table = ClusterTable(Dataset([r for r, _ in clusters]),
-                         np.array([w for _, w in clusters], dtype=np.int64), category_id)
+                         np.array([w for _, w in clusters], dtype=np.int64))
     save_cluster_table(table, folder / "fast.json")
     save_cluster_table_json(table, folder / "json.json")
     assert (folder / "fast.json").read_bytes() == (folder / "json.json").read_bytes()
@@ -434,20 +412,20 @@ def test_cluster_table_writer_matches_json_writer(tmp_path_factory, clusters, ca
 
 def test_cluster_file_validation(tmp_path):
     path = tmp_path / "clusters.json"
-    path.write_text('{"category_id": 0, "total_weight": 1}')
+    path.write_text('{"total_weight": 1}')
     with pytest.raises(ValueError, match="missing key"):
         load_cluster_table(path)
-    path.write_text('{"category_id": 0, "total_weight": 0, "clusters": []}')
+    path.write_text('{"total_weight": 0, "clusters": []}')
     with pytest.raises(ValueError, match="no clusters"):
         load_cluster_table(path)
     path.write_text(
-        '{"category_id": 0, "total_weight": 1,'
+        '{"total_weight": 1,'
         ' "clusters": [{"representative": [1, 2], "weight": 0}]}'
     )
     with pytest.raises(ValueError, match="weight"):
         load_cluster_table(path)
     path.write_text(
-        '{"category_id": 0, "total_weight": 3,'
+        '{"total_weight": 3,'
         ' "clusters": [{"representative": [1, 2], "weight": 2}]}'
     )
     with pytest.raises(ValueError, match="total_weight"):
@@ -455,7 +433,7 @@ def test_cluster_file_validation(tmp_path):
 
 
 def write_table(path, clusters, total_weight):
-    doc = {"category_id": 0, "total_weight": total_weight, "clusters": clusters}
+    doc = {"total_weight": total_weight, "clusters": clusters}
     path.write_text(json.dumps(doc))
 
 
@@ -504,13 +482,51 @@ def test_cluster_file_rejects_bad_cluster(tmp_path, cluster, message):
     assert message in str(info.value)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("category_id", 1.5), ("category_id", True), ("total_weight", 2.0), ("total_weight", "2")],
-)
+def test_cluster_file_symbols_checked_against_the_model(tmp_path):
+    path = tmp_path / "clusters.json"
+    # well formed but for a symbol out of range, the table passes the bulk
+    # path's whole-table tests, and only its symbol test refuses it
+    write_table(path, [GOOD, {"representative": [0, 3, 4, 5], "weight": 1}], total_weight=3)
+    loaded = load_cluster_table(path, n_symbols=6)
+    assert loaded.reps.values.tolist() == [1, 2, 0, 3, 4, 5] and loaded.weights.tolist() == [2, 1]
+    with pytest.raises(ValueError) as info:
+        load_cluster_table(path, n_symbols=4)
+    assert str(info.value) == (
+        f"cluster file {path}: cluster 1 uses symbol 4, out of range for a model with 4 symbols"
+    )
+    # the first faulty cluster is named, whatever the fault of a later one
+    bad_symbol = {"representative": [1, 9], "weight": 1}
+    bad_weight = {"representative": [1], "weight": 1.5}
+    write_table(path, [GOOD, bad_symbol, bad_weight], total_weight=3)
+    with pytest.raises(ValueError, match=r"cluster 1 uses symbol 9, out of range .* 5 symbols$"):
+        load_cluster_table(path, n_symbols=5)
+    with pytest.raises(ValueError, match="cluster 2 weight must be an integer, got 1.5$"):
+        load_cluster_table(path)
+
+
+def test_cluster_file_with_a_category_id_line_still_loads(tmp_path):
+    # tables once carried an integer "category_id" before total_weight;
+    # like any other key but total_weight and clusters, it is ignored
+    old = tmp_path / "old.json"
+    old.write_text(
+        '{\n  "category_id": 3,\n  "total_weight": 4,\n  "clusters": [\n'
+        '    {"representative": [1, 2, 3], "weight": 3},\n'
+        '    {"representative": [4], "weight": 1}\n  ]\n}\n'
+    )
+    table = load_cluster_table(old, n_symbols=5)
+    save_cluster_table(table, tmp_path / "new.json")
+    lines = old.read_text().splitlines(keepends=True)
+    assert (tmp_path / "new.json").read_text() == "".join(lines[:1] + lines[2:])
+    new = load_cluster_table(tmp_path / "new.json")
+    for got, expected in ((new.reps.values, table.reps.values),
+                          (new.reps.offsets, table.reps.offsets), (new.weights, table.weights)):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("field, value", [("total_weight", 2.0), ("total_weight", "2")])
 def test_cluster_file_rejects_non_integer_header(tmp_path, field, value):
     path = tmp_path / "clusters.json"
-    doc = {"category_id": 0, "total_weight": 2, "clusters": [GOOD]}
+    doc = {"total_weight": 2, "clusters": [GOOD]}
     doc[field] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"cluster file .*: {field} must be an integer"):
@@ -534,15 +550,15 @@ def test_cluster_file_not_json_or_not_object(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError, match=f"cluster file {path} is not valid JSON"):
         load_cluster_table(path)
-    path.write_bytes(b'\xff\xfe{"category_id": 0}')
+    path.write_bytes(b'\xff\xfe{"total_weight": 1}')
     with pytest.raises(ValueError, match=f"cluster file {path} is not valid JSON"):
         load_cluster_table(path)
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="must hold a JSON object"):
         load_cluster_table(path)
-    path.write_text('{"category_id": 0, "total_weight": 1, "clusters": {"a": 1}}')
+    path.write_text('{"total_weight": 1, "clusters": {"a": 1}}')
     with pytest.raises(ValueError, match="clusters must be a list"):
         load_cluster_table(path)
-    path.write_text('{"category_id": 0, "total_weight": 1, "clusters": [7]}')
+    path.write_text('{"total_weight": 1, "clusters": [7]}')
     with pytest.raises(ValueError, match="cluster 0 must be a JSON object"):
         load_cluster_table(path)

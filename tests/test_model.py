@@ -263,12 +263,12 @@ def test_load_model_rejects_nan(tmp_path):
         (
             b'{"n_states": 2, "n_symbols": 1, "pi": [1.0, 0.0],'
             b' "a": [["1.0", "0"], [0.0, 1.0]], "b": [[1.0], [1.0]]}',
-            'a must hold JSON numbers, got "1.0"',
+            'a row 0 must hold JSON numbers, got "1.0"',
         ),
         (
             b'{"n_states": 2, "n_symbols": 2, "pi": [1.0, 0.0],'
             b' "a": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.5, "0.5"], [1, 0]]}',
-            'b must hold JSON numbers, got "0.5"',
+            'b row 0 must hold JSON numbers, got "0.5"',
         ),
         (
             b'{"n_states": 1, "n_symbols": 1, "pi": [null], "a": [[1.0]], "b": [[1.0]]}',
@@ -294,10 +294,26 @@ def test_load_model_rejects_nan(tmp_path):
             b' "a": [[1.0, 0.0], 1.0], "b": [[1.0], [1.0]]}',
             "a row 1 is not a list, expected 2",
         ),
+        (
+            b'{"n_states": 2, "n_symbols": 1, "pi": [1.0, [0.0]],'
+            b' "a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0], [1.0]]}',
+            "pi must hold JSON numbers, got [0.0]",
+        ),
+        (
+            b'{"n_states": 2, "n_symbols": 1, "pi": [1.0, 0.0],'
+            b' "a": [[[1.0]], [[1.0, 2.0]]], "b": [[1.0], [1.0]]}',
+            "a row 0 must hold JSON numbers, got [1.0]",
+        ),
+        (
+            b'{"n_states": 2, "n_symbols": 2, "pi": [1.0, 0.0],'
+            b' "a": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.5, 0.5], [1.0, [0.0, 1.0]]]}',
+            "b row 1 must hold JSON numbers, got [0.0, 1.0]",
+        ),
     ],
     ids=["float_n_states", "bool_n_symbols", "bad_json", "not_utf8", "top_level_list", "string_pi",
          "bool_in_pi", "string_in_a", "number_and_string_in_b", "null_in_pi", "huge_int_in_pi",
-         "ragged_a", "ragged_b", "number_row_in_a"],
+         "ragged_a", "ragged_b", "number_row_in_a", "ragged_pi", "ragged_third_level_a",
+         "list_entry_in_b"],
 )
 def test_load_model_rejects_malformed_files(tmp_path, content, message):
     path = tmp_path / "model.json"
@@ -809,9 +825,11 @@ def test_dataset_keeps_every_int64():
     st.data(),
 )
 def test_dataset_take_matches_per_row_gather(rows, data):
-    # the positions repeat or run out of order; no position makes no Dataset
+    # the positions repeat, run out of order or count from the end, as
+    # Python's do; no position makes no Dataset, and one outside [-n, n) none
     dataset = Dataset([np.array(r, dtype=np.int64) for r in rows])
-    positions = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12))
+    n = len(rows)
+    positions = data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=12))
     got = dataset.take(np.array(positions, dtype=np.int64))
     assert len(got) == len(positions)
     assert [s.tolist() for s in got.sequences] == [rows[i] for i in positions]
@@ -821,3 +839,6 @@ def test_dataset_take_matches_per_row_gather(rows, data):
     assert not got.values.flags.writeable and not got.offsets.flags.writeable
     with pytest.raises(ValueError, match="^sequence 1 is missing$"):
         dataset.take([])
+    outside = data.draw(st.sampled_from([-n - 1, n]))
+    with pytest.raises(ValueError, match=f"^position {outside} is out of range for {n} sequences$"):
+        dataset.take([0, outside])
