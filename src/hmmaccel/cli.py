@@ -4,6 +4,11 @@ Subcommands: gen, cluster, train, eval, decode, dist, bench. File formats
 are the package's JSON model format, plain-text sequence files (one
 sequence per line), and JSON cluster tables. Every command exits 0 only if
 all of its steps succeeded.
+
+`main` builds a command's own parser on the first line that names it and
+parses that command's later lines in the process with the same parser. It
+keeps the parser alone: the handler is looked up in `COMMANDS`, and every
+file is read, on each call.
 """
 
 from __future__ import annotations
@@ -307,20 +312,31 @@ def build_parser(only=None) -> argparse.ArgumentParser:
     return parser
 
 
+# command name: its standalone parser, built by `main` on the command's
+# first line in the process
+_PARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
 def main(argv=None) -> int:
     """Run the command line `argv` (default: `sys.argv[1:]`) and return its
     exit code.
 
     When `argv[0]` names a command, the rest of the line is parsed by that
     command's parser alone, with `parse_known_args`, as the full parser's
-    subparsers action would parse it. The full parser is built only when
-    there is no command, an option or an unknown command comes first, or
-    arguments are left over; it then reports them under its own usage
-    line. So a valid command line builds one `ArgumentParser`."""
+    subparsers action would parse it. That parser is built on the
+    command's first line in the process and kept for its later lines; the
+    handler is the one `COMMANDS` holds at the call. The full parser is
+    built, each time, only when there is no command, an option or an
+    unknown command comes first, or arguments are left over; it then
+    reports them under its own usage line. So valid command lines build at
+    most one `ArgumentParser` per command per process."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = extra = None
     if argv and argv[0] in COMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+        if argv[0] not in _PARSERS:
+            _PARSERS[argv[0]] = build_parser(argv[0])
+        args, extra = _PARSERS[argv[0]].parse_known_args(argv[1:])
+        args.func = COMMANDS[argv[0]][2]
     if args is None or extra:
         args = build_parser().parse_args(argv)
     try:

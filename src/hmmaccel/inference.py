@@ -411,7 +411,7 @@ def estep_block(model: HmmModel, block: Block, plan: EStepPlan, pi_num: np.ndarr
     np.divide(v, beta[b_len:], out=v)
     last = len(wp) - block.sizes[-2]  # the rows of the last step
     beta[last:] = wp[last:, None]
-    a_t = model.a.T
+    a_t = model.a_transposed
     for v_next, beta_next, out, ends, w in plan.backward:
         v_next *= beta_next  # made c b(o_{t+1}) beta_{t+1} in place: no emission is read again
         np.dot(v_next, a_t, out=out)
@@ -550,11 +550,11 @@ def _kernel_bytes(kernel, n: int) -> tuple[int, int]:
       entry; per row, the (N, N) scores, hits and ranked, then delta, best
       and one step's log-emissions, each (N,) float64.
 
-    The (N, N) arrays the kernels read, scoring's all-ones matrix and
-    Viterbi's log A, with log pi and log B, are the model's, made once per
-    model, not per block. A training plan's views (`estep_plan`) are held
-    per padded step, not per row, and are bounded per run by PLAN_STEPS,
-    outside this budget.
+    The (N, N) arrays the kernels read, the backward pass's A transposed,
+    scoring's all-ones matrix and Viterbi's log A, with B by symbol, log pi
+    and log B, are the model's, made once per model, not per block. A
+    training plan's views (`estep_plan`) are held per padded step, not per
+    row, and are bounded per run by PLAN_STEPS, outside this budget.
     """
     index = np.min_scalar_type(n - 1).itemsize  # one back-pointer
     return {"estep_block": (24 * n, 0), "score_block": (8, 32 * n + 8),

@@ -73,6 +73,15 @@ class HmmModel:
         return b_t
 
     @functools.cached_property
+    def a_transposed(self) -> np.ndarray:
+        """A transposed, contiguous and read-only: the backward pass's
+        operand, beta_t = (v_{t+1} beta_{t+1}) A^T row by row. Made once
+        per model."""
+        a_t = np.ascontiguousarray(self.a.T)
+        a_t.setflags(write=False)
+        return a_t
+
+    @functools.cached_property
     def ones(self) -> np.ndarray:
         """An (N, N) all-ones matrix, read-only: the forward pass takes
         each step's row sums as its product with alpha_t. Made once per

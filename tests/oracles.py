@@ -35,7 +35,9 @@
 - `estep_block_slicing` is `estep_block` as it was before each block's
   steps were planned once per run: it slices the workspace at every step
   of the forward and backward passes and runs each step's products with
-  np.matmul. `estep_block` must give its counts and log-likelihood bits.
+  np.matmul, reading a contiguous A transposed in the backward product as
+  `estep_block` does. `estep_block` must give its counts and
+  log-likelihood bits.
 - `block_budget` is no oracle but the inverse of `length_blocks`' sizing:
   the BLOCK_BYTES at which a kernel's blocks take a given number of rows
   of a given length, so that tests can shrink blocks through the one
@@ -480,7 +482,7 @@ def estep_block_slicing(model, block, wp, pi_num, a_num, b_num, work):
         k, nxt = sizes[t + 1], np.s_[off[t + 1] : off[t + 2]]
         v_next = bt[nxt]
         v_next *= beta[nxt]
-        np.matmul(v_next, a.T, out=beta[off[t] : off[t] + k])
+        np.matmul(v_next, np.ascontiguousarray(a.T), out=beta[off[t] : off[t] + k])
         if k < sizes[t]:  # rows whose last step is t
             beta[off[t] + k : off[t + 1]] = wp[off[t] + k : off[t + 1], None]
 

@@ -905,8 +905,13 @@ def test_a_valid_line_builds_one_argument_parser(monkeypatch, commands_return_ar
         progs.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    monkeypatch.setattr(cli, "_PARSERS", {})  # no parser kept from an earlier line
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-    assert isinstance(main(argv), argparse.Namespace)
+    first = main(argv)
+    assert isinstance(first, argparse.Namespace)
+    assert progs == [f"hmmaccel {argv[0]}"]
+    # a later line of the command parses with the parser the first one built
+    assert main(argv) == first
     assert progs == [f"hmmaccel {argv[0]}"]
 
 
@@ -929,16 +934,21 @@ def test_console_script_path_builds_one_command(monkeypatch, capsys, commands_re
 
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     monkeypatch.setattr(sys, "argv", ["hmmaccel", "eval", "m", "s"])
     assert isinstance(main(), argparse.Namespace)
     assert built == ["eval"]
-    # arguments left over: the top level reports them, as the full parser does
+    assert isinstance(main(), argparse.Namespace)
+    assert built == ["eval"]  # eval's parser is kept
+    # arguments left over: the top level reports them, as the full parser
+    # does, and is built again for each such line
     built.clear()
     argv = ["eval", "a", "b", "extra"]
     monkeypatch.setattr(sys, "argv", ["hmmaccel", *argv])
-    got = exit_output(capsys, lambda _: main(), None)
-    assert built == ["eval", None]
-    assert got == exit_output(capsys, lambda a: build_parser().parse_args(a), argv)
+    for _ in range(2):
+        got = exit_output(capsys, lambda _: main(), None)
+        assert got == exit_output(capsys, lambda a: build_parser().parse_args(a), argv)
+    assert built == [None, None]
 
 
 def test_every_parsed_option_is_read(tmp_path, capsys):
