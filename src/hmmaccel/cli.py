@@ -34,6 +34,7 @@ from .dtw import dtw_distance, euclidean_distance
 from .inference import length_blocks, score_block, viterbi_block
 from .model import (
     HmmModel,
+    _write_text,
     load_distinct_sequences,
     load_model,
     load_sequences,
@@ -212,8 +213,7 @@ def _cmd_bench(args) -> int:
     )
     sys.stdout.write(bench_mod.report_text(reports))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(bench_mod.report_csv(reports))
+        _write_text(args.csv, bench_mod.report_csv(reports))
     return 0
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _exact_int, _offsets
+from .model import Dataset, _exact_int, _offsets, _sequences_text, _write_text
 
 DISTANCES = ("dtw", "euclidean")
 
@@ -181,19 +181,19 @@ def filter_low_weight(table: ClusterTable, min_weight: int) -> ClusterTable:
 
 def save_cluster_table(table: ClusterTable, path) -> None:
     """Write a cluster table as JSON, one cluster per line, in the layout of
-    `_write_json`. A representative is a list of Python ints, whose repr is
-    its JSON, so each cluster is formatted without json."""
-    values, offsets = table.reps.values.tolist(), table.reps.offsets.tolist()
+    `_write_json`. A representative's JSON list is its line of
+    `save_sequences` text with ", " between the symbols, so each cluster is
+    formatted without json."""
+    reps = _sequences_text(table.reps).replace(" ", ", ").split("\n")
     body = ",\n    ".join([
-        '{"representative": %s, "weight": %d}' % (values[lo:hi], w)
-        for lo, hi, w in zip(offsets, offsets[1:], table.weights.tolist())
+        '{"representative": [%s], "weight": %d}' % rep_weight
+        for rep_weight in zip(reps, table.weights.tolist())
     ])
     text = (
         f'{{\n  "total_weight": {table.total_weight},\n'
         f'  "clusters": [\n    {body}\n  ]\n}}\n'
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, text)
 
 
 def _bulk_table(clusters, n_symbols):

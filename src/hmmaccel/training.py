@@ -42,6 +42,7 @@ event is recorded on the trace rather than silently renormalized away.
 from __future__ import annotations
 
 import csv
+import io
 import time
 from dataclasses import dataclass, field
 
@@ -55,7 +56,7 @@ from .inference import (
     length_blocks,
     score_block,
 )
-from .model import Dataset, HmmModel, require_valid
+from .model import Dataset, HmmModel, _write_text, require_valid
 
 
 @dataclass
@@ -183,12 +184,14 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
 
 
 def write_trace_csv(trace: TrainingTrace, path) -> None:
-    """Trace as CSV: iteration, log_likelihood, cumulative_seconds."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "log_likelihood", "cumulative_seconds"])
-        for i, (ll, sec) in enumerate(
-            zip(trace.per_iteration_log_likelihood, trace.per_iteration_seconds),
-            start=1,
-        ):
-            writer.writerow([i, repr(ll), f"{sec:.6g}"])
+    """Trace as CSV: iteration, log_likelihood, cumulative_seconds, with
+    CRLF row ends, as csv writes them."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["iteration", "log_likelihood", "cumulative_seconds"])
+    for i, (ll, sec) in enumerate(
+        zip(trace.per_iteration_log_likelihood, trace.per_iteration_seconds),
+        start=1,
+    ):
+        writer.writerow([i, repr(ll), f"{sec:.6g}"])
+    _write_text(path, buf.getvalue())

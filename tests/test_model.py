@@ -1,7 +1,12 @@
 """Model container, validation, sampling, and file formats."""
 
+import ast
+import errno
 import json
+import os
 import re
+import stat
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +26,7 @@ from hmmaccel import (
     validate_model,
 )
 from hmmaccel import model as model_module
+from hmmaccel.cli import main
 from hmmaccel.model import Dataset, require_valid
 
 
@@ -710,6 +716,145 @@ def test_save_sequences_refuses_what_would_not_load_back(tmp_path, rows, message
         with pytest.raises(ValueError, match=f"^{message}$"):
             save_sequences(build(), path)
     assert path.read_bytes() == b"kept\n"
+
+
+def open_write(path, text):
+    """The writer `_write_text` stands in for."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+WRITERS = [model_module._write_text, open_write]
+
+
+@pytest.mark.parametrize("old", [bytes(range(100)), None], ids=["over_100_bytes", "new_file"])
+@pytest.mark.parametrize("text", ["0123456789", "", "1 2\né\r\n"], ids=["10_bytes", "empty", "utf8"])
+def test_write_text_leaves_what_open_w_leaves(tmp_path, old, text):
+    # the new bytes alone, in the same inode and mode; a new file gets the
+    # mode open gives it under a umask that lets group write through
+    results = []
+    for i, write in enumerate(WRITERS):
+        path = tmp_path / f"{i}.txt"
+        if old is not None:
+            path.write_bytes(old)
+            path.chmod(0o600)
+            inode = path.stat().st_ino
+        umask = os.umask(0o002)
+        try:
+            write(path, text)
+        finally:
+            os.umask(umask)
+        if old is not None:
+            assert path.stat().st_ino == inode
+        results.append((path.read_bytes(), stat.S_IMODE(path.stat().st_mode)))
+    assert results[0] == results[1]
+    assert results[0] == (text.encode(), 0o664 if old is None else 0o600)
+
+
+def test_write_text_through_a_symlink_fills_its_target(tmp_path):
+    for i, write in enumerate(WRITERS):
+        target, link = tmp_path / f"target{i}", tmp_path / f"link{i}"
+        target.write_bytes(b"#" * 100)
+        link.symlink_to(target)
+        write(link, "0 1\n")
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == b"0 1\n"
+
+
+@pytest.mark.parametrize("write", WRITERS, ids=["write_text", "open_w"])
+def test_write_text_to_a_device_raises_nothing(write):
+    # /dev/null cannot be truncated, and neither writer tries
+    write(os.devnull, "0 1\n")
+
+
+def test_a_short_write_is_continued(tmp_path):
+    # a signal can cut os.write short; the writer goes on from where it stopped
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"#" * 100)
+    real_write = os.write
+    with mock.patch.object(model_module.os, "write", lambda fd, data: real_write(fd, data[:3])):
+        model_module._write_text(path, "0123456789")
+    assert path.read_bytes() == b"0123456789"
+
+
+def test_a_failed_write_leaves_exactly_the_bytes_written(tmp_path):
+    # as open(path, "w") would: its truncation leaves no old tail either
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"#" * 100)
+    real_write, calls = os.write, []
+
+    def four_then_full(fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:4])
+
+    with mock.patch.object(model_module.os, "write", four_then_full):
+        with pytest.raises(OSError) as exc:
+            model_module._write_text(path, "0123456789")
+    assert exc.value.errno == errno.ENOSPC
+    assert path.read_bytes() == b"0123"
+
+
+def test_train_to_a_missing_folder_names_the_path(tmp_path, capsys):
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("0 1\n1 0\n")
+    out = tmp_path / "missing" / "model.json"
+    code = main(["train", str(seqs), str(out), "--states", "2", "--symbols", "2",
+                 "--iterations", "1"])
+    with pytest.raises(FileNotFoundError) as exc:
+        open_write(out, "")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert str(exc.value) == f"[Errno 2] No such file or directory: {str(out)!r}"
+
+
+SOURCE = Path(model_module.__file__).parent
+WRITE_MODES = set("wax+")
+
+
+def writes_outside_the_one_writer(source):
+    """(line, call) for each place in a module's source that writes a file
+    other than through model._write_text: an open() or .open() whose mode
+    can write, a .write_text or .write_bytes, or an os.open outside
+    `_write_text`."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            owner = getattr(func, "value", None)
+            if name == "open" and isinstance(owner, ast.Name) and owner.id == "os":
+                if function != "_write_text":
+                    found.append((node.lineno, "os.open"))
+            elif name == "open":
+                modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+                for mode in modes:
+                    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                            and not WRITE_MODES & set(mode.value)):
+                        found.append((node.lineno, "open"))
+            elif name in ("write_text", "write_bytes"):
+                found.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_file_is_written_by_the_one_writer():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert len(modules) >= 8
+    found = {m.name: writes_outside_the_one_writer(m.read_text()) for m in modules}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+    assert writes_outside_the_one_writer(
+        'open(p, "w")\nopen(p, mode="a+")\nopen(p, m)\nPath(p).write_text(s)\n'
+        'def f():\n    os.open(p, 1)\ndef _write_text():\n    os.open(p, 1)\n'
+        'open(p)\nopen(p, "rb")\n'
+    ) == [(1, "open"), (2, "open"), (3, "open"), (4, "write_text"), (6, "os.open")]
 
 
 def flat_pair(rows):
