@@ -244,6 +244,38 @@ def test_train_init_model(tmp_path, capsys):
     assert load_model(out).n_symbols == 3
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--states", "2", "--symbols", "3"], None),
+        (["--states", "5", "--symbols", "9"], "--states 5 disagrees with {init}, which has 2"),
+        (["--symbols", "9"], "--symbols 9 disagrees with {init}, which has 3"),
+        (["--states", "2", "--symbols", "4"], "--symbols 4 disagrees with {init}, which has 3"),
+    ],
+)
+def test_train_init_model_checks_states_and_symbols(tmp_path, capsys, flags, message):
+    init = write_json(
+        tmp_path / "init.json",
+        {
+            "n_states": 2,
+            "n_symbols": 3,
+            "pi": [0.5, 0.5],
+            "a": [[0.6, 0.4], [0.3, 0.7]],
+            "b": [[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]],
+        },
+    )
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("0 1 2\n2 2 0\n")
+    out = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", str(seqs), str(out), "--init-model", init, *flags)
+    if message is None:
+        assert (code, err) == (0, "")
+        assert load_model(out).n_states == 2
+    else:
+        assert (code, err) == (1, f"error: {message.format(init=init)}\n")
+        assert not out.exists()
+
+
 def test_train_prints_zero_occupancy_warnings(tmp_path, capsys):
     # state 1 is never entered, so each iteration carries its rows over
     init = write_json(
@@ -1036,3 +1068,56 @@ def test_console_script_on_path():
     proc = subprocess.run([script, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: hmmaccel")
+
+
+# Four classical `train`s of a 10k x 5 corpus from the bundled model in one
+# process, as a benchmark runs them; prints each one's minor page faults.
+REPEATED_TRAIN = """
+import io, json, resource, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+from hmmaccel import cli, sample_sequences, save_sequences
+
+d = Path(sys.argv[1])
+model = cli._bundled_bench_model()
+save_sequences(sample_sequences(model, 10000, 5, 7), d / "c.txt")
+argv = ["train", str(d / "c.txt"), str(d / "m.json"), "--iterations", "2",
+        "--states", str(model.n_states), "--symbols", str(model.n_symbols)]
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the allocator setting applies to glibc alone")
+def test_repeated_train_does_not_fault_its_memory_in_again(tmp_path):
+    # glibc's defaults hand a command's freed memory back to the kernel, and
+    # the next `train` faults about 600 pages in again. Whether they do
+    # depends on the process's allocation history, which the length of the
+    # working directory's name shifts, so each length runs in its own process.
+    package_root = str(Path(hmmaccel.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    for var in [v for v in env if v.startswith("MALLOC_")]:  # glibc's own tunables
+        del env[var]
+    for name_length in (1, 8, 20, 36):
+        d = tmp_path / ("d" * name_length)
+        d.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", REPEATED_TRAIN, str(d)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults = json.loads(proc.stdout)
+        assert max(faults[2:]) < 64, (name_length, faults)
