@@ -18,9 +18,10 @@ glibc's defaults hand that memory back to the kernel after a command, and
 the next command faults it in again, page by page: about 600 minor faults
 per classical `train` of a 10k x 5 corpus. So a process that runs more
 than one command, as a benchmark or a script that calls `main` in a loop
-does, faults its pages in once. The setting is process-wide but bounded, and
-importing the package still changes nothing; other C libraries are left
-alone.
+does, faults its pages in once. A process that runs a single command
+faults fewer pages too and runs level or a little faster (measured in
+README). The setting is process-wide but bounded, and importing the
+package still changes nothing; other C libraries are left alone.
 """
 
 from __future__ import annotations
@@ -266,8 +267,10 @@ def _train_args(p) -> None:
     p.add_argument("out", help="output model JSON")
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--seed", type=int, default=0, help="seed for the random initial model")
-    p.add_argument("--states", type=int, default=None, help="state count for seeded init")
-    p.add_argument("--symbols", type=int, default=None, help="symbol count for seeded init")
+    p.add_argument("--states", type=int, default=None,
+                   help="state count for seeded init; with --init-model, must equal the model's")
+    p.add_argument("--symbols", type=int, default=None,
+                   help="symbol count for seeded init; with --init-model, must equal the model's")
     p.add_argument("--init-model", default=None, help="explicit initial model JSON")
     p.add_argument("--ll-tolerance", type=float, default=None, help="early-stop threshold")
     p.add_argument("--trace", default=None, help="trace CSV path (default: OUT.trace.csv)")
@@ -332,14 +335,19 @@ def build_parser(only=None) -> argparse.ArgumentParser:
     return parser
 
 
+def _on_glibc() -> bool:
+    """Whether this process's C library is glibc."""
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return False
+
+
 @functools.cache
 def _keep_freed_memory() -> None:
     """On glibc, fix the allocator's map and trim thresholds, once per
     process (see the module docstring); elsewhere, do nothing."""
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+    if not _on_glibc():
         return
     m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's <malloc.h>
     mallopt = ctypes.CDLL(None).mallopt

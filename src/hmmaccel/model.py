@@ -108,20 +108,6 @@ class HmmModel:
         return logs
 
     @classmethod
-    def _adopt(cls, pi, a, b) -> "HmmModel":
-        """A model over float64 arrays `pi` (N,), `a` (N, N) and `b` (N, M)
-        that no one else writes, taken read-only and uncopied. EM's M-step
-        builds each iteration's model this way; the public constructor
-        copies."""
-        model = cls.__new__(cls)
-        for name, value in (("n_states", b.shape[0]), ("n_symbols", b.shape[1]),
-                            ("pi", pi), ("a", a), ("b", b)):
-            object.__setattr__(model, name, value)
-        for arr in (pi, a, b):
-            arr.setflags(write=False)
-        return model
-
-    @classmethod
     def from_arrays(cls, pi, a, b) -> "HmmModel":
         """Build a model, taking N and M from the array shapes."""
         pi = np.asarray(pi, dtype=np.float64)

@@ -162,7 +162,7 @@ def _run_em(init, data: Dataset, weights, config, on_iteration=None) -> Training
                     "B row carried over"
                 )
 
-        model = HmmModel._adopt(new_pi, new_a, new_b)
+        model = HmmModel(n, m, new_pi, new_a, new_b)
         lls.append(total_ll)
         cum_seconds.append(time.perf_counter() - start)
         if on_iteration is not None:

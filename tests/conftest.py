@@ -24,20 +24,3 @@ def adopted_datasets_hold_the_invariant(monkeypatch):
         return adopt(self, values, offsets)
 
     monkeypatch.setattr(model.Dataset, "_adopt", checked)
-
-
-@pytest.fixture(autouse=True)
-def adopted_models_hold_their_own_float64_arrays(monkeypatch):
-    """Every model adopted during a test, as EM's M-step adopts each
-    iteration's arrays uncopied, must get float64 arrays of the right shapes
-    that own their data, as the copying constructor would have made."""
-    adopt = model.HmmModel._adopt.__func__
-
-    def checked(cls, pi, a, b):
-        n = b.shape[0]
-        assert pi.dtype == a.dtype == b.dtype == np.float64
-        assert pi.shape == (n,) and a.shape == (n, n) and b.ndim == 2
-        assert pi.flags.owndata and a.flags.owndata and b.flags.owndata
-        return adopt(cls, pi, a, b)
-
-    monkeypatch.setattr(model.HmmModel, "_adopt", classmethod(checked))

@@ -1093,14 +1093,7 @@ print(json.dumps(faults))
 """
 
 
-def _on_glibc() -> bool:
-    try:
-        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
-    except (AttributeError, ValueError, OSError):
-        return False
-
-
-@pytest.mark.skipif(not _on_glibc(), reason="the allocator setting applies to glibc alone")
+@pytest.mark.skipif(not cli._on_glibc(), reason="the allocator setting applies to glibc alone")
 def test_repeated_train_does_not_fault_its_memory_in_again(tmp_path):
     # glibc's defaults hand a command's freed memory back to the kernel, and
     # the next `train` faults about 600 pages in again. Whether they do

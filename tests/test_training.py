@@ -404,19 +404,6 @@ def test_one_iteration_matches_formula_oracle():
         assert np.abs(trace.final_model.b - exp_b).max() < 1e-12
 
 
-def test_every_iteration_model_is_read_only_and_its_own():
-    # the M-step's arrays are adopted uncopied, so no model may be written
-    # through, nor share an array with another iteration's model
-    data = sample_sequences(initialize_model(3, 4, 2), 40, 6, 3)
-    models = []
-    em_train(initialize_model(3, 4, 1), data, TrainingConfig(iterations=4),
-             on_iteration=lambda it, model, ll: models.append(model))
-    arrays = [x for model in models for x in (model.pi, model.a, model.b)]
-    assert not any(x.flags.writeable for x in arrays)
-    assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(arrays, 2))
-    assert {(model.n_states, model.n_symbols) for model in models} == {(3, 4)}
-
-
 def test_weight_one_reduction_bit_identical():
     rng = np.random.default_rng(42)
     seqs = [rng.integers(0, 4, size=5) for _ in range(12)]
