@@ -89,10 +89,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    # Each distinct line is clustered once, counted as often as it occurs.
-    data, inverse = load_distinct_sequences(args.input)
+    data = load_sequences(args.input)
     t0 = perf_counter()
-    table = build_clusters(data, args.distance, inverse)
+    table = build_clusters(data, args.distance)
     seconds = perf_counter() - t0
     if args.min_weight is not None:
         table = filter_low_weight(table, args.min_weight)
@@ -107,6 +106,10 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.csv"
+    if os.path.realpath(trace_path) == os.path.realpath(args.out):
+        raise ValueError(f"the trace file {trace_path} (--trace) and the output model "
+                         f"{args.out} (OUT) are the same file")
     if args.init_model is not None:
         init = load_model(args.init_model, renormalize=args.renormalize)
         for flag, given, held in (("--states", args.states, init.n_states),
@@ -130,7 +133,6 @@ def _cmd_train(args) -> int:
         trace = em_train(init, data, config)
 
     save_model(trace.final_model, args.out)
-    trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.csv"
     write_trace_csv(trace, trace_path)
     for note in trace.warnings:
         print(f"warning: {note}", file=sys.stderr)

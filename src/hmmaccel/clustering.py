@@ -24,7 +24,9 @@ digits that one key holds, and the chunks' keys, k times fewer per row,
 are keyed the same way, until each row is one key. Symbols or chunk keys
 that span too much for two digits per key are replaced by their ranks
 first. No key wraps, so no row needs checking and no two rows collide.
-One `np.unique` over the keys groups the rows, and clusters are then put
+Keys that span a small range, within `inference.BLOCK_BYTES` as a table
+and not far above the row count, are grouped through a dense table with no
+sort (`_key_groups`); any others by one `np.unique`. Clusters are then put
 in order of first appearance.
 
 A ClusterTable is itself flat: its representatives are one Dataset,
@@ -32,12 +34,10 @@ gathered from the input with `Dataset.take`, beside one int64 array of
 weights. Training reads the representatives as they are, and a table file
 is read into the same two arrays.
 
-Rows may stand for several sequences each: `build_clusters` takes the
-`inverse` of `load_distinct_sequences`, which maps each sequence of a file
-to its distinct line, so the key work is done once per distinct line, and
-a weight is the number of sequences whose lines fall in the cluster.
-Since the distinct lines come in order of first appearance,
-representatives and cluster order are those of the whole file.
+Every row is one sequence: the `cluster` command parses its whole file
+with `load_sequences` and keys every line. With the dense table, keying a
+redundant corpus row by row costs less than `load_distinct_sequences`'
+text memo of its lines.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inference import BLOCK_BYTES
 from .model import Dataset, _exact_int, _offsets, _sequences_text, _write_text
 
 DISTANCES = ("dtw", "euclidean")
@@ -86,73 +87,117 @@ class ClusterTable:
 def _collapse(data: Dataset) -> Dataset:
     """Each sequence with its consecutive repeats removed, as a Dataset:
     a symbol is kept where it starts its sequence or differs from the one
-    before it."""
-    values = data.values
-    keep = np.ones(values.shape[0], dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    keep[data.offsets[:-1]] = True
-    return Dataset.__new__(Dataset)._adopt(values[keep], _offsets(keep)[data.offsets])
+    before it. Every start is kept, so the new offsets are the places of
+    the starts among the kept symbols, with no running count over the
+    buffer."""
+    values, offsets = data.values, data.offsets
+    start = np.zeros(values.shape[0], dtype=bool)
+    start[offsets[:-1]] = True
+    keep = start.copy()
+    keep[1:] |= values[1:] != values[:-1]
+    kept = np.flatnonzero(keep)
+    collapsed = np.empty_like(offsets)
+    collapsed[:-1] = np.flatnonzero(start[kept])
+    collapsed[-1] = kept.shape[0]
+    return Dataset.__new__(Dataset)._adopt(values[kept], collapsed)
 
 
-def _group_equal_rows(data: Dataset):
-    """Group identical sequences: (first, cluster), where first holds the
-    position of each group's first member in order of first appearance and
-    cluster[i] is the group of sequence i.
+def _row_keys(data: Dataset) -> np.ndarray:
+    """One int64 key per row, equal exactly when the rows are equal (see the
+    module docstring).
 
-    Each row gets one int64 key, equal exactly when the rows are equal (see
-    the module docstring). Each round reads the keys of the last round,
-    the symbols at first, as digits: shifted by their minimum, or replaced
-    by their ranks when they span too much for two digits per key. Rows are
-    cut into chunks of the k digits that one key holds, the first digit
-    lowest, and each chunk's key is the sum of its digits times their
-    powers; rows that were one chunk end the loop."""
+    Each round reads the keys of the last round, the symbols at first, as
+    digits: shifted by their minimum, or replaced by their ranks when they
+    span too much for two digits per key. Rows are cut into chunks of the k
+    digits that one key holds, the first digit lowest, and each chunk's key
+    is the sum of its digits times their powers; rows that were one chunk
+    end the loop. Rows of one length that fit one key get their keys from
+    one matrix product: the digits, one matrix row per row, times the
+    powers."""
     keys, offsets = data.values, data.offsets
     while keys.shape[0] > len(data):  # until each row is one key
         lo, hi = int(keys.min()), int(keys.max())
         if (hi - lo + 2) ** 2 >= 2**63:
             ranks, keys = np.unique(keys, return_inverse=True)
             lo, hi = 0, ranks.shape[0] - 1
-        digits, base = keys - lo + 1, hi - lo + 2
+        digits, base = keys - (lo - 1), hi - lo + 2
         lengths = np.diff(offsets)
         k = next(j for j in range(1, 64) if base ** (j + 1) >= 2**63)  # digits one key holds
+        width = int(lengths.max())
+        if width <= k and keys.shape[0] == width * lengths.shape[0]:  # one length, one key
+            return digits.reshape(-1, width) @ base ** np.arange(width)
         pos = np.arange(keys.shape[0]) - np.repeat(offsets[:-1], lengths)  # place in its row
-        digits *= (base ** (np.arange(lengths.max()) % k))[pos]  # a chunk's first digit lowest
+        digits *= (base ** (np.arange(width) % k))[pos]  # a chunk's first digit lowest
+        if width <= k:  # each row is one chunk
+            return np.add.reduceat(digits, offsets[:-1])
         # the first digit of each chunk is the only one left below base
-        starts = offsets[:-1] if lengths.max() <= k else np.flatnonzero(digits < base)
-        keys = np.add.reduceat(digits, starts)
+        keys = np.add.reduceat(digits, np.flatnonzero(digits < base))
         offsets = _offsets(-(-lengths // k))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return keys
+
+
+def _group_equal_rows(data: Dataset):
+    """Group identical sequences: (first, cluster), where first holds the
+    position of each group's first member in order of first appearance and
+    cluster[i] is the group of sequence i."""
+    first, group = _key_groups(_row_keys(data))
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0])
-    return first[order], rank[inverse]
+    return first[order], rank[group]
 
 
-def build_clusters(data: Dataset, distance: str = "dtw", inverse=None) -> ClusterTable:
+# The dense table of `_key_groups` takes 5 bytes per key in the range, a
+# bool and an int32 label, and fits `BLOCK_BYTES`. A range of more than
+# _KEYS_PER_ROW keys per row is left to the sort, which costs less there.
+_DENSE_KEYS = BLOCK_BYTES // 5
+_KEYS_PER_ROW = 64
+
+
+def _key_groups(keys):
+    """(first, group) of one int64 key per row: first[g] is the first row
+    of the g-th smallest distinct key and group[i] the number of row i's
+    key, as `np.unique(keys, return_index=True, return_inverse=True)`
+    gives them.
+
+    A key range of at most _DENSE_KEYS keys, and at most _KEYS_PER_ROW keys
+    per row, is grouped through a dense table with no sort (`_dense_groups`);
+    any other goes through `np.unique`."""
+    lo = int(keys.min())
+    size = int(keys.max()) - lo + 1
+    if size <= min(_DENSE_KEYS, _KEYS_PER_ROW * keys.shape[0]):
+        return _dense_groups(keys - lo, size)
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return first, group
+
+
+def _dense_groups(keys, size):
+    """`_key_groups` of keys in [0, size): the keys present, from a bool
+    table of the keys seen, are labelled in order through an int32 table,
+    and each label's first row is the least row that has it."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    present = np.flatnonzero(seen)
+    label = np.empty(size, dtype=np.int32)
+    label[present] = np.arange(present.shape[0], dtype=np.int32)
+    group = label[keys]
+    first = np.full(present.shape[0], keys.shape[0], dtype=np.intp)
+    np.minimum.at(first, group, np.arange(keys.shape[0]))
+    return first, group
+
+
+def build_clusters(data: Dataset, distance: str = "dtw") -> ClusterTable:
     """Cluster a Dataset into weighted representatives.
 
     distance: "dtw" or "euclidean" (the latter requires all sequences to
     share one length). Representatives are the first member of each
-    cluster, in order of first appearance. inverse[i] is the row of `data`
-    that holds sequence i, as `load_distinct_sequences` returns it: a 1-D
-    integer array of rows in [0, len(data)), each at least once. A
-    cluster's weight is the number of sequences whose rows it holds, and
-    for euclidean a sequence of another length than the first is named by
-    its place in `inverse`. None: each row stands for itself.
+    cluster, in order of first appearance, and a cluster's weight is the
+    number of sequences it holds.
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}, expected one of {DISTANCES}")
-    if inverse is None:  # each row stands for itself
-        inverse = slice(None)
-    else:
-        inverse = np.asarray(inverse)
-        if (inverse.ndim != 1 or inverse.dtype.kind not in "iu" or not inverse.size
-                or inverse.min() < 0 or inverse.max() >= len(data)
-                or np.bincount(inverse.astype(np.intp), minlength=len(data)).min() == 0):
-            raise ValueError(f"inverse must be a 1-D integer array of rows in "
-                             f"[0, {len(data)}), each at least once")
     if distance == "euclidean":
-        lengths = data.lengths[inverse]
+        lengths = data.lengths
         other = np.flatnonzero(lengths != lengths[0])
         if other.size:
             pos = int(other[0])
@@ -161,7 +206,7 @@ def build_clusters(data: Dataset, distance: str = "dtw", inverse=None) -> Cluste
                 f"length {lengths[0]}; euclidean clustering requires one length"
             )
     first, cluster = _group_equal_rows(_collapse(data) if distance == "dtw" else data)
-    weights = np.bincount(cluster[inverse], minlength=first.shape[0])
+    weights = np.bincount(cluster, minlength=first.shape[0])
     return ClusterTable(data.take(first), weights)
 
 

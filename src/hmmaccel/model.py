@@ -23,8 +23,8 @@ lines go through `_parse_plain` when they are plain, and through int() per
 token of each distinct line otherwise, which accepts whatever int()
 accepts and names the first faulty line. `load_distinct_sequences`
 returns its work as it is, the distinct lines with an index from each
-sequence to its line, so that clustering, scoring and decoding can handle
-each distinct line once.
+sequence to its line, so that scoring and decoding can handle each
+distinct line once.
 
 `_write_text` is the one writer: every file the package writes (model,
 sequence file, cluster table, trace or bench CSV) goes through it. It
@@ -505,6 +505,11 @@ def load_distinct_sequences(path, n_symbols: int | None = None) -> tuple[Dataset
     out of range; anything else (`+3`, `1_0`, `٣`, a NEL separator, a
     19-digit token, a fault) goes through `_parse_lines`, int() per
     distinct token.
+
+    `eval` and `decode` read their files through it, scoring each distinct
+    line once. `cluster` parses its file whole with `load_sequences`:
+    grouping every row through the dense key table costs less there than
+    this memo's dictionary lookup per line.
     """
     index: dict[str, int] = {}  # distinct line -> its number, in order of first appearance
     with open(path, "r", encoding="utf-8") as fh:

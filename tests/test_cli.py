@@ -20,10 +20,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_budget, decode_lines_join, dtw_path
+from oracles import (
+    block_budget,
+    decode_lines_join,
+    dtw_path,
+    run_length_collapse,
+    save_cluster_table_json,
+)
 
 import hmmaccel
 from hmmaccel import (
+    ClusterTable,
     Dataset,
     HmmModel,
     ImpossibleSequenceError,
@@ -40,7 +47,7 @@ from hmmaccel import (
     viterbi,
     viterbi_block,
 )
-from hmmaccel import inference
+from hmmaccel import clustering, inference
 from hmmaccel.cli import main
 from hmmaccel.inference import BLOCK_BYTES
 
@@ -313,6 +320,21 @@ def test_train_whitespace_only_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trace", ["m.json", "sub/../m.json", "link.csv"])
+def test_train_refuses_a_trace_that_is_the_model(tmp_path, capsys, monkeypatch, trace):
+    # the trace, written after the model, would replace it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to("m.json")
+    (tmp_path / "seqs.txt").write_text("0 1\n")
+    code, stdout, err = run(capsys, "train", "seqs.txt", "m.json", "--states", "1",
+                            "--symbols", "2", "--trace", trace)
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: the trace file {trace} (--trace) and the output model m.json "
+                   "(OUT) are the same file\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_requires_dimensions(tmp_path, capsys):
     seqs = tmp_path / "seqs.txt"
     seqs.write_text("0 1\n")
@@ -582,8 +604,8 @@ def cluster_files(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(cluster_files())
 def test_cluster_writes_the_table_of_the_whole_file(case):
-    # clustering the distinct lines through their inverse must give the bytes
-    # that clustering every line of the file gives
+    # `cluster` must write the bytes of the table of every sequence the file
+    # holds, whatever its spacing, blank lines and comments
     distance, text = case
     with tempfile.TemporaryDirectory() as tmp:
         seqs, got, expected = (Path(tmp) / name for name in ("seqs.txt", "got.json", "exp.json"))
@@ -598,6 +620,26 @@ def test_cluster_writes_the_table_of_the_whole_file(case):
     assert out.getvalue().startswith(
         f"clusters={len(table)} total_weight={table.total_weight} seconds="
     )
+
+
+@pytest.mark.parametrize("distance", ["euclidean", "dtw"])
+def test_cluster_groups_a_large_file_through_the_dense_table(tmp_path, capsys, distance):
+    # 2,000 rows of 3 symbols over 0-9 span at most 11**3 keys, well within
+    # the dense table's keys per row, so they are grouped with no sort
+    rows = np.random.default_rng(38).integers(0, 10, size=(2000, 3)).tolist()
+    seqs, got, expected = (tmp_path / name for name in ("seqs.txt", "got.json", "exp.json"))
+    seqs.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    clusters = {}  # key: [representative, weight], in order of first appearance
+    for row in rows:
+        key = tuple(row) if distance == "euclidean" else run_length_collapse(row)
+        clusters.setdefault(key, [row, 0])[1] += 1
+    reps, weights = zip(*clusters.values())
+    save_cluster_table_json(ClusterTable(Dataset(reps), weights), expected)
+    with mock.patch.object(clustering, "_dense_groups", wraps=clustering._dense_groups) as dense:
+        code, stdout, _ = run(capsys, "cluster", str(seqs), str(got), "--distance", distance)
+    assert code == 0 and dense.called
+    assert got.read_bytes() == expected.read_bytes()
+    assert stdout.startswith(f"clusters={len(clusters)} total_weight=2000 ")
 
 
 def per_sequence_lines(model, seqs):

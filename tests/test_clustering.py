@@ -1,6 +1,7 @@
 """First-match zero-distance clustering and cluster table I/O."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hmmaccel import (
     load_cluster_table,
     save_cluster_table,
 )
+from hmmaccel import clustering
+from hmmaccel.inference import BLOCK_BYTES
 from hmmaccel.model import Dataset
 
 FOUR = [
@@ -177,38 +180,6 @@ def test_keyed_clustering_matches_scan_property(case):
     assert [r.tolist() for r in table.reps.sequences] == [r.tolist() for r in reps]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(clustering_corpora(), st.data())
-def test_counted_rows_match_their_expanded_corpus(case, data):
-    # rows with an inverse cluster as the corpus that the inverse gathers:
-    # each row's first occurrence in row order, its repeats anywhere after it
-    distance, rows = case
-    inverse = list(range(len(rows)))
-    for row in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20)):
-        inverse.insert(data.draw(st.integers(inverse.index(row) + 1, len(inverse))), row)
-    table = build_clusters(rows, distance, np.array(inverse))
-    expected = build_clusters(rows.take(inverse), distance)
-    assert table.weights.tolist() == expected.weights.tolist()
-    assert table.reps.values.tobytes() == expected.reps.values.tobytes()
-    assert table.reps.offsets.tolist() == expected.reps.offsets.tolist()
-
-
-@pytest.mark.parametrize("inverse", [
-    pytest.param([[0, 1, 2]], id="2-d"),
-    pytest.param([0.0, 1.0, 2.0], id="float"),
-    pytest.param([False, True, True], id="bool"),
-    pytest.param([0, 1, 2, -1], id="negative"),
-    pytest.param([0, 1, 2, 3], id="past-last-row"),
-    pytest.param(np.array([0, 1, 2, 2**64 - 1], dtype=np.uint64), id="huge"),
-    pytest.param(np.array([], dtype=np.int64), id="empty"),
-    pytest.param([0, 2, 0], id="row-never-occurs"),
-])
-def test_bad_inverse_rejected(inverse):
-    with pytest.raises(ValueError, match=r"inverse must be a 1-D integer array of rows in "
-                                         r"\[0, 3\), each at least once"):
-        build_clusters(dataset([[1], [2], [1]]), "dtw", np.array(inverse))
-
-
 # (lowest symbol, highest symbol, longest row one key holds): a corpus that
 # spans [lo, hi] keys rows in base hi - lo + 2, and a row one symbol longer
 # than the last figure needs a second round of keys. None: the symbols span
@@ -291,8 +262,73 @@ def test_keyed_clustering_exact_at_key_edges(case):
     assert [r.tolist() for r in table.reps.sequences] == [r.tolist() for r in reps]
 
 
+def dense_and_sorted(data, distance):
+    """build_clusters' table of `data`, whether it went through the dense
+    table, and the table of the sort alone."""
+    with mock.patch.object(clustering, "_dense_groups", wraps=clustering._dense_groups) as dense:
+        table = build_clusters(data, distance)
+    with mock.patch.object(clustering, "_DENSE_KEYS", 0):  # no range fits: always the sort
+        expected = build_clusters(data, distance)
+    return table, dense.called, expected
+
+
+def assert_same_table(table, expected):
+    assert table.weights.tolist() == expected.weights.tolist()
+    assert table.reps.values.tobytes() == expected.reps.values.tobytes()
+    assert table.reps.offsets.tolist() == expected.reps.offsets.tolist()
+
+
+@st.composite
+def dense_floor_corpora(draw):
+    """A distance and a corpus of up to 20 rows: rows of one length, or
+    ragged rows with repeats for dtw, over up to 10 symbols from 0, 3 or
+    2**40."""
+    distance = draw(st.sampled_from(["dtw", "euclidean"]))
+    lo = draw(st.sampled_from([0, 3, 2**40]))
+    symbol = st.integers(lo, lo + draw(st.integers(0, 9)))
+    if distance == "euclidean" or draw(st.booleans()):
+        t_len = draw(st.integers(1, 5))
+        row = st.lists(symbol, min_size=t_len, max_size=t_len)
+    else:
+        row = st.lists(st.tuples(symbol, st.integers(1, 3)), min_size=1, max_size=4).map(
+            lambda runs: [s for s, reps in runs for _ in range(reps)])
+    return distance, dataset(draw(st.lists(row, min_size=1, max_size=20)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(dense_floor_corpora())
+def test_dense_table_matches_the_sort_at_its_row_floor(case):
+    # the rows repeated up to the dense table's floor, a key range of
+    # _KEYS_PER_ROW keys per row, and up to one row below it
+    distance, rows = case
+    keys = clustering._row_keys(clustering._collapse(rows) if distance == "dtw" else rows)
+    floor = -(-(int(keys.max()) - int(keys.min()) + 1) // clustering._KEYS_PER_ROW)
+    for count in sorted({max(len(rows), floor - 1), max(len(rows), floor)}):
+        data = rows.take(np.arange(count) % len(rows))
+        table, dense, expected = dense_and_sorted(data, distance)
+        assert dense == (count >= floor)
+        assert_same_table(table, expected)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.sampled_from([0, 7, 2**62]), st.sampled_from([0, 1]), st.sampled_from(["dtw", "euclidean"]),
+       st.integers(0, 2**32 - 1))
+def test_dense_table_matches_the_sort_at_its_budget(lo, past, distance, seed):
+    # rows of one symbol each are keyed by their symbols: a range of
+    # _DENSE_KEYS symbols fills the table's byte budget, one more takes the sort
+    size = clustering._DENSE_KEYS + past
+    count = -(-size // clustering._KEYS_PER_ROW)
+    symbols = np.random.default_rng(seed).integers(0, size, count)
+    symbols[[0, -1]] = size - 1, 0
+    data = Dataset.from_flat(symbols + lo, np.arange(count + 1))
+    table, dense, expected = dense_and_sorted(data, distance)
+    assert dense == (not past)
+    assert_same_table(table, expected)
+    assert clustering._DENSE_KEYS * 5 <= BLOCK_BYTES
+
+
 def test_empty_sequence_rejected():
-    # refused where the Dataset is built, so no distance and no inverse meets it
+    # refused where the Dataset is built, so no distance meets it
     with pytest.raises(ValueError, match="^sequence 2 is empty$"):
         Dataset([np.array([1, 2]), np.array([], dtype=np.int64), np.array([3])])
 
@@ -309,9 +345,6 @@ def test_euclidean_mixed_lengths_rejected():
     data = dataset([[1, 2, 3], [1, 2, 3], [1, 2], [4, 5, 6]])
     with pytest.raises(ValueError, match="sequence 3 has length 2"):
         build_clusters(data, distance="euclidean")
-    # with an inverse, the error names the sequence, not its row
-    with pytest.raises(ValueError, match="sequence 5 has length 2 but sequence 1 has length 3"):
-        build_clusters(data, "euclidean", np.array([0, 1, 0, 3, 2]))
 
 
 def test_fractional_symbols_not_merged():
